@@ -16,7 +16,6 @@ from . import io as pio
 from .dataset import Dataset
 from .errors import (ConfigError, InfeasibleDataError, PairinferError,
                      ParseError)
-from .inference import fit_mle
 from .likelihood import GridAxis, GridSpec, likelihood_surface, slice_profile
 from .model import (GENDER, NONGENDER, PARAM_NAMES, GenderPairCounts,
                     PairCounts, params_from_vector)
@@ -100,16 +99,13 @@ def _cmd_surface(args):
         axes = [GridAxis(*spec) for spec in pio.DEFAULT_SURFACE_AXES]
     if len(axes) != 2:
         raise ConfigError("surface needs exactly two --grid axes")
-    names = PARAM_NAMES[args.model]
-    fixed = {}
-    free = {a.name for a in axes}
-    if set(names) - free:
-        fit = fit_mle(args.model, data, seed=args.seed, max_evals=args.max_evals)
-        fixed = {n: float(v) for n, v in zip(names, fit.estimates)
-                 if n not in free}
-    surface = likelihood_surface(args.model, data, GridSpec(tuple(axes)), fixed)
     bundle = pio.analyze(data, seed=args.seed, max_evals=args.max_evals,
                          input_label=label)
+    free = {a.name for a in axes}
+    fixed = {n: float(v)
+             for n, v in zip(PARAM_NAMES[args.model], bundle.fit.estimates)
+             if n not in free}
+    surface = likelihood_surface(args.model, data, GridSpec(tuple(axes)), fixed)
     out = _resolve_out(args.out)
     key = f"{args.model}_{axes[0].name}_{axes[1].name}"
     written = pio.emit_report(out, [bundle], surfaces={key: surface},

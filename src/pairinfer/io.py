@@ -133,12 +133,15 @@ def _parse_json_dataset(text, source):
             raise ParseError(f"{where}: missing field 'time'")
         if "counts" not in entry or not isinstance(entry["counts"], dict):
             raise ParseError(f"{where}: missing or invalid field 'counts'")
+        # bool is a subclass of int: reject true/false before float() reads 1/0
+        if isinstance(entry["time"], bool):
+            raise ParseError(f"{where}: field 'time' must be a number")
         try:
             times.append(float(entry["time"]))
         except (TypeError, ValueError):
             raise ParseError(f"{where}: field 'time' must be a number") from None
         for key, val in entry["counts"].items():
-            if not isinstance(val, (int, float)):
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ParseError(f"{where}: counts.{key} must be a number")
         try:
             c = _counts_from_mapping(entry["counts"], where)

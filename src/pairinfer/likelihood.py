@@ -7,6 +7,13 @@ strictly positive count where the model predicts probability <= 0 -- yields
 a -inf sentinel rather than an exception so optimizers can step back into
 the feasible region; zero counts contribute nothing even at zero predicted
 probability.
+
+Grids and slices are one batched evaluation: :func:`likelihood_surface` and
+:func:`slice_profile` stack their rate vectors into one array and call
+:func:`log_likelihood_batch`, which returns, row for row, the bit-identical
+value of :func:`log_likelihood`.  Point evaluations (optimizer steps,
+finite-difference stencils) stay on the scalar path, which is cheaper for a
+single rate vector.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DomainError
-from .model import (GENDER, NONGENDER, PARAM_NAMES, params_from_vector,
-                    solve_gender, solve_nongender)
+from .model import (GENDER, NONGENDER, PARAM_NAMES, apply_libm,
+                    solve_batch, solve_gender, solve_nongender)
 
 
 def _loglik_terms(observed, predicted, n):
@@ -71,6 +78,39 @@ def log_likelihood(kind, params, data: Dataset) -> float:
     if kind == GENDER:
         return log_likelihood_gender(params, data)
     raise ConfigError(f"unknown model kind {kind!r}")
+
+
+def log_likelihood_batch(kind, data: Dataset, rates) -> np.ndarray:
+    """:func:`log_likelihood` at every row of a (k, dim) rate array.
+
+    Rows are rate vectors in ``PARAM_NAMES[kind]`` order.  Each result is
+    bit-identical to the scalar value, -inf sentinel included; a negative or
+    non-finite rate raises :class:`DomainError`.
+    """
+    if kind not in PARAM_NAMES:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    if data.kind != kind:
+        raise DomainError(f"{kind} likelihood requires {kind} data")
+    rates = np.asarray(rates, dtype=float)
+    n = data.n
+    ll = np.zeros(len(rates))
+    impossible = np.zeros(len(rates), dtype=bool)
+    for t, obs in zip(data.elapsed()[1:], data.observations[1:]):
+        counts = np.array(obs.as_tuple(), dtype=float)
+        # zero counts contribute nothing, even against p = 0
+        observed = counts > 0
+        p = solve_batch(kind, data.initial, rates, t)[observed] / n
+        bad = p <= 0.0
+        impossible |= bad.any(axis=0)
+        terms = counts[observed, None] * apply_libm(math.log,
+                                                    np.where(bad, 1.0, p))
+        # added row by row, in the scalar path's order, not by terms.sum()
+        term = np.zeros(len(rates))
+        for row in terms:
+            term += row
+        ll += term
+    ll[impossible] = -math.inf
+    return ll
 
 
 def saturated_log_likelihood(data: Dataset) -> float:
@@ -177,15 +217,16 @@ def likelihood_surface(kind, data: Dataset, grid: GridSpec, fixed=None) -> Surfa
     ax0, ax1 = grid.axes
     v0 = ax0.values()
     v1 = ax1.values()
-    values = {}
-    values.update(fixed)
-    out = np.empty((len(v0), len(v1)))
-    for i, a in enumerate(v0):
-        values[ax0.name] = float(a)
-        for j, b in enumerate(v1):
-            values[ax1.name] = float(b)
-            params = params_from_vector(kind, [values[n] for n in names])
-            out[i, j] = log_likelihood(kind, params, data)
+    rates = np.empty((len(v0), len(v1), len(names)))
+    for col, name in enumerate(names):
+        if name == ax0.name:
+            rates[:, :, col] = v0[:, None]
+        elif name == ax1.name:
+            rates[:, :, col] = v1[None, :]
+        else:
+            rates[:, :, col] = fixed[name]
+    out = log_likelihood_batch(kind, data, rates.reshape(-1, len(names)))
+    out = out.reshape(len(v0), len(v1))
     finite = np.isfinite(out)
     if finite.any():
         max_ll = float(out[finite].max())
@@ -228,12 +269,10 @@ def slice_profile(kind, data: Dataset, vary: str, axis: GridAxis, anchor) -> Pro
     if axis.name != vary:
         raise ConfigError(f"axis name {axis.name!r} does not match vary={vary!r}")
     anchor_vec = list(anchor.as_vector())
-    idx = names.index(vary)
     xs = axis.values()
-    ys = np.empty_like(xs)
-    for k, x in enumerate(xs):
-        vec = list(anchor_vec)
-        vec[idx] = float(x)
-        ys[k] = log_likelihood(kind, params_from_vector(kind, vec), data)
+    rates = np.empty((len(xs), len(names)))
+    rates[:] = anchor_vec
+    rates[:, names.index(vary)] = xs
+    ys = log_likelihood_batch(kind, data, rates)
     return ProfileCurve(name=vary, values=xs, loglik=ys,
                         anchor=tuple(anchor_vec))

@@ -15,16 +15,26 @@ the non-gendered model,
               * exp(-2*lambda*t)
     P_II(t) = N - P_SS(t) - P_SI(t)
 
-with the x -> 0 limit replacing (1 - exp(-x*t))/x by t.  The gendered
-solutions have the same shape per discordant class with x_m = tau_mf -
-lambda_m and x_f = tau_fm - lambda_f.  Everything here is a pure function of
-its arguments; all value types are frozen and safe to share across threads.
+with the x -> 0 limit replacing (1 - exp(-x*t))/x by t.  For x < 0 the
+factor exp(-x*t) grows without bound, so it is folded into the decay:
+
+    P_SI(t) = SI0 * e + SS0 * 2*lambda * (expm1(x*t) / x) * e,
+    e = exp(-(tau + lambda)*t),
+
+which stays finite at any horizon.  The gendered solutions have the same
+shape per discordant class with x_m = tau_mf - lambda_m and x_f = tau_fm -
+lambda_f (and e_m = exp(-(tau_mf + lambda_f)*t), e_f = exp(-(tau_fm +
+lambda_m)*t)).  :func:`solve_batch` evaluates the same expressions for many
+rate vectors at once.  Everything here is a pure function of its arguments;
+all value types are frozen and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, DomainError, UndefinedReparamError
 
@@ -41,12 +51,7 @@ PARAM_NAMES = {
 EPS_SINGULAR = 1e-8
 
 
-def _check_rate(name, value):
-    if not math.isfinite(value) or value < 0:
-        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-def _check_count(name, value):
+def _check_nonnegative(name, value):
     if not math.isfinite(value) or value < 0:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
@@ -61,7 +66,7 @@ class PairCounts:
 
     def __post_init__(self):
         for name in ("ss", "si", "ii"):
-            _check_count(name, getattr(self, name))
+            _check_nonnegative(name, getattr(self, name))
 
     @property
     def total(self):
@@ -86,7 +91,7 @@ class GenderPairCounts:
 
     def __post_init__(self):
         for name in ("ss", "is_", "si", "ii"):
-            _check_count(name, getattr(self, name))
+            _check_nonnegative(name, getattr(self, name))
 
     @property
     def total(self):
@@ -104,8 +109,8 @@ class NonGenderParams:
     tau: float
 
     def __post_init__(self):
-        _check_rate("lambda", self.lam)
-        _check_rate("tau", self.tau)
+        _check_nonnegative("lambda", self.lam)
+        _check_nonnegative("tau", self.tau)
 
     @property
     def theta(self):
@@ -133,10 +138,10 @@ class GenderParams:
     tau_fm: float
 
     def __post_init__(self):
-        _check_rate("lambda_m", self.lam_m)
-        _check_rate("lambda_f", self.lam_f)
-        _check_rate("tau_mf", self.tau_mf)
-        _check_rate("tau_fm", self.tau_fm)
+        _check_nonnegative("lambda_m", self.lam_m)
+        _check_nonnegative("lambda_f", self.lam_f)
+        _check_nonnegative("tau_mf", self.tau_mf)
+        _check_nonnegative("tau_fm", self.tau_fm)
 
     def as_vector(self):
         return (self.lam_m, self.lam_f, self.tau_mf, self.tau_fm)
@@ -157,7 +162,7 @@ class GenderReparam:
     theta_f: float
 
     def __post_init__(self):
-        _check_rate("lambda", self.lam)
+        _check_nonnegative("lambda", self.lam)
         if not 0.0 <= self.q <= 1.0:
             raise DomainError(f"q must lie in [0, 1], got {self.q!r}")
         for name in ("theta_m", "theta_f"):
@@ -214,6 +219,16 @@ def _decay_integral(x, t):
     return -math.expm1(-x * t) / x
 
 
+def _discordant_below(c0, inflow, x, rate, t):
+    """Discordant count for x <= -EPS_SINGULAR: c0*e + inflow*(expm1(x*t)/x)*e.
+
+    e = exp(-rate*t) is exp(-x*t) times the SS decay, combined so that no
+    factor overflows at long horizons.
+    """
+    e = math.exp(-rate * t)
+    return c0 * e + inflow * (math.expm1(x * t) / x) * e
+
+
 def solve_nongender(params: NonGenderParams, init: PairCounts, t: float) -> PairState:
     """Closed-form expected pair counts at elapsed time t from state ``init``."""
     _check_time(t)
@@ -223,8 +238,12 @@ def solve_nongender(params: NonGenderParams, init: PairCounts, t: float) -> Pair
     decay = math.exp(-2.0 * params.lam * t)
     p_ss = init.ss * decay
     x = params.tau - params.lam
-    p_si = (init.si * math.exp(-x * t)
-            + init.ss * 2.0 * params.lam * _decay_integral(x, t)) * decay
+    if x <= -EPS_SINGULAR:
+        p_si = _discordant_below(init.si, init.ss * 2.0 * params.lam, x,
+                                 params.tau + params.lam, t)
+    else:
+        p_si = (init.si * math.exp(-x * t)
+                + init.ss * 2.0 * params.lam * _decay_integral(x, t)) * decay
     p_ii = max(n - p_ss - p_si, 0.0)
     return PairState(p_ss, p_si, p_ii)
 
@@ -243,13 +262,98 @@ def solve_gender(params: GenderParams, init: GenderPairCounts, t: float) -> Gend
     decay = math.exp(-(params.lam_m + params.lam_f) * t)
     p_ss = init.ss * decay
     x_m = params.tau_mf - params.lam_m
-    p_is = (init.is_ * math.exp(-x_m * t)
-            + params.lam_m * init.ss * _decay_integral(x_m, t)) * decay
+    if x_m <= -EPS_SINGULAR:
+        p_is = _discordant_below(init.is_, params.lam_m * init.ss, x_m,
+                                 params.tau_mf + params.lam_f, t)
+    else:
+        p_is = (init.is_ * math.exp(-x_m * t)
+                + params.lam_m * init.ss * _decay_integral(x_m, t)) * decay
     x_f = params.tau_fm - params.lam_f
-    p_si = (init.si * math.exp(-x_f * t)
-            + params.lam_f * init.ss * _decay_integral(x_f, t)) * decay
+    if x_f <= -EPS_SINGULAR:
+        p_si = _discordant_below(init.si, params.lam_f * init.ss, x_f,
+                                 params.tau_fm + params.lam_m, t)
+    else:
+        p_si = (init.si * math.exp(-x_f * t)
+                + params.lam_f * init.ss * _decay_integral(x_f, t)) * decay
     p_ii = max(n - p_ss - p_is - p_si, 0.0)
     return GenderPairState(p_ss, p_is, p_si, p_ii)
+
+
+def apply_libm(fn, values):
+    """``fn`` from :mod:`math` applied to each element of an array.
+
+    numpy's vectorised exp/expm1/log may differ from the C library's by an
+    ulp; going through :mod:`math` keeps :func:`solve_batch` bit-identical
+    to the scalar solvers.
+    """
+    flat = np.fromiter(map(fn, values.ravel().tolist()), float, values.size)
+    return flat.reshape(values.shape)
+
+
+def _discordant_batch(c0, inflow, x, rate, decay, t):
+    """One discordant class of the scalar solvers, over arrays.
+
+    Both branches (x <= -EPS_SINGULAR, and the general form with its
+    singular limit) are evaluated everywhere and then selected.  Each
+    element takes one exp and one expm1, with the arguments of its own
+    branch, so the branch it does not use cannot overflow.
+    """
+    below = x <= -EPS_SINGULAR
+    singular = np.abs(x) < EPS_SINGULAR
+    neg_x = -x
+    e = apply_libm(math.exp, np.where(below, -rate, neg_x) * t)
+    ratio = (apply_libm(math.expm1, np.where(below, x, neg_x) * t)
+             / np.where(singular, 1.0, x))
+    ce = c0 * e
+    above_value = (ce + inflow * np.where(singular, t, -ratio)) * decay
+    return np.where(below, ce + inflow * ratio * e, above_value)
+
+
+def solve_batch(kind, init, rates, t):
+    """Expected pair counts at elapsed time t for each row of ``rates``.
+
+    ``rates`` is a (k, dim) array of rate vectors in ``PARAM_NAMES[kind]``
+    order.  Returns a (states, k) array, one row per pair state in
+    ``as_tuple`` order.  Column i is bit-identical to
+    :func:`solve_nongender` / :func:`solve_gender` at
+    ``params_from_vector(kind, rates[i])``: the arithmetic is the same
+    sequence of IEEE operations, and transcendentals go through :mod:`math`.
+    """
+    names = PARAM_NAMES.get(kind)
+    if names is None:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 2 or rates.shape[1] != len(names):
+        raise ConfigError(f"rates for model {kind!r} must have shape "
+                          f"(k, {len(names)}), got {rates.shape}")
+    bad = ~(np.isfinite(rates) & (rates >= 0))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        _check_nonnegative(names[col], float(rates[row, col]))
+    _check_time(t)
+    n = init.total
+    if n <= 0:
+        raise DomainError("initial counts must sum to a positive total")
+    if kind == NONGENDER:
+        lam, tau = rates.T
+        decay = apply_libm(math.exp, -2.0 * lam * t)
+        out = np.empty((3, len(rates)))
+        out[0] = init.ss * decay
+        out[1] = _discordant_batch(init.si, init.ss * 2.0 * lam, tau - lam,
+                                   tau + lam, decay, t)
+        out[2] = np.maximum(n - out[0] - out[1], 0.0)
+        return out
+    # rows (lambda_m, lambda_f) and (tau_mf, tau_fm): the IS and SI classes
+    # in one (2, k) evaluation
+    lam, tau = rates.T[:2], rates.T[2:]
+    decay = apply_libm(math.exp, -(lam[0] + lam[1]) * t)
+    out = np.empty((4, len(rates)))
+    out[0] = init.ss * decay
+    out[1:3] = _discordant_batch(
+        np.array([[init.is_], [init.si]], dtype=float), lam * init.ss,
+        tau - lam, tau + lam[::-1], decay, t)
+    out[3] = np.maximum(n - out[0] - out[1] - out[2], 0.0)
+    return out
 
 
 def reparam_to_rates(r: GenderReparam) -> GenderParams:

@@ -6,9 +6,11 @@ import os
 
 import pytest
 
-from pairinfer import (Dataset, ParseError, analyze, emit_report,
-                       load_bundled, nongender_dataset, parse_dataset,
-                       write_dataset)
+import pairinfer.cli
+import pairinfer.io
+from pairinfer import (Dataset, GridAxis, GridSpec, ParseError, analyze,
+                       emit_report, fit_mle, likelihood_surface, load_bundled,
+                       nongender_dataset, parse_dataset, write_dataset)
 from pairinfer.cli import main
 from pairinfer.io import fmt
 
@@ -276,3 +278,78 @@ def test_cli_validate_subcommand(tmp_path):
     assert lines[0] == ("grid_index,replicate,seed,true_lambda,true_tau,"
                         "est_lambda,est_tau,converged")
     assert len(lines) == 3
+
+
+def _json_dataset(path, first_ss, first_time):
+    doc = {"schema_version": 1, "model": "nongender",
+           "observations": [
+               {"time": first_time,
+                "counts": {"SS": first_ss, "SI": 5, "II": 0}},
+               {"time": 2, "counts": {"SS": 4, "SI": 2, "II": 0}}]}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_json_boolean_count_is_parse_error(tmp_path):
+    path = _json_dataset(tmp_path / "bool_count.json", True, 0)
+    with pytest.raises(ParseError, match="counts.SS must be a number"):
+        parse_dataset(path)
+    assert main(["fit", "--model", "nongender", "--input", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_json_boolean_time_is_parse_error(tmp_path):
+    path = _json_dataset(tmp_path / "bool_time.json", 1, False)
+    with pytest.raises(ParseError, match="field 'time' must be a number"):
+        parse_dataset(path)
+    assert main(["fit", "--model", "nongender", "--input", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_surface_long_horizon_tau_below_lambda(tmp_path):
+    data = tmp_path / "long.csv"
+    data.write_text("time,SS,SI,II\n0,100,5,0\n80,10,3,92\n")
+    out = tmp_path / "surf"
+    code = main(["surface", "--model", "nongender", "--input", str(data),
+                 "--grid", "lambda:0:10:5", "--grid", "tau:0:10:5",
+                 "--out", str(out)])
+    assert code == 0
+    assert (out / "surface_nongender_lambda_tau.csv").exists()
+
+
+def test_cli_surface_fits_once(tmp_path, monkeypatch):
+    grid = ("lambda_m:0:0.01:5", "tau_mf:0:0.2:6")
+    # reference: the surface built from a separate fit, as the command once did
+    data = load_bundled("gender")
+    fit = fit_mle("gender", data, seed=3)
+    fixed = {"lambda_f": float(fit.estimates[1]),
+             "tau_fm": float(fit.estimates[3])}
+    axes = GridSpec((GridAxis("lambda_m", 0.0, 0.01, 5),
+                     GridAxis("tau_mf", 0.0, 0.2, 6)))
+    surface = likelihood_surface("gender", data, axes, fixed)
+    bundle = analyze(data, seed=3, input_label="bundled:mwanza_gender")
+    ref = tmp_path / "ref"
+    emit_report(ref, [bundle], surfaces={"gender_lambda_m_tau_mf": surface},
+                config={"seed": 3, "levels": [], "command": "surface"})
+
+    fits = []
+    real_fit = pairinfer.io.fit_mle
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return real_fit(*args, **kwargs)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("surface must reuse the analysis fit")
+
+    monkeypatch.setattr(pairinfer.io, "fit_mle", counting_fit)
+    monkeypatch.setattr(pairinfer.cli, "fit_mle", no_fit, raising=False)
+    out = tmp_path / "out"
+    assert main(["surface", "--model", "gender", "--seed", "3",
+                 "--grid", grid[0], "--grid", grid[1],
+                 "--out", str(out)]) == 0
+    assert len(fits) == 1
+    names = sorted(os.listdir(ref))
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes()

@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pairinfer import (ConfigError, GenderParams, GridAxis, GridSpec,
-                       NonGenderParams, fit_mle, gender_dataset,
-                       likelihood_surface, log_likelihood_gender,
+import pairinfer.likelihood
+import pairinfer.model
+from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
+                       DomainError, GenderParams, GridAxis, GridSpec,
+                       NonGenderParams, PairinferError, fit_mle,
+                       gender_dataset, likelihood_surface, log_likelihood,
+                       log_likelihood_batch, log_likelihood_gender,
                        log_likelihood_nongender, nongender_dataset,
                        saturated_log_likelihood, slice_profile)
+from pairinfer.model import EPS_SINGULAR, params_from_vector
 
 
 def test_entropy_bound_attained_when_proportions_match():
@@ -245,3 +252,124 @@ def test_profile_axis_mismatch(mwanza):
     with pytest.raises(ConfigError):
         slice_profile("nongender", mwanza, "sigma",
                       GridAxis("sigma", 0.0, 0.1, 5), fit.params)
+
+
+def _scalar(kind, data, rates):
+    return np.array([log_likelihood(kind, params_from_vector(kind, row), data)
+                     for row in np.asarray(rates).tolist()])
+
+
+def test_gender_surface_bit_for_bit(mwanza_gender):
+    # tau_mf runs from below lambda_m (the x < 0 branch) to well above it
+    grid = GridSpec((GridAxis("lambda_m", 0.0, 0.01, 6),
+                     GridAxis("tau_mf", 0.0, 0.2, 7)))
+    fixed = {"lambda_f": 0.002, "tau_fm": 0.068}
+    surface = likelihood_surface("gender", mwanza_gender, grid, fixed)
+    for i, lam_m in enumerate(surface.axis_values[0]):
+        for j, tau_mf in enumerate(surface.axis_values[1]):
+            value = log_likelihood_gender(
+                GenderParams(float(lam_m), 0.002, float(tau_mf), 0.068),
+                mwanza_gender)
+            assert value == surface.loglik[i, j]
+
+
+@pytest.mark.parametrize("kind, anchor", [
+    (NONGENDER, NonGenderParams(0.003, 0.056)),
+    (GENDER, GenderParams(0.004, 0.002, 0.047, 0.068)),
+])
+def test_slice_profiles_bit_for_bit(kind, anchor, mwanza, mwanza_gender):
+    data = mwanza if kind == NONGENDER else mwanza_gender
+    for k, name in enumerate(PARAM_NAMES[kind]):
+        curve = slice_profile(kind, data, name,
+                              GridAxis(name, 0.0, 0.3, 31), anchor)
+        rates = np.tile(anchor.as_vector(), (31, 1))
+        rates[:, k] = curve.values
+        assert curve.loglik.tobytes() == _scalar(kind, data, rates).tobytes()
+
+
+def test_batch_rejects_bad_rates_like_scalar(mwanza):
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError) as batch_exc:
+            log_likelihood_batch(NONGENDER, mwanza,
+                                 [[0.003, 0.05], [0.003, bad]])
+        with pytest.raises(DomainError) as scalar_exc:
+            NonGenderParams(0.003, bad)
+        assert str(batch_exc.value) == str(scalar_exc.value)
+    with pytest.raises(ConfigError):
+        log_likelihood_batch(NONGENDER, mwanza, [[0.003, 0.05, 0.1]])
+
+
+def test_grids_never_evaluate_cell_by_cell(monkeypatch, mwanza_gender):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid fell back to the scalar path")
+
+    for module, name in ((pairinfer.likelihood, "log_likelihood"),
+                         (pairinfer.likelihood, "log_likelihood_nongender"),
+                         (pairinfer.likelihood, "log_likelihood_gender"),
+                         (pairinfer.likelihood, "solve_nongender"),
+                         (pairinfer.likelihood, "solve_gender"),
+                         (pairinfer.model, "solve_nongender"),
+                         (pairinfer.model, "solve_gender")):
+        monkeypatch.setattr(module, name, refuse)
+    grid = GridSpec((GridAxis("lambda_m", 0.001, 0.01, 4),
+                     GridAxis("tau_fm", 0.01, 0.2, 5)))
+    surface = likelihood_surface("gender", mwanza_gender, grid,
+                                 {"lambda_f": 0.002, "tau_mf": 0.047})
+    assert np.isfinite(surface.loglik).all()
+    curve = slice_profile("gender", mwanza_gender, "tau_mf",
+                          GridAxis("tau_mf", 0.0, 0.2, 9),
+                          GenderParams(0.004, 0.002, 0.047, 0.068))
+    assert np.isfinite(curve.loglik).all()
+
+
+def _counts(draw, total, states):
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=states - 1,
+                                max_size=states - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+@st.composite
+def likelihood_cases(draw):
+    kind = draw(st.sampled_from((NONGENDER, GENDER)))
+    dim = len(PARAM_NAMES[kind])
+    states = 3 if kind == NONGENDER else 4
+    later = draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=3,
+                          unique=True))
+    times = [0.0] + sorted(later)
+    total = draw(st.integers(1, 5000))
+    counts = [_counts(draw, total, states) for _ in times]
+    if draw(st.booleans()):
+        # an empty initial SS class observed non-empty later: -inf cells
+        counts[0] = (0,) + counts[0][1:-1] + (counts[0][-1] + counts[0][0],)
+    build = nongender_dataset if kind == NONGENDER else gender_dataset
+    data = build(times, counts)
+    rows = draw(st.lists(st.lists(st.floats(0.0, 10.0), min_size=dim,
+                                  max_size=dim), min_size=1, max_size=6))
+    pairs = ((0, 1),) if kind == NONGENDER else ((0, 2), (1, 3))
+    for row in rows:
+        # pin internal rates into the singular band around their lambda
+        for lam_col, tau_col in pairs:
+            if draw(st.booleans()):
+                offset = draw(st.floats(-EPS_SINGULAR, EPS_SINGULAR))
+                row[tau_col] = max(row[lam_col] + offset, 0.0)
+    return kind, data, np.array(rows, dtype=float)
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except PairinferError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=likelihood_cases())
+def test_batch_matches_scalar_property(case):
+    kind, data, rates = case
+    batch = _outcome(lambda: log_likelihood_batch(kind, data, rates))
+    scalar = _outcome(lambda: _scalar(kind, data, rates))
+    if isinstance(batch, type) or isinstance(scalar, type):
+        assert batch == scalar
+        return
+    assert batch.tobytes() == scalar.tobytes()
+    assert (np.isfinite(batch) | (batch == -math.inf)).all()

@@ -198,3 +198,14 @@ def test_theta_and_phi_accessors():
     assert params.phi == pytest.approx((0.056 / 0.003 - 1) / 2)
     with pytest.raises(DomainError):
         _ = NonGenderParams(0.0, 0.1).phi
+
+
+def test_long_horizon_tau_below_lambda_stays_finite():
+    # exp(-(tau - lambda)*t) alone overflows here; the combined exponent
+    # exp(-(tau + lambda)*t) underflows harmlessly instead
+    state = solve_nongender(NonGenderParams(10, 0), PairCounts(100, 5, 0), 80)
+    assert state.as_tuple() == (0.0, 0.0, 105.0)
+    # men infected at rate 10, nothing else moves: every SS pair ends in IS
+    gstate = solve_gender(GenderParams(10, 0, 0, 0),
+                          GenderPairCounts(100, 5, 5, 0), 80)
+    assert gstate.as_tuple() == (0.0, 105.0, 0.0, 5.0)
