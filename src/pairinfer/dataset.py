@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .model import GENDER, NONGENDER, GenderPairCounts, PairCounts
@@ -22,6 +22,8 @@ class Dataset:
 
     times: tuple
     observations: tuple
+    # every likelihood evaluation reads it, so it is computed once
+    _elapsed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
@@ -49,6 +51,8 @@ class Dataset:
             if abs(obs.total - n0) > _SUM_RTOL * n0:
                 raise DomainError(
                     f"counts at time {t:g} sum to {obs.total:g}, expected N={n0:g}")
+        t0 = self.times[0]
+        object.__setattr__(self, "_elapsed", tuple(t - t0 for t in self.times))
 
     @property
     def kind(self):
@@ -66,8 +70,7 @@ class Dataset:
 
     def elapsed(self):
         """Observation times measured from the first one."""
-        t0 = self.times[0]
-        return tuple(t - t0 for t in self.times)
+        return self._elapsed
 
 
 def nongender_dataset(times, counts) -> Dataset:

@@ -290,7 +290,8 @@ def _default_warm_start(kind, data, seed, bounds, max_evals):
         data.times,
         tuple(PairCounts(o.ss, o.is_ + o.si, o.ii) for o in data.observations),
     )
-    base = fit_mle(NONGENDER, marginal, seed=seed, max_evals=max_evals)
+    base = fit_mle(NONGENDER, marginal, seed=seed, max_evals=max_evals,
+                   uncertainty=False)
     lam, tau = base.estimates
     return np.array([lam, lam, tau, tau]), "symmetric-nongender"
 

@@ -264,6 +264,21 @@ def test_fit_mwanza_gender(mwanza_gender):
     assert fit.warm_start_source == "symmetric-nongender"
 
 
+def test_gender_warm_start_skips_uncertainty(mwanza_gender, monkeypatch):
+    # the non-gendered warm-start fit uses only its estimates
+    import pairinfer.inference as inference
+
+    calls = []
+
+    def counting_hessian(objective, point):
+        calls.append(len(point))
+        return hessian_fd(objective, point)
+
+    monkeypatch.setattr(inference, "hessian_fd", counting_hessian)
+    fit_mle("gender", mwanza_gender, seed=0)
+    assert calls == [4]
+
+
 def test_fit_gender_intervals_match_published(mwanza_gender):
     fit = fit_mle("gender", mwanza_gender, seed=0, levels=(0.95,))
     published = {"lambda_m": (0.0006, 0.0073), "lambda_f": (0.0, 0.0051),

@@ -1,11 +1,16 @@
 """Box-constrained simplex optimizer."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
-from pairinfer import (NonGenderParams, log_likelihood_nongender,
-                       minimize_simplex)
+import oracles
+from pairinfer import (NonGenderParams, fit_mle, gender_dataset,
+                       log_likelihood_nongender, minimize_simplex)
 from pairinfer.neldermead import reflect_into_box
 
 
@@ -107,3 +112,116 @@ def test_matches_scipy_on_mwanza_likelihood(mwanza):
     ref = scipy_minimize(objective, [0.002, 0.03], method="Nelder-Mead",
                          options=dict(xatol=1e-12, fatol=1e-14, maxfev=20000))
     assert ours.fun == pytest.approx(ref.fun, abs=1e-9)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@st.composite
+def simplex_cases(draw):
+    """A box, a start, an objective and a budget for the oracle comparison.
+
+    Boxes lie in [-10, 10] and objectives stay below 2,048 in magnitude,
+    where the spread test's ulp floor equals ``spread_tol``.
+    """
+    dim = draw(st.integers(1, 4))
+    coord = st.floats(-10.0, 10.0, allow_subnormal=False)
+    bounds = [tuple(sorted((draw(coord), draw(coord)))) for _ in range(dim)]
+    x0 = [draw(st.one_of(st.floats(-30.0, 30.0), st.just(lo), st.just(hi),
+                         st.sampled_from([0.0, -0.0])))
+          for lo, hi in bounds]
+    center = [draw(coord) for _ in range(dim)]
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(dim)]
+    offset = draw(st.floats(-300.0, 300.0))
+    shape = draw(st.sampled_from(["quadratic", "abs", "steps"]))
+    cut = draw(st.one_of(st.none(), st.floats(-11.0, 10.0)))
+    max_evals = draw(st.one_of(st.integers(1, 12), st.integers(13, 200),
+                               st.integers(201, 2_000)))
+    n_starts = draw(st.integers(0, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dict(dim=dim, bounds=bounds, x0=x0, center=center, weights=weights,
+                offset=offset, shape=shape, cut=cut, max_evals=max_evals,
+                n_starts=n_starts, seed=seed)
+
+
+def _objective(case, seen):
+    center = case["center"]
+    weights = case["weights"]
+
+    def fn(x):
+        seen.append(x.tobytes())
+        if case["cut"] is not None and x[0] > case["cut"]:
+            return math.inf
+        if case["shape"] == "abs":
+            value = sum(w * abs(a - c) for w, a, c in zip(weights, x, center))
+        else:
+            value = sum(w * (a - c) ** 2 for w, a, c in zip(weights, x, center))
+            if case["shape"] == "steps":  # plateaus make ties in the sort
+                value = math.floor(value * 4.0) / 4.0
+        return case["offset"] + value
+    return fn
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_cases())
+@example(dict(dim=2, bounds=[(0.0, 10.0), (0.0, 10.0)], x0=[0.0, -0.0],
+              center=[0.5, 0.25], weights=[1.0, 0.5], offset=0.0,
+              shape="abs", cut=None, max_evals=50, n_starts=3, seed=0))
+# x0 + 5% folds back exactly onto x0, so the first vertex steps downward
+@example(dict(dim=1, bounds=[(0.0, 1.0)], x0=[0.975609756097561],
+              center=[0.5], weights=[1.0], offset=0.0, shape="quadratic",
+              cut=None, max_evals=400, n_starts=1, seed=0))
+def test_matches_numpy_oracle_bit_for_bit(case):
+    seen_ours, seen_ref = [], []
+    kwargs = dict(seed=case["seed"], max_evals=case["max_evals"],
+                  n_starts=case["n_starts"])
+    ours = minimize_simplex(_objective(case, seen_ours), np.array(case["x0"]),
+                            case["bounds"], **kwargs)
+    ref = oracles.minimize_simplex(_objective(case, seen_ref),
+                                   np.array(case["x0"]), case["bounds"],
+                                   **kwargs)
+    assert seen_ours == seen_ref
+    assert ours.x.dtype == ref.x.dtype
+    assert _bits(ours.x) == _bits(ref.x)
+    assert _bits(ours.fun) == _bits(ref.fun)
+    assert (ours.n_evals, ours.converged, ours.on_boundary, ours.n_starts) == (
+        ref.n_evals, ref.converged, ref.on_boundary, ref.n_starts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False),
+                          st.floats(-10.0, 10.0), st.floats(0.0, 10.0)),
+                min_size=1, max_size=4))
+def test_reflection_matches_numpy_oracle(rows):
+    x = [r[0] for r in rows]
+    lo = [r[1] for r in rows]
+    hi = [a + w for a, w in zip(lo, (r[2] for r in rows))]
+    ref = oracles.reflect_into_box(np.array(x), np.array(lo), np.array(hi))
+    assert _bits(reflect_into_box(x, lo, hi)) == _bits(ref)
+
+
+def test_bundled_fit_evaluation_counts(mwanza, mwanza_gender):
+    # machine-independent: the simplex trajectory is pinned bit for bit
+    assert fit_mle("nongender", mwanza, seed=0).iterations == 443
+    assert fit_mle("gender", mwanza_gender, seed=0).iterations == 904
+
+
+def test_spread_test_reachable_at_large_loglik():
+    # Gendered N = 20,000 cohort, 4 times, loglik about -14,120.  With an
+    # absolute 1e-12 spread tolerance (below one ulp here) a start that
+    # never reaches exactly equal vertex values ran to the 50,000-evaluation
+    # budget.
+    data = gender_dataset((0.0, 1.0, 2.0, 4.0), [
+        (19329, 244, 233, 194), (19221, 312, 243, 224),
+        (19119, 365, 258, 258), (18908, 473, 295, 324)])
+    fit = fit_mle("gender", data, seed=0, uncertainty=False)
+    assert fit.converged
+    assert fit.iterations < 10_000
+    assert fit.loglik_at_max == pytest.approx(-14119.744299496382, abs=1e-6)
+
+
+def test_rejects_bounds_of_wrong_length():
+    with pytest.raises(ValueError, match=r"one \(lo, hi\) pair"):
+        minimize_simplex(quadratic([0.0, 0.0]), np.array([1.0, 1.0]),
+                         [(0.0, 10.0)])
