@@ -33,7 +33,7 @@ from .model import (GENDER, NONGENDER, PARAM_NAMES, GenderPairCounts,
                     solve_nongender)
 from .neldermead import SimplexResult, minimize_simplex
 from .quantiles import chi2_quantile_2dof, normal_quantile
-from .simulate import (SimConfig, ValidationRecord, derive_seed, exact_sample,
+from .simulate import (ValidationRecord, derive_seed, exact_sample,
                        gillespie_simulate, validation_sweep)
 
 __version__ = "0.1.0"

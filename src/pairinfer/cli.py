@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: fit, surface, profile, simulate, validate, report-all.  Exit
-codes: 0 success, 2 parse error, 3 infeasible data, 4 non-convergence
-(results are still written, with flags).  The PAIRINFER_OUT_DIR environment
+codes: 0 success, 1 invalid option value or configuration, 2 parse error,
+3 infeasible data, 4 non-convergence (results are still written, with
+flags).  The PAIRINFER_OUT_DIR environment
 variable overrides the output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,8 +30,15 @@ def _resolve_out(value):
     return os.environ.get(pio.OUTPUT_DIR_ENV) or value
 
 
+def _number(text, what, convert=float):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be a number, got {text!r}") from None
+
+
 def _parse_levels(text):
-    levels = tuple(float(v) for v in text.split(","))
+    levels = tuple(_number(v, "confidence level") for v in text.split(","))
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ConfigError(f"confidence level {level} outside (0, 1)")
@@ -46,7 +55,18 @@ def _parse_grid_axis(text) -> GridAxis:
     else:
         raise ConfigError(f"grid spec must be name:min:max:n[:log], got {text!r}")
     name, lo, hi, n = parts
-    return GridAxis(name, float(lo), float(hi), int(n), log=log)
+    return GridAxis(name, _number(lo, "grid minimum"),
+                    _number(hi, "grid maximum"),
+                    _number(n, "grid point count", int), log=log)
+
+
+def _parse_times(text):
+    return tuple(_number(t, "time") for t in text.split(","))
+
+
+def _check_reps(reps):
+    if reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {reps}")
 
 
 def _parse_assignments(text, names):
@@ -58,7 +78,7 @@ def _parse_assignments(text, names):
         name = name.strip()
         if name not in names:
             raise ConfigError(f"unknown parameter {name!r}; expected one of {names}")
-        out[name] = float(value)
+        out[name] = _number(value, name)
     missing = [n for n in names if n not in out]
     if missing:
         raise ConfigError(f"missing parameters: {missing}")
@@ -144,12 +164,17 @@ def _cmd_simulate(args):
         args.model, [
             _parse_assignments(args.rates, names)[n] for n in names])
     if args.init:
-        fields = [float(v) for v in args.init.split(":")]
-        builder = PairCounts if args.model == NONGENDER else GenderPairCounts
+        builder, states = ((PairCounts, 3) if args.model == NONGENDER
+                           else (GenderPairCounts, 4))
+        fields = [_number(v, "initial count") for v in args.init.split(":")]
+        if len(fields) != states:
+            raise ConfigError(f"--init needs {states} counts separated by "
+                              f"':', got {args.init!r}")
         init = builder(*fields)
     else:
         init = pio.load_bundled(args.model).initial
-    times = tuple(float(t) for t in args.times.split(","))
+    times = _parse_times(args.times)
+    _check_reps(args.reps)
     out = _resolve_out(args.out)
     os.makedirs(out, exist_ok=True)
     for rep in range(args.reps):
@@ -171,9 +196,10 @@ def _cmd_validate(args):
         raise ConfigError(f"validate needs a --grid for each parameter; "
                           f"missing {missing}")
     grid_cfg = {n: [float(v) for v in axes[n].values()] for n in names}
+    _check_reps(args.reps)
     config = {"model": args.model, "grid": grid_cfg,
               "replicates": args.reps,
-              "times": [float(t) for t in args.times.split(",")],
+              "times": list(_parse_times(args.times)),
               "init": "bundled"}
     kind, records = pio._run_validation(config, args.seed, args.max_evals)
     out = _resolve_out(args.out)
@@ -208,7 +234,13 @@ def _add_common(parser, model_required=True):
                         help="optimizer evaluation budget")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after that.
+
+    ``parse_args`` fills a fresh namespace on every call, so one parser
+    serves any number of ``main`` calls in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="pairinfer",
         description="Within/between-partnership transmission-rate inference "

@@ -323,7 +323,8 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
 
     def objective(vec):
         try:
-            params = params_from_vector(kind, vec)
+            # Python floats: the scalar solve is ~20% slower on np.float64
+            params = params_from_vector(kind, vec.tolist())
         except DomainError:
             return math.inf
         value = log_likelihood(kind, params, data)

@@ -10,6 +10,15 @@ distributionally identical to simulating every pair separately, and a
 one-shot categorical sampler built from the closed-form per-pair state
 distribution provides an O(pairs) cross-check.
 
+The event-driven simulator keeps one channel table per model: channel k is
+``(coefficient, source, destination)``, fires at rate ``coefficient *
+counts[source]`` and moves one pair from ``source`` to ``destination``.
+Per event the rates are summed in table order, the waiting time is an
+exponential(1) draw over the total rate and the channel is picked by a
+cumulative sum against a uniform draw times the total.  Both kinds of
+draw come from the generator in blocks of ``_BLOCK``, not two calls per
+event.
+
 Randomness comes from numpy's counter-based Philox generator.  Seed
 splitting is explicit: child = splitmix64(master XOR splitmix64(index_1 + 1)
 XOR ... ), applied in index order, so replicate streams are independent by
@@ -28,6 +37,9 @@ from .model import (GENDER, NONGENDER, GenderPairCounts, GenderParams,
                     NonGenderParams, PairCounts, solve_gender, solve_nongender)
 
 _MASK64 = (1 << 64) - 1
+
+# Random numbers drawn per generator call in gillespie_simulate.
+_BLOCK = 512
 
 
 def _splitmix64(value):
@@ -56,25 +68,6 @@ def _rng(seed):
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Configuration for a simulation run or validation sweep."""
-
-    kind: str
-    params: object
-    init: object
-    times: tuple
-    n_replicates: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_replicates < 1:
-            raise DomainError("replicate count must be >= 1")
-        for a, b in zip(self.times, self.times[1:]):
-            if not b > a:
-                raise DomainError("simulation times must strictly increase")
-
-
-@dataclass(frozen=True)
 class ValidationRecord:
     """Truth vs estimate for one simulated replicate."""
 
@@ -86,22 +79,21 @@ class ValidationRecord:
     seed: int
 
 
-def _events_nongender(params, counts):
-    n_ss, n_si, _ = counts
-    return (
-        (2.0 * params.lam * n_ss, (-1, 1, 0)),
-        ((params.lam + params.tau) * n_si, (0, -1, 1)),
-    )
+def _channels(params, init):
+    """The model's transition channels and its counts type.
 
-
-def _events_gender(params, counts):
-    n_ss, n_is, n_si, _ = counts
-    return (
-        (params.lam_m * n_ss, (-1, 1, 0, 0)),
-        (params.lam_f * n_ss, (-1, 0, 1, 0)),
-        ((params.tau_mf + params.lam_f) * n_is, (0, -1, 0, 1)),
-        ((params.lam_m + params.tau_fm) * n_si, (0, 0, -1, 1)),
-    )
+    Channel k is ``(coefficient, source, destination)``: it fires at rate
+    ``coefficient * counts[source]`` and moves one pair from ``source`` to
+    ``destination``.
+    """
+    if isinstance(params, NonGenderParams) and isinstance(init, PairCounts):
+        lam, tau = params.lam, params.tau
+        return ((2.0 * lam, 0, 1), (lam + tau, 1, 2)), PairCounts
+    if isinstance(params, GenderParams) and isinstance(init, GenderPairCounts):
+        p = params
+        return ((p.lam_m, 0, 1), (p.lam_f, 0, 2), (p.tau_mf + p.lam_f, 1, 3),
+                (p.lam_m + p.tau_fm, 2, 3)), GenderPairCounts
+    raise DomainError("params and init must belong to the same model kind")
 
 
 def gillespie_simulate(params, init, times, seed):
@@ -110,12 +102,7 @@ def gillespie_simulate(params, init, times, seed):
     Counts are snapshotted at the exact requested times (the state is
     constant between events).  Deterministic for a fixed seed.
     """
-    if isinstance(params, NonGenderParams) and isinstance(init, PairCounts):
-        events, counts_type = _events_nongender, PairCounts
-    elif isinstance(params, GenderParams) and isinstance(init, GenderPairCounts):
-        events, counts_type = _events_gender, GenderPairCounts
-    else:
-        raise DomainError("params and init must belong to the same model kind")
+    channels, counts_type = _channels(params, init)
     times = [float(t) for t in times]
     if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise DomainError("snapshot times must be nonnegative and increasing")
@@ -124,30 +111,50 @@ def gillespie_simulate(params, init, times, seed):
             raise DomainError("simulation requires integer initial counts")
 
     rng = _rng(seed)
+    coefs = [c for c, _, _ in channels]
+    sources = [s for _, s, _ in channels]
+    dests = [d for _, _, d in channels]
+    ks = range(len(channels))
+    rates = [0.0] * len(channels)
     counts = [int(c) for c in init.as_tuple()]
+    waits = choices = ()
+    i = _BLOCK
     t = 0.0
     out = []
     pending = list(times)
     horizon = times[-1]
     while True:
-        active = [(r, d) for r, d in events(params, counts) if r > 0]
-        total = sum(r for r, _ in active)
-        t_next = t + rng.exponential(1.0 / total) if total > 0 else np.inf
+        total = 0.0
+        for k in ks:
+            rate = coefs[k] * counts[sources[k]]
+            rates[k] = rate
+            total += rate
+        if total > 0:
+            if i == _BLOCK:
+                waits = rng.standard_exponential(_BLOCK).tolist()
+                choices = rng.random(_BLOCK).tolist()
+                i = 0
+            t_next = t + waits[i] / total
+        else:
+            t_next = np.inf
         while pending and pending[0] <= t_next:
             out.append(counts_type(*counts))
             pending.pop(0)
         if not pending or t_next > horizon:
             break
         t = t_next
-        u = rng.random() * total
+        u = choices[i] * total
+        i += 1
         acc = 0.0
-        chosen = active[-1][1]
-        for rate, delta in active:
-            acc += rate
+        for k in ks:
+            acc += rates[k]
             if u < acc:
-                chosen = delta
                 break
-        counts = [c + d for c, d in zip(counts, chosen)]
+        else:
+            # u rounded up to total: the last channel that can fire
+            k = max(k for k in ks if rates[k] > 0)
+        counts[sources[k]] -= 1
+        counts[dests[k]] += 1
     return out
 
 

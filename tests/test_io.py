@@ -353,3 +353,46 @@ def test_cli_surface_fits_once(tmp_path, monkeypatch):
     assert sorted(os.listdir(out)) == names
     for name in names:
         assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+_SIM = ["simulate", "--model", "nongender", "--rates", "lambda=0.003,tau=0.056"]
+_VALIDATE = ["validate", "--model", "nongender", "--grid", "lambda:0.002:0.004:2",
+             "--grid", "tau:0.02:0.04:2"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SIM + ["--init", "a:b:c"],
+    _SIM + ["--init", "1:2"],
+    _SIM + ["--times", "0,x"],
+    ["simulate", "--model", "nongender", "--rates", "lambda=x,tau=0.056"],
+    _SIM + ["--reps", "0"],
+    _VALIDATE + ["--reps", "0"],
+    _VALIDATE + ["--times", "0,x"],
+    ["fit", "--model", "nongender", "--levels", "x"],
+    ["surface", "--model", "nongender", "--grid", "lambda:a:1:3",
+     "--grid", "tau:0.01:0.2:4"],
+    ["surface", "--model", "nongender", "--grid", "lambda:0:1:x",
+     "--grid", "tau:0.01:0.2:4"],
+], ids=["init-text", "init-short", "times-text", "rates-text", "simulate-reps-0",
+        "validate-reps-0", "validate-times-text", "levels-text", "grid-bound-text",
+        "grid-count-text"])
+def test_cli_bad_option_values_are_config_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_consecutive_calls_share_no_values(tmp_path):
+    surface = ["surface", "--model", "nongender", "--seed", "2",
+               "--grid", "lambda:0.001:0.008:3", "--grid", "tau:0.01:0.2:3"]
+    # a leaked --grid list would give the second call four axes
+    assert main(surface + ["--out", str(tmp_path / "a")]) == 0
+    assert main(surface + ["--out", str(tmp_path / "b")]) == 0
+    assert main(["profile", "--model", "nongender", "--seed", "2",
+                 "--out", str(tmp_path / "c")]) == 0
+    # no --grid: the default 101-point profiles, not the surface's axes
+    for name in ("lambda", "tau"):
+        lines = (tmp_path / "c" / f"profile_nongender_{name}.csv").read_text()
+        assert len(lines.splitlines()) == 102

@@ -373,3 +373,24 @@ def test_batch_matches_scalar_property(case):
         return
     assert batch.tobytes() == scalar.tobytes()
     assert (np.isfinite(batch) | (batch == -math.inf)).all()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(case=likelihood_cases(), zeros=st.lists(st.booleans(), min_size=4,
+                                                 max_size=4))
+def test_float_rates_match_numpy_rates_property(case, zeros):
+    """The fit objective passes Python floats; numpy scalars give the same
+    bits, and no division meets a zero divisor (a numpy warning here would
+    be a ZeroDivisionError on floats)."""
+    kind, data, rates = case
+    rates[:, np.array(zeros[:rates.shape[1]])] = 0.0
+    for row in rates:
+        as_numpy = _outcome(lambda: log_likelihood(
+            kind, params_from_vector(kind, row), data))
+        as_float = _outcome(lambda: log_likelihood(
+            kind, params_from_vector(kind, row.tolist()), data))
+        if isinstance(as_numpy, type) or isinstance(as_float, type):
+            assert as_numpy == as_float
+        else:
+            assert np.float64(as_numpy).tobytes() == np.float64(as_float).tobytes()
