@@ -3,8 +3,8 @@
 Estimates the external force of infection and the within-pair transmission
 rate from paired cohort counts, for a non-gendered (SS/SI/II) and a gendered
 four-state pair model, using exact closed-form solutions, multinomial
-maximum likelihood, analytical estimators, finite-difference uncertainty
-quantification, and a stochastic simulator for end-to-end validation.
+maximum likelihood with uncertainty from the exact observed information,
+analytical estimators, and a stochastic simulator for end-to-end validation.
 """
 
 from .dataset import Dataset, gender_dataset, nongender_dataset

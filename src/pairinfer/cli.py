@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: fit, surface, profile, simulate, validate, report-all.  Exit
-codes: 0 success, 1 invalid option value or configuration, 2 parse error,
-3 infeasible data, 4 non-convergence (results are still written, with
-flags).  The PAIRINFER_OUT_DIR environment
-variable overrides the output directory.
+codes: 0 success, 1 invalid option value or configuration (an output
+directory that cannot be written included), 2 parse error, 3 infeasible
+data, 4 non-convergence (results are still written, with flags).  The
+PAIRINFER_OUT_DIR environment variable overrides the output directory.
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ def _number(text, what, convert=float):
         raise ConfigError(f"{what} must be a number, got {text!r}") from None
 
 
+def _integer_option(option):
+    """An argparse ``type`` whose bad values are ConfigErrors, not usage
+    errors (argparse would print usage and exit 2, the parse-error code)."""
+    return functools.partial(_number, what=option, convert=int)
+
+
 def _parse_levels(text):
     levels = tuple(_number(v, "confidence level") for v in text.split(","))
     for level in levels:
@@ -62,11 +68,6 @@ def _parse_grid_axis(text) -> GridAxis:
 
 def _parse_times(text):
     return tuple(_number(t, "time") for t in text.split(","))
-
-
-def _check_reps(reps):
-    if reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {reps}")
 
 
 def _parse_assignments(text, names):
@@ -174,7 +175,7 @@ def _cmd_simulate(args):
     else:
         init = pio.load_bundled(args.model).initial
     times = _parse_times(args.times)
-    _check_reps(args.reps)
+    pio.check_replicates(args.reps, "--reps")
     out = _resolve_out(args.out)
     os.makedirs(out, exist_ok=True)
     for rep in range(args.reps):
@@ -196,7 +197,7 @@ def _cmd_validate(args):
         raise ConfigError(f"validate needs a --grid for each parameter; "
                           f"missing {missing}")
     grid_cfg = {n: [float(v) for v in axes[n].values()] for n in names}
-    _check_reps(args.reps)
+    pio.check_replicates(args.reps, "--reps")
     config = {"model": args.model, "grid": grid_cfg,
               "replicates": args.reps,
               "times": list(_parse_times(args.times)),
@@ -229,8 +230,10 @@ def _add_common(parser, model_required=True):
                         required=model_required, help="model kind")
     parser.add_argument("--input", help="dataset file (default: bundled cohort)")
     parser.add_argument("--out", default=DEFAULT_OUT, help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--max-evals", type=int, default=50_000,
+    parser.add_argument("--seed", type=_integer_option("--seed"), default=0,
+                        help="random seed")
+    parser.add_argument("--max-evals", type=_integer_option("--max-evals"),
+                        default=50_000,
                         help="optimizer evaluation budget")
 
 
@@ -271,30 +274,41 @@ def build_parser() -> argparse.ArgumentParser:
                    help="true rates, e.g. lambda=0.003,tau=0.056")
     p.add_argument("--init", help="initial counts ss:si:ii (or ss:is:si:ii)")
     p.add_argument("--times", default="0,2", help="snapshot times (years)")
-    p.add_argument("--reps", type=int, default=1, help="number of datasets")
+    p.add_argument("--reps", type=_integer_option("--reps"), default=1,
+                   help="number of datasets")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("validate", help="simulate-and-refit recovery sweep")
     _add_common(p)
     p.add_argument("--grid", action="append",
                    help="truth axis spec name:min:max:n (one per parameter)")
-    p.add_argument("--reps", type=int, default=50, help="replicates per cell")
+    p.add_argument("--reps", type=_integer_option("--reps"), default=50,
+                   help="replicates per cell")
     p.add_argument("--times", default="0,2", help="observation times (years)")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("report-all", help="run the full reproduction pipeline")
     p.add_argument("--manifest", help="manifest JSON (default: bundled runs)")
     p.add_argument("--out", default=DEFAULT_OUT, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override manifest seed")
+    p.add_argument("--seed", type=_integer_option("--seed"), default=None,
+                   help="override manifest seed")
     p.set_defaults(func=_cmd_report_all)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(argv):
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:
+        # every input is read through a reader that raises ParseError, so
+        # an OSError here comes from an --out that cannot be written
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
+def main(argv=None) -> int:
+    try:
+        return _run(argv)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,23 @@
 """Numeric maximum-likelihood refinement and uncertainty quantification.
 
-Fitting is derivative-free (box-constrained Nelder-Mead) since the problem
-dimension is at most four and finite-difference Hessians are needed anyway.
-The covariance of the estimates is the inverse of the finite-difference
-Hessian of the negative log-likelihood.
+Fitting starts with a box-constrained Nelder-Mead simplex with jittered
+restarts, the global stage that guards against several optima.  For an
+identified design it stops the simplex at a loose tolerance (diameter 1e-5,
+spread 1e-6) and finishes with a projected Newton polish on the exact score
+and observed information of :func:`likelihood.score_and_information`; each
+Newton step backtracks on the value-path objective.  If the polish fails,
+the tight simplex runs from the warm start, as for over-parameterised
+designs.  The covariance of the estimates is the inverse of the observed
+information (Efron & Hinkley 1978), the Hessian of the negative
+log-likelihood at the estimates; it needs no step into the box's exterior,
+so estimates on a bound keep their standard errors.  :func:`hessian_fd`,
+the finite-difference Hessian that preceded it, is kept as a test oracle.
 
 One structural caveat drives the interval logic: with k pair states and m
 observation times the data carry (k-1)*(m-1) free dimensions.  When the
 model has more parameters than that and the fit saturates the multinomial
-bound (an exact fit), the maximum is a flat ridge, the joint Hessian is
-rank-deficient along it, and inverse-Hessian standard errors are
+bound (an exact fit), the maximum is a flat ridge, the joint information is
+singular along it, and inverse-information standard errors are
 meaningless.  In that case the reported intervals fall back to conditional
 standard errors 1/sqrt(H_ii) (curvature with the other coordinates held
 fixed), and the result is flagged.  The gendered model with two observation
@@ -28,10 +36,11 @@ from .dataset import Dataset
 from .errors import (ConfigError, DomainError, InfeasibleDataError,
                      SingularStencilError)
 from .estimators import cfa
-from .likelihood import log_likelihood, saturated_log_likelihood
+from .likelihood import (log_likelihood, saturated_log_likelihood,
+                         score_and_information)
 from .model import (NONGENDER, PARAM_NAMES, GenderPairCounts, GenderParams,
                     NonGenderParams, PairCounts, params_from_vector)
-from .neldermead import minimize_simplex
+from .neldermead import minimize_simplex, on_boundary
 from .quantiles import chi2_quantile_2dof, normal_quantile
 
 DEFAULT_BOUNDS = (0.0, 10.0)
@@ -39,10 +48,26 @@ CONDITION_WARN_THRESHOLD = 1e10
 _SATURATION_TOL = 1e-6
 _HESS_SHRINK = 0.5
 _HESS_MAX_SHRINK = 3
+# Identified fits stop the simplex at these looser tolerances (the
+# simplex's own are 1e-10 and 1e-12) and finish with a Newton polish.
+_LOOSE_DIAMETER = 1e-5
+_LOOSE_SPREAD = 1e-6
+_POLISH_ITERATIONS = 8
+_POLISH_HALVINGS = 20
+# The polish stops when the Newton decrement g^T H^-1 g, twice the gain it
+# predicts, is below _POLISH_DECREMENT * (1 + |f|).  A step is accepted
+# while the objective rises by no more than _POLISH_NOISE * (1 + |f|), the
+# rounding noise of a sum of terms n*log(p): the last steps' gains are
+# below it, but the exact score still resolves them.
+_POLISH_DECREMENT = 1e-20
+_POLISH_NOISE = 1e-14
 
 
 def hessian_fd(objective, point, rel_step=1e-4, min_step=1e-6) -> np.ndarray:
     """Central finite-difference Hessian with per-coordinate steps.
+
+    No fit uses it: standard errors come from the exact information.  It
+    stays as an oracle for tests and for objectives without derivatives.
 
     Steps are h_i = max(min_step, rel_step*|x_i|); off-diagonals use the
     four-point cross stencil and the result is symmetrized.  If a stencil
@@ -93,13 +118,15 @@ class CovarianceResult:
 def covariance_from_hessian(hessian) -> CovarianceResult:
     """Invert a negative-log-likelihood Hessian into a covariance matrix.
 
-    Non-positive-definite input yields a singular flag with no covariance;
-    condition numbers above 1e10 produce a warning but still invert.
+    Input that is not positive definite to working precision (an
+    eigenvalue at or below dim * eps times the largest) yields a singular
+    flag with no covariance; condition numbers above 1e10 produce a warning
+    but still invert.
     """
     h = np.asarray(hessian, dtype=float)
     h = (h + h.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(h)
-    if eigvals.min() <= 0.0:
+    if eigvals.min() <= len(eigvals) * np.finfo(float).eps * abs(eigvals).max():
         cond = math.inf if eigvals.min() == 0 else float(
             abs(eigvals).max() / abs(eigvals).min())
         return CovarianceResult(None, None, False, cond, False)
@@ -275,7 +302,105 @@ class FitResult:
         return PARAM_NAMES[self.kind]
 
 
-def _default_warm_start(kind, data, seed, bounds, max_evals):
+def _objective(kind, data):
+    """Negative log-likelihood on the value path, +inf where impossible."""
+    def objective(vec):
+        try:
+            # Python floats: the scalar solve is ~20% slower on np.float64
+            params = params_from_vector(kind, vec.tolist())
+        except DomainError:
+            return math.inf
+        value = log_likelihood(kind, params, data)
+        return math.inf if value == -math.inf else -value
+    return objective
+
+
+def _newton_polish(kind, data, objective, x, f, bounds):
+    """Projected Newton iterations on the box from the point (x, f).
+
+    Each iteration takes the exact score and observed information at x.
+    A coordinate within the loose simplex's diameter tolerance of a bound,
+    with its gradient pointing out of the box, is held: its step takes it
+    onto the bound, and the Newton system is solved on the other
+    coordinates given that move.  The step is clipped into the box and halved until the
+    value-path objective does not rise by more than its rounding noise.
+    Returns ``(x, f, information, evaluations)``.  ``information`` is the
+    observed information at x once the Newton decrement is negligible, and
+    None when the polish failed: the information was not positive definite
+    on the free coordinates, no step was accepted, or the iterations ran out.
+    """
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
+    evals = 0
+    for _ in range(_POLISH_ITERATIONS):
+        derivatives = score_and_information(kind, data, x)
+        evals += 1
+        if derivatives is None:
+            return x, f, None, evals
+        gradient, information = -derivatives[0], derivatives[1]
+        at_lo = (x - lo <= _LOOSE_DIAMETER) & (gradient > 0)
+        at_hi = (hi - x <= _LOOSE_DIAMETER) & (gradient < 0)
+        free = ~(at_lo | at_hi)
+        step = np.where(at_lo, lo - x, np.where(at_hi, hi - x, 0.0))
+        rhs = gradient[free] + information[np.ix_(free, ~free)] @ step[~free]
+        if rhs.any():
+            try:
+                chol = np.linalg.cholesky(information[np.ix_(free, free)])
+            except np.linalg.LinAlgError:
+                return x, f, None, evals
+            step[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        # twice the gain the quadratic model predicts for the full step
+        decrement = -float(2.0 * gradient @ step + step @ information @ step)
+        if not math.isfinite(decrement):
+            return x, f, None, evals
+        if decrement <= _POLISH_DECREMENT * (1.0 + abs(f)):
+            return x, f, information, evals
+        noise = _POLISH_NOISE * (1.0 + abs(f))
+        scale = 1.0
+        for _ in range(_POLISH_HALVINGS):
+            trial = np.clip(x + scale * step, lo, hi)
+            f_trial = objective(trial)
+            evals += 1
+            if f_trial <= f + noise:
+                break
+            scale *= 0.5
+        else:
+            return x, f, None, evals
+        x, f = trial, f_trial
+    return x, f, None, evals
+
+
+def _maximize(kind, data, warm_start, bounds, seed, max_evals, polish):
+    """The optimizer stage of :func:`fit_mle`.
+
+    Returns ``(x, fun, evaluations, converged, information)``;
+    ``information`` is the polish's last one, at ``x``, or None.
+    """
+    objective = _objective(kind, data)
+    if not polish:
+        result = minimize_simplex(objective, warm_start, bounds, seed=seed,
+                                  max_evals=max_evals)
+        return result.x, result.fun, result.n_evals, result.converged, None
+    loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
+                             max_evals=max_evals,
+                             diameter_tol=_LOOSE_DIAMETER,
+                             spread_tol=_LOOSE_SPREAD)
+    if not (loose.converged and math.isfinite(loose.fun)):
+        return loose.x, loose.fun, loose.n_evals, loose.converged, None
+    x, f, information, evals = _newton_polish(kind, data, objective, loose.x,
+                                              loose.fun, bounds)
+    used = loose.n_evals + evals
+    if information is not None:
+        return x, f, used, True, information
+    # the polish failed: the tight simplex runs from the warm start instead
+    tight = minimize_simplex(objective, warm_start, bounds, seed=seed,
+                             max_evals=max_evals - used)
+    if not tight.fun <= loose.fun:  # the budget ran out first
+        return loose.x, loose.fun, used + tight.n_evals, False, None
+    return tight.x, tight.fun, used + tight.n_evals, tight.converged, None
+
+
+def _default_warm_start(kind, data, seed, max_evals, polish):
     if kind == NONGENDER:
         try:
             # clamping negative CFA rates is routine here, not user-visible
@@ -285,14 +410,21 @@ def _default_warm_start(kind, data, seed, bounds, max_evals):
             return np.array(start.as_vector()), "CFA"
         except DomainError:
             return np.array([1e-3, 1e-3]), "default"
-    # gendered warm start: symmetric split of the non-gendered fit
+    # gendered warm start: symmetric split of the non-gendered fit, which
+    # polishes only when the gendered fit does
     marginal = Dataset(
         data.times,
         tuple(PairCounts(o.ss, o.is_ + o.si, o.ii) for o in data.observations),
     )
-    base = fit_mle(NONGENDER, marginal, seed=seed, max_evals=max_evals,
-                   uncertainty=False)
-    lam, tau = base.estimates
+    start, _ = _default_warm_start(NONGENDER, marginal, seed, max_evals,
+                                   polish)
+    (lam, tau), fun = _maximize(NONGENDER, marginal,
+                                np.clip(start, *DEFAULT_BOUNDS),
+                                (DEFAULT_BOUNDS, DEFAULT_BOUNDS), seed,
+                                max_evals, polish)[:2]
+    if not math.isfinite(fun):
+        raise InfeasibleDataError(
+            "every optimizer start produced impossible data (-inf likelihood)")
     return np.array([lam, lam, tau, tau]), "symmetric-nongender"
 
 
@@ -304,9 +436,16 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     The warm start defaults to the CFA (non-gendered) or a symmetric split
     of the non-gendered fit (gendered); explicit warm starts are clipped
     into the bounds.  Deterministic for a fixed seed.  ``uncertainty=False``
-    skips the Hessian/covariance stage (used by bulk recovery sweeps, which
-    record point estimates only); a stencil failure at a boundary estimate
-    degrades to absent uncertainty rather than an error.
+    skips the covariance stage (used by bulk recovery sweeps, which record
+    point estimates only).
+
+    Identified designs stop the simplex at a loose tolerance and finish
+    with a projected Newton polish; if the polish fails, the tight simplex
+    runs from the warm start.  Over-parameterised designs (more rates than
+    the data's free dimensions) run the tight simplex alone, since their
+    maximum is a ridge with no Newton step.  ``iterations`` counts the
+    likelihood evaluations of the optimizer, one per score-and-information
+    evaluation of the polish included.
     """
     if kind not in PARAM_NAMES:
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -315,52 +454,48 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     dim = len(PARAM_NAMES[kind])
     if bounds is None:
         bounds = tuple(DEFAULT_BOUNDS for _ in range(dim))
+    n_states = 3 if kind == NONGENDER else 4
+    free_dims = (n_states - 1) * (len(data.times) - 1)
+    identified = dim <= free_dims
     if warm_start is None:
         warm_start, warm_start_source = _default_warm_start(
-            kind, data, seed, bounds, max_evals)
+            kind, data, seed, max_evals, identified)
     warm_start = np.clip(np.asarray(warm_start, dtype=float),
                          [b[0] for b in bounds], [b[1] for b in bounds])
 
-    def objective(vec):
-        try:
-            # Python floats: the scalar solve is ~20% slower on np.float64
-            params = params_from_vector(kind, vec.tolist())
-        except DomainError:
-            return math.inf
-        value = log_likelihood(kind, params, data)
-        return math.inf if value == -math.inf else -value
-
-    result = minimize_simplex(objective, warm_start, bounds, seed=seed,
-                              max_evals=max_evals)
-    if not math.isfinite(result.fun):
+    estimates, fun, n_evals, converged, information = _maximize(
+        kind, data, warm_start, bounds, seed, max_evals, identified)
+    if not math.isfinite(fun):
         raise InfeasibleDataError(
             "every optimizer start produced impossible data (-inf likelihood)")
-    estimates = result.x
-    loglik_max = -result.fun
+    loglik_max = -fun
 
     saturated = saturated_log_likelihood(data)
     gap = saturated - loglik_max
-    n_states = 3 if kind == NONGENDER else 4
-    free_dims = (n_states - 1) * (len(data.times) - 1)
-    ridge = dim > free_dims and gap < _SATURATION_TOL
+    ridge = not identified and gap < _SATURATION_TOL
 
     hessian = None
     cov_result = CovarianceResult(None, None, False, math.inf, False)
     conditional = np.full(dim, np.nan)
     if uncertainty:
-        try:
-            hessian = hessian_fd(objective, estimates)
-        except SingularStencilError:
-            hessian = None
-        if hessian is not None:
-            cov_result = covariance_from_hessian(hessian)
+        if information is None:
+            derivatives = score_and_information(kind, data, estimates)
+            information = None if derivatives is None else derivatives[1]
+        if information is not None and np.isfinite(information).all():
+            hessian = information
+            with warnings.catch_warnings():
+                if ridge:
+                    # singular along the ridge by construction; the
+                    # conditional standard errors are reported instead
+                    warnings.simplefilter("ignore")
+                cov_result = covariance_from_hessian(hessian)
             conditional = curvature_std_errors(hessian)
 
     if hessian is None:
         se_used = None
         se_method = "unavailable"
         identifiability = ("not-computed" if not uncertainty
-                           else "boundary-stencil")
+                           else "information-not-finite")
     elif ridge:
         se_used = conditional
         se_method = "conditional-curvature"
@@ -393,8 +528,8 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
         std_errors_conditional=conditional,
         se_method=se_method,
         intervals=intervals,
-        converged=result.converged,
-        iterations=result.n_evals,
+        converged=converged,
+        iterations=n_evals,
         warm_start=warm_start,
         warm_start_source=warm_start_source,
         bounds=tuple(tuple(b) for b in bounds),
@@ -403,6 +538,6 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
         hessian_positive_definite=cov_result.positive_definite,
         condition_number=cov_result.condition_number,
         condition_warning=cov_result.condition_warning,
-        on_boundary=result.on_boundary,
+        on_boundary=on_boundary(estimates, bounds),
         saturated_gap=gap,
     )

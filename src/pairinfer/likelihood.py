@@ -11,9 +11,10 @@ probability.
 Grids and slices are one batched evaluation: :func:`likelihood_surface` and
 :func:`slice_profile` stack their rate vectors into one array and call
 :func:`log_likelihood_batch`, which returns, row for row, the bit-identical
-value of :func:`log_likelihood`.  Point evaluations (optimizer steps,
-finite-difference stencils) stay on the scalar path, which is cheaper for a
-single rate vector.
+value of :func:`log_likelihood`.  Point evaluations (optimizer steps and
+line searches) stay on the scalar path, which is cheaper for a single rate
+vector.  :func:`score_and_information` gives the exact gradient and
+observed information that the Newton polish and the standard errors use.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DomainError
 from .model import (GENDER, NONGENDER, PARAM_NAMES, apply_libm,
-                    solve_batch, solve_gender, solve_nongender)
+                    count_derivatives, solve_batch, solve_gender,
+                    solve_nongender)
 
 
 def _loglik_terms(observed, predicted, n):
@@ -78,6 +80,33 @@ def log_likelihood(kind, params, data: Dataset) -> float:
     if kind == GENDER:
         return log_likelihood_gender(params, data)
     raise ConfigError(f"unknown model kind {kind!r}")
+
+
+def score_and_information(kind, data: Dataset, rates):
+    """Score and observed information of the log-likelihood at ``rates``.
+
+    The score is the gradient sum_s n_s dP_s/P_s and the observed
+    information is minus the Hessian,
+    sum_s n_s (dP_s dP_s^T / P_s^2 - d2P_s / P_s), both summed over the
+    non-conditioning times (the proportion's 1/N drops out of both).
+    Returns None where an observed state has no positive expected count:
+    the log-likelihood is -inf there and has no derivatives.
+    """
+    p, grad, hess = count_derivatives(kind, data.initial, rates,
+                                      data.elapsed()[1:])
+    counts = np.array([obs.as_tuple() for obs in data.observations[1:]],
+                      dtype=float)
+    seen = counts > 0
+    if not np.all(p[seen] > 0.0):
+        return None
+    # dP/P first: squaring 1/P alone overflows for P below ~1e-154
+    safe_p = np.where(seen, p, 1.0)
+    relative = grad / safe_p[:, :, None]
+    score = np.einsum("ts,tsj->j", counts, relative)
+    information = (np.einsum("ts,tsj,tsk->jk", counts, relative, relative)
+                   - np.einsum("ts,tsjk->jk", counts / safe_p, hess))
+    # halves first: the sum overflows for entries above ~9e307
+    return score, 0.5 * information + 0.5 * information.T
 
 
 def log_likelihood_batch(kind, data: Dataset, rates) -> np.ndarray:

@@ -76,6 +76,14 @@ def reflect_into_box(x, lo, hi):
     return out
 
 
+def on_boundary(x, bounds):
+    """Whether any coordinate of ``x`` lies within 1e-12 (relative) of a bound."""
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
+    return bool(np.any((x - lo <= 1e-12 * np.maximum(1.0, np.abs(lo)))
+                       | (hi - x <= 1e-12 * np.maximum(1.0, np.abs(hi)))))
+
+
 def _initial_simplex(x0, lo, hi):
     vertices = [x0]
     for i in range(len(x0)):
@@ -211,13 +219,11 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         incumbent_f = math.inf
 
     x = np.array(incumbent_x)
-    at_bound = bool(np.any((x - lo_arr <= 1e-12 * np.maximum(1.0, np.abs(lo_arr)))
-                           | (hi_arr - x <= 1e-12 * np.maximum(1.0, np.abs(hi_arr)))))
     return SimplexResult(
         x=x,
         fun=incumbent_f,
         n_evals=n_evals,
         converged=incumbent_converged,
-        on_boundary=at_bound,
+        on_boundary=on_boundary(x, bounds),
         n_starts=len(starts),
     )

@@ -76,6 +76,112 @@ def chi2_quantile_2dof_mp(p, dps=40):
         return float((lo + hi) / 2)
 
 
+def _counts_mp(kind, rates, init, t):
+    """Expected SS and discordant counts by the closed forms, in mpmath.
+
+    II is left out: as N minus the rest it cancels at tiny rates, and its
+    derivatives are minus the sum of the others'.
+    """
+    def decay_integral(x):
+        return t if x == 0 else -mpmath.expm1(-x * t) / x
+
+    ss0 = init[0]
+    if kind == "nongender":
+        lam, tau = rates
+        decay = mpmath.exp(-2 * lam * t)
+        return [ss0 * decay,
+                (init[1] * mpmath.exp(-(tau - lam) * t)
+                 + ss0 * 2 * lam * decay_integral(tau - lam)) * decay]
+    lam_m, lam_f, tau_mf, tau_fm = rates
+    decay = mpmath.exp(-(lam_m + lam_f) * t)
+    return [ss0 * decay,
+            (init[1] * mpmath.exp(-(tau_mf - lam_m) * t)
+             + lam_m * ss0 * decay_integral(tau_mf - lam_m)) * decay,
+            (init[2] * mpmath.exp(-(tau_fm - lam_f) * t)
+             + lam_f * ss0 * decay_integral(tau_fm - lam_f)) * decay]
+
+
+def count_derivatives_mp(kind, rates, init, t, dps=40):
+    """Expected counts with their rate gradients and Hessians, by mpmath.
+
+    High-precision numerical differentiation of the closed forms, which
+    shares no code with pairinfer's analytic derivatives.  Returns the
+    counts (II left out) and arrays of shapes (states, dim) and
+    (states, dim, dim), whose II rows are minus the sum of the others.
+    """
+    dim = len(rates)
+    with mpmath.workdps(dps):
+        point = [mpmath.mpf(float(v)) for v in rates]
+        counts = [float(c) for c in _counts_mp(kind, point, init, t)]
+        n_counts = len(counts)
+        grad = np.zeros((n_counts + 1, dim))
+        hess = np.zeros((n_counts + 1, dim, dim))
+        for s in range(n_counts):
+            def count(*r, s=s):
+                return _counts_mp(kind, list(r), init, t)[s]
+            for i in range(dim):
+                order = [0] * dim
+                order[i] = 1
+                grad[s, i] = float(mpmath.diff(count, point, tuple(order)))
+                for j in range(i, dim):
+                    order = [0] * dim
+                    order[i] += 1
+                    order[j] += 1
+                    hess[s, i, j] = hess[s, j, i] = float(
+                        mpmath.diff(count, point, tuple(order)))
+    grad[-1] = -grad[:-1].sum(axis=0)
+    hess[-1] = -hess[:-1].sum(axis=0)
+    return counts, grad, hess
+
+
+def loglik_derivatives_mp(kind, rates, data, dps=40):
+    """Score and observed information of the log-likelihood, by mpmath.diff.
+
+    The proportions are the closed-form counts over N, II by subtraction;
+    the t = 0 observation is conditioned on.  mpmath.diff steps by about
+    10^-dps, which must stay far below every count, and the smallest
+    entries are products of two counts' derivatives: ``dps`` is raised by
+    twice the decimal exponent of the smallest SS or discordant count as a
+    share of N, up to 600 digits (float64 ends near 1e-308).
+    """
+    dim = len(rates)
+    init = data.initial.as_tuple()
+    n = sum(init)
+    later = list(zip(data.elapsed()[1:], data.observations[1:]))
+
+    def loglik(*r):
+        total = mpmath.mpf(0)
+        for t, obs in later:
+            counts = _counts_mp(kind, list(r), init, mpmath.mpf(t))
+            counts.append(n - sum(counts))
+            for c, p in zip(obs.as_tuple(), counts):
+                if c > 0:
+                    total += c * mpmath.log(p / n)
+        return total
+
+    with mpmath.workdps(dps):
+        point = [mpmath.mpf(float(v)) for v in rates]
+        smallest = min(min(_counts_mp(kind, point, init, mpmath.mpf(t)))
+                       for t, _ in later) / n
+        if smallest > 0:
+            dps += 2 * min(300, max(0, int(-mpmath.log10(smallest))))
+    with mpmath.workdps(dps):
+        point = [mpmath.mpf(float(v)) for v in rates]
+        score = np.zeros(dim)
+        information = np.zeros((dim, dim))
+        for i in range(dim):
+            order = [0] * dim
+            order[i] = 1
+            score[i] = float(mpmath.diff(loglik, point, tuple(order)))
+            for j in range(i, dim):
+                order = [0] * dim
+                order[i] += 1
+                order[j] += 1
+                information[i, j] = information[j, i] = -float(
+                    mpmath.diff(loglik, point, tuple(order)))
+    return score, information
+
+
 def plain_central_hessian(fn, x, h):
     """Textbook central-difference Hessian with one fixed step vector."""
     x = np.asarray(x, dtype=float)

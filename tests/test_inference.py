@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import pairinfer.inference as inference
 from pairinfer import (DomainError, EllipseSpec, GenderPairCounts,
                        GenderParams, InfeasibleDataError, NonGenderParams,
                        PairCounts, SingularStencilError, chi2_quantile_2dof,
                        covariance_from_hessian, curvature_std_errors,
-                       ellipse_points, fit_mle, hessian_fd,
-                       infections_per_year, nongender_dataset,
-                       solve_nongender, wald_intervals)
+                       ellipse_points, fit_mle, gender_dataset, hessian_fd,
+                       infections_per_year, minimize_simplex,
+                       nongender_dataset, solve_nongender, wald_intervals)
+from pairinfer.likelihood import score_and_information
 
 from oracles import richardson_hessian
 
@@ -83,6 +85,14 @@ def test_covariance_not_positive_definite():
     result = covariance_from_hessian(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert not result.positive_definite
     assert result.covariance is None
+    assert result.std_errors is None
+
+
+def test_covariance_singular_to_working_precision():
+    # an eigenvalue below dim * eps of the largest is a zero, not a 1e17
+    # condition number
+    result = covariance_from_hessian(np.diag([1.0, 1e-17]))
+    assert not result.positive_definite
     assert result.std_errors is None
 
 
@@ -265,16 +275,19 @@ def test_fit_mwanza_gender(mwanza_gender):
 
 
 def test_gender_warm_start_skips_uncertainty(mwanza_gender, monkeypatch):
-    # the non-gendered warm-start fit uses only its estimates
+    # the non-gendered warm-start fit uses only its estimates: the one
+    # information evaluation is the gendered fit's own
     import pairinfer.inference as inference
 
     calls = []
+    real = inference.score_and_information
 
-    def counting_hessian(objective, point):
-        calls.append(len(point))
-        return hessian_fd(objective, point)
+    def counting_information(kind, data, rates):
+        calls.append(len(rates))
+        return real(kind, data, rates)
 
-    monkeypatch.setattr(inference, "hessian_fd", counting_hessian)
+    monkeypatch.setattr(inference, "score_and_information",
+                        counting_information)
     fit_mle("gender", mwanza_gender, seed=0)
     assert calls == [4]
 
@@ -320,3 +333,114 @@ def test_fit_three_observation_times():
     assert fit.estimates[0] == pytest.approx(truth.lam, abs=1e-5)
     assert fit.estimates[1] == pytest.approx(truth.tau, abs=1e-4)
     assert fit.identifiability == "ok"
+
+
+# A gendered cohort (N = 20,000, three times) whose tau_mf estimate sits on
+# its bound at 0.  A finite-difference stencil around it left the box and
+# gave no standard errors.
+BOUNDARY_COHORT = gender_dataset((0.0, 1.0, 3.0), [
+    (19335, 244, 233, 188), (19222, 302, 256, 220), (18971, 445, 298, 286)])
+# Gendered N = 20,000, four times, |loglik| about 14,120.
+FOUR_TIME_COHORT = gender_dataset((0.0, 1.0, 2.0, 4.0), [
+    (19329, 244, 233, 194), (19221, 312, 243, 224),
+    (19119, 365, 258, 258), (18908, 473, 295, 324)])
+
+
+def test_boundary_fit_has_standard_errors():
+    fit = fit_mle("gender", BOUNDARY_COHORT, seed=0)
+    assert fit.estimates[2] == 0.0
+    assert fit.on_boundary
+    assert fit.identifiability == "ok"
+    assert np.all(fit.std_errors > 0) and np.all(np.isfinite(fit.std_errors))
+
+
+def _tight_simplex(kind, data, fit):
+    return minimize_simplex(inference._objective(kind, data), fit.warm_start,
+                            fit.bounds, seed=fit.seed)
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("nongender", None),
+    ("nongender", nongender_dataset((0.0, 1.5, 4.0), [
+        (1500, 250, 52), (1460, 268, 74), (1400, 281, 121)])),
+    ("gender", BOUNDARY_COHORT),
+    ("gender", FOUR_TIME_COHORT),
+    # both tau on their bound; the loose simplex stops just inside it
+    ("gender", gender_dataset((0.0, 1.0, 3.0), [
+        (485, 6, 5, 4), (484, 6, 6, 4), (474, 13, 9, 4)])),
+], ids=["bundled", "nongender-3-times", "gender-boundary", "gender-4-times",
+        "gender-two-bounds"])
+def test_polished_fit_is_stationary_and_never_worse(kind, data, mwanza):
+    data = mwanza if data is None else data
+    fit = fit_mle(kind, data, seed=0)
+    tight = _tight_simplex(kind, data, fit)
+    assert fit.converged
+    assert fit.iterations < tight.n_evals
+    assert fit.loglik_at_max >= -tight.fun - 1e-12 * (1.0 + abs(tight.fun))
+    # the projected Newton step left at the estimates is negligible
+    score, information = score_and_information(kind, data, fit.estimates)
+    free = ~((fit.estimates == 0.0) & (score < 0.0))
+    step = np.linalg.solve(information[np.ix_(free, free)], score[free])
+    assert np.abs(step).max() <= 1e-8 * np.abs(fit.estimates).max()
+
+
+def test_failed_polish_falls_back_to_the_tight_simplex(mwanza, monkeypatch):
+    def failing_polish(kind, data, objective, x, f, bounds):
+        return x, f, None, 7
+
+    monkeypatch.setattr(inference, "_newton_polish", failing_polish)
+    fit = fit_mle("nongender", mwanza, seed=0)
+    objective = inference._objective("nongender", mwanza)
+    loose = minimize_simplex(objective, fit.warm_start, fit.bounds, seed=0,
+                             diameter_tol=inference._LOOSE_DIAMETER,
+                             spread_tol=inference._LOOSE_SPREAD)
+    tight = _tight_simplex("nongender", mwanza, fit)
+    assert np.array_equal(fit.estimates, tight.x)
+    assert fit.loglik_at_max == -tight.fun
+    assert fit.iterations == loose.n_evals + 7 + tight.n_evals
+    assert fit.converged and fit.identifiability == "ok"
+
+
+def test_over_parameterised_fit_keeps_the_tight_simplex(mwanza_gender):
+    # two times, four rates: the tight simplex alone, from the tight
+    # simplex fit of the marginal non-gendered counts
+    fit = fit_mle("gender", mwanza_gender, seed=0)
+    marginal = nongender_dataset(mwanza_gender.times, [
+        (o.ss, o.is_ + o.si, o.ii) for o in mwanza_gender.observations])
+    base = fit_mle("nongender", marginal, seed=0)
+    start = minimize_simplex(inference._objective("nongender", marginal),
+                             base.warm_start, base.bounds, seed=0).x
+    assert np.array_equal(fit.warm_start, np.repeat(start, 2))
+    tight = _tight_simplex("gender", mwanza_gender, fit)
+    assert np.array_equal(fit.estimates, tight.x)
+    assert fit.iterations == tight.n_evals
+
+
+def test_fits_do_not_use_finite_differences(mwanza, mwanza_gender,
+                                            monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("standard errors come from the exact information")
+
+    monkeypatch.setattr(inference, "hessian_fd", refuse)
+    for kind, data in (("nongender", mwanza), ("gender", mwanza_gender),
+                       ("gender", BOUNDARY_COHORT)):
+        assert fit_mle(kind, data, seed=0).std_errors is not None
+
+
+def test_information_matches_finite_difference_oracle(mwanza):
+    fit = fit_mle("nongender", mwanza, seed=0)
+    objective = inference._objective("nongender", mwanza)
+    oracle = richardson_hessian(objective, fit.estimates,
+                                8e-4 * fit.estimates)
+    assert fit.hessian == pytest.approx(oracle, rel=1e-5)
+
+
+def test_stationary_zero_rates_fit():
+    # nothing moves: every rate is 0 at the maximum, the score vanishes
+    # there, and the information is singular
+    data = gender_dataset((0.0, 1.0, 2.0), [(100, 10, 5, 3)] * 3)
+    fit = fit_mle("gender", data, seed=0)
+    assert np.array_equal(fit.estimates, np.zeros(4))
+    assert fit.converged
+    assert fit.identifiability == "singular-hessian"
+    assert fit.std_errors is None

@@ -4,7 +4,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairinfer.cli
 import pairinfer.io
@@ -396,3 +399,70 @@ def test_cli_consecutive_calls_share_no_values(tmp_path):
     for name in ("lambda", "tau"):
         lines = (tmp_path / "c" / f"profile_nongender_{name}.csv").read_text()
         assert len(lines.splitlines()) == 102
+
+
+_special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                            5e-324, -5e-324, 2.2250738585072014e-308,
+                            1.7976931348623157e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True), _special),
+             min_size=width, max_size=width),
+    min_size=1, max_size=5)))
+def test_float_rows_match_fmt_property(rows):
+    text = pairinfer.io._float_rows("h", np.array(rows, dtype=np.float64))
+    expected = ["h"] + [",".join(map(fmt, row))
+                        for row in np.array(rows, dtype=np.float64)]
+    assert text == "\n".join(expected) + "\n"
+
+
+def test_manifest_zero_replicates_is_config_error(tmp_path, capsys):
+    # a manifest's validation block keeps the --reps rule
+    for reps in (0, -3, "x"):
+        manifest = {"runs": [],
+                    "validation": {"model": "nongender",
+                                   "grid": {"lambda": [0.003], "tau": [0.05]},
+                                   "replicates": reps}}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert main(["report-all", "--manifest", str(path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: validation replicates")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    _SIM + ["--reps", "x"],
+    _VALIDATE + ["--reps", "x"],
+    ["fit", "--model", "nongender", "--seed", "x"],
+    ["report-all", "--seed", "1.5"],
+    ["fit", "--model", "nongender", "--max-evals", "x"],
+], ids=["simulate-reps", "validate-reps", "fit-seed", "report-all-seed",
+        "max-evals"])
+def test_cli_integer_option_type_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report-all"],
+    ["fit", "--model", "nongender"],
+    _SIM,
+], ids=["report-all", "fit", "simulate"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_cli_unusable_out_is_config_error(argv, where, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("in the way")
+    out = blocker if where == "file" else blocker / "sub"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output")
+    assert blocker.read_text() == "in the way"

@@ -16,7 +16,10 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        log_likelihood_batch, log_likelihood_gender,
                        log_likelihood_nongender, nongender_dataset,
                        saturated_log_likelihood, slice_profile)
-from pairinfer.model import EPS_SINGULAR, params_from_vector
+from pairinfer.likelihood import score_and_information
+from pairinfer.model import EPS_SINGULAR, count_derivatives, params_from_vector
+
+from oracles import loglik_derivatives_mp
 
 
 def test_entropy_bound_attained_when_proportions_match():
@@ -394,3 +397,71 @@ def test_float_rates_match_numpy_rates_property(case, zeros):
             assert as_numpy == as_float
         else:
             assert np.float64(as_numpy).tobytes() == np.float64(as_float).tobytes()
+
+
+@st.composite
+def score_cases(draw):
+    kind, data, rates = draw(likelihood_cases())
+    states = 3 if kind == NONGENDER else 4
+    # every initial class occupied, II included: II is N minus the rest,
+    # and from II0 >= 1 it cannot cancel below II0 in either precision.
+    # Later rows keep their zero counts; II takes up the added pairs.
+    initial = tuple(c + 1 for c in data.observations[0].as_tuple())
+    later = [obs.as_tuple()[:-1] + (obs.as_tuple()[-1] + states,)
+             for obs in data.observations[1:]]
+    build = nongender_dataset if kind == NONGENDER else gender_dataset
+    data = build(data.times, [initial] + later)
+    row = rates[0]
+    for col in range(len(row)):
+        if draw(st.booleans()):
+            row[col] = 0.0
+    return kind, data, row
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=score_cases())
+def test_score_and_information_match_mpmath_property(case):
+    """Score and observed information against mpmath.diff of the
+    log-likelihood, over 2-4 observation times, rates 0-10 with exact
+    zeros, horizons to 100 y, the singular band and x < 0.  Each entry's
+    error is relative to the sum of its terms' magnitudes, a count's
+    derivative counted at the count's largest derivative.  Without
+    derivatives (an observed count at 0) the value must be -inf.  Where an
+    expected proportion falls below 1e-100 the case is skipped: the
+    oracle's working precision grows with twice its decimal exponent
+    (240 digits at 1e-100), and below 1e-290 float64 holds fewer digits.
+    """
+    kind, data, rates = case
+    derivatives = score_and_information(kind, data, rates)
+    value = log_likelihood(kind, params_from_vector(kind, rates), data)
+    if derivatives is None:
+        assert value == -math.inf
+        return
+    p, grad, hess = count_derivatives(kind, data.initial, rates,
+                                      data.elapsed()[1:])
+    counts = np.array([o.as_tuple() for o in data.observations[1:]], float)
+    if p.min() / data.n < 1e-100:
+        return
+    score, information = derivatives
+    exact_score, exact_information = loglik_derivatives_mp(kind, rates, data)
+    if not np.isfinite(information).all():
+        # only where the exact information leaves the float64 range
+        assert not np.isfinite(exact_information).all()
+        return
+    # each count's derivatives carry rounding relative to its largest
+    # derivative, and II (N minus the rest) that of all the others
+    grad = np.broadcast_to(np.abs(grad).max(axis=2, keepdims=True),
+                           grad.shape).copy()
+    hess = np.broadcast_to(np.abs(hess).max(axis=(2, 3), keepdims=True),
+                           hess.shape).copy()
+    grad[:, -1] = grad[:, :-1].sum(axis=1)
+    hess[:, -1] = hess[:, :-1].sum(axis=1)
+    seen = counts > 0
+    n, p, grad, hess = counts[seen], p[seen], grad[seen], hess[seen]
+    relative = grad / p[:, None]
+    score_scale = n @ relative
+    info_scale = (np.einsum("s,sj,sk->jk", n, relative, relative)
+                  + np.einsum("s,sjk->jk", n / p, hess))
+    assert np.all(np.abs(score - exact_score) <= 1e-8 * score_scale)
+    assert np.all(np.abs(information - exact_information) <= 1e-8 * info_scale)
+    assert np.array_equal(information, information.T)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairinfer import (DomainError, GenderPairCounts, GenderParams,
-                       GenderReparam, NonGenderParams, PairCounts,
-                       rates_to_reparam, reparam_to_rates, solve_gender,
-                       solve_nongender)
+from pairinfer import (GENDER, NONGENDER, DomainError, GenderPairCounts,
+                       GenderParams, GenderReparam, NonGenderParams,
+                       PairCounts, rates_to_reparam, reparam_to_rates,
+                       solve_gender, solve_nongender)
+from pairinfer.model import EPS_SINGULAR, count_derivatives
 
-from oracles import integrate_gender, integrate_nongender
+from oracles import (count_derivatives_mp, integrate_gender,
+                     integrate_nongender)
 
 MWANZA_INIT = PairCounts(1742, 43, 17)
 MWANZA_G_INIT = GenderPairCounts(1742, 22, 21, 17)
@@ -209,3 +211,59 @@ def test_long_horizon_tau_below_lambda_stays_finite():
     gstate = solve_gender(GenderParams(10, 0, 0, 0),
                           GenderPairCounts(100, 5, 5, 0), 80)
     assert gstate.as_tuple() == (0.0, 105.0, 0.0, 5.0)
+
+
+def _internal_rate(draw, lam, times):
+    """An internal rate in one of the derivative routine's x regimes."""
+    regime = draw(st.sampled_from(("any", "singular", "series", "zero")))
+    if regime == "singular":
+        return max(lam + draw(st.floats(-EPS_SINGULAR, EPS_SINGULAR)), 0.0)
+    if regime == "series":
+        # |x*t| on both sides of the series band's edge at 1
+        return max(lam + draw(st.floats(-1.5, 1.5)) / times[0], 0.0)
+    if regime == "zero":
+        return 0.0
+    return draw(st.floats(0.0, 10.0))
+
+
+@st.composite
+def derivative_cases(draw):
+    kind = draw(st.sampled_from((NONGENDER, GENDER)))
+    times = sorted(draw(st.lists(st.floats(0.01, 100.0), min_size=1,
+                                 max_size=3, unique=True)))
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    if kind == NONGENDER:
+        lam = draw(rate)
+        rates = [lam, _internal_rate(draw, lam, times)]
+    else:
+        lam_m, lam_f = draw(rate), draw(rate)
+        rates = [lam_m, lam_f, _internal_rate(draw, lam_m, times),
+                 _internal_rate(draw, lam_f, times)]
+    states = 3 if kind == NONGENDER else 4
+    counts = draw(st.lists(st.integers(0, 5000), min_size=states,
+                           max_size=states).filter(any))
+    builder = PairCounts if kind == NONGENDER else GenderPairCounts
+    return kind, rates, builder(*counts), times
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=derivative_cases())
+def test_count_derivatives_match_mpmath_property(case):
+    """Analytic rate derivatives of every expected count against mpmath.
+
+    Both models, rates 0-10 with exact zeros, horizons to 100 y, up to three
+    elapsed times, the singular band, both sides of the series band and
+    x < 0.  Errors are relative to the largest derivative of the state, and
+    for II (N minus the rest) to the largest of any state.  1e-300 absorbs
+    subnormal results, which float64 holds to fewer digits.
+    """
+    kind, rates, init, times = case
+    p, grad, hess = count_derivatives(kind, init, rates, times)
+    for k, t in enumerate(times):
+        counts, *exact = count_derivatives_mp(kind, rates, init.as_tuple(), t)
+        assert p[k, :-1] == pytest.approx(counts, rel=1e-12, abs=1e-300)
+        for ours, ref in zip((grad[k], hess[k]), exact):
+            scales = np.abs(ref.reshape(len(ref), -1)).max(axis=1)
+            scales[-1] = scales.max()
+            for s, scale in enumerate(scales):
+                assert np.abs(ours[s] - ref[s]).max() <= 1e-8 * scale + 1e-300

@@ -202,8 +202,10 @@ def test_reflection_matches_numpy_oracle(rows):
 
 
 def test_bundled_fit_evaluation_counts(mwanza, mwanza_gender):
-    # machine-independent: the simplex trajectory is pinned bit for bit
-    assert fit_mle("nongender", mwanza, seed=0).iterations == 443
+    # machine-independent: the simplex trajectory is pinned bit for bit.
+    # The non-gendered fit is a loose simplex and a Newton polish; the
+    # over-parameterised gendered two-time fit runs the tight simplex alone.
+    assert fit_mle("nongender", mwanza, seed=0).iterations == 217
     assert fit_mle("gender", mwanza_gender, seed=0).iterations == 904
 
 
