@@ -1,16 +1,21 @@
 """Closed-form and semi-closed-form estimators for the two-time-point design.
 
-With observations at {0, T} the non-gendered MLE has useful structure: the
+With observations at {0, T} the non-gendered MLE has a closed form.  The
 external rate is identified purely by the depletion of SS pairs,
 
     lambda_hat = log(N_SS^0 / N_SS^T) / (2 T),
 
-and the internal rate solves a one-dimensional stationarity condition on the
-discordant-pair prediction, handled here by bracketed bisection.  A series
+and the internal rate solves P_SI(T; lambda_hat, tau) = N_SI^T, one root of
+a function that decreases in tau (:func:`two_time_mle`).  That point matches
+every predicted count at T to the observed one, so it attains the saturated
+multinomial bound and no other point can beat it; the fit starts there.
+
+:func:`tau_hat_rootsolve` targets a different quantity, the previously
+published stationarity condition on the discordant-pair prediction, by
+bracketed bisection; it feeds the discrepancy ledger of reports.  A series
 estimator for the coordinate phi (tau = (2*phi + 1)*lambda) is retained
 verbatim for comparison output even though its arithmetic is known not to
-reproduce previously reported values; the root solve is the authoritative
-analytical tau.
+reproduce previously reported values.
 """
 
 from __future__ import annotations
@@ -21,12 +26,17 @@ from dataclasses import dataclass
 
 from .dataset import Dataset
 from .errors import (DomainError, ExpansionUndefinedError, NoRootError)
-from .model import GENDER, NONGENDER, NonGenderParams, solve_nongender
+from .model import (GENDER, NONGENDER, NonGenderParams, _inflow_moments,
+                    solve_nongender)
 
 # Bisection controls for the tau stationarity equation.
 _TAU_ABS_TOL = 1e-10
 _TAU_BRACKET_START = 1.0
 _TAU_BRACKET_LIMIT = 1e3
+# The closed-form MLE's safeguarded Newton solve for tau stops at a step
+# below this relative size; the error left is about its square.
+_MLE_TAU_RTOL = 1e-12
+_MLE_TAU_ITERATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,71 @@ def tau_hat_rootsolve(data: Dataset, lambda_hat: float) -> float:
         else:
             lo, g_lo = mid, g_mid
     return 0.5 * (lo + hi)
+
+
+def two_time_mle(data: Dataset, bounds, tau_seed):
+    """The non-gendered two-time MLE ``(lambda_hat, tau_hat)``, or None.
+
+    lambda_hat = log(N_SS^0 / N_SS^T) / (2 T) and tau_hat is the root of
+    P_SI(T; lambda_hat, tau) = N_SI^T in the tau bounds, so every predicted
+    count at T equals the observed one.  P_SI decreases in tau, and log P_SI
+    is nearly linear in it: a Newton solve on log P_SI from ``tau_seed``
+    (clamped into the bounds) takes a few steps, and a step that leaves the
+    bracket is replaced by false position or bisection.  ``bounds`` are the
+    fit's ``((lam_lo, lam_hi), (tau_lo, tau_hi))``.
+
+    Returns None where the closed form does not apply: not a non-gendered
+    two-time design, N_SS^T = 0 or N_SS^T > N_SS^0, lambda_hat outside its
+    bounds, N_SI^T outside [P_SI(tau_hi), P_SI(tau_lo)], or a P_SI that
+    does not move with tau (N_SI^0 = 0 and lambda_hat = 0).
+    """
+    if data.kind != NONGENDER or len(data.times) != 2:
+        return None
+    obs0, obs1, big_t = _two_time_counts(data)
+    if not 0 < obs1.ss <= obs0.ss:
+        return None
+    (lam_lo, lam_hi), (tau_lo, tau_hi) = bounds
+    lam = math.log(obs0.ss / obs1.ss) / (2.0 * big_t)
+    if not lam_lo <= lam <= lam_hi:
+        return None
+    inflow = obs0.ss * 2.0 * lam
+    target = obs1.si
+
+    def count_and_slope(tau):
+        # the SI class of model.count_derivatives: x = tau - lam, h = 2*lam
+        e, r0, r1, _ = _inflow_moments(tau - lam, 2.0 * lam, big_t)
+        value = obs0.si * e + inflow * r0
+        return value, inflow * r1 - big_t * value
+
+    at_hi, at_lo = count_and_slope(tau_hi)[0], count_and_slope(tau_lo)[0]
+    if not at_hi <= target <= at_lo or at_hi == at_lo:
+        return None
+    if target in (at_lo, at_hi):
+        return lam, tau_lo if target == at_lo else tau_hi
+    lo, hi, p_lo, p_hi = tau_lo, tau_hi, at_lo, at_hi
+    tau = min(max(tau_seed, lo), hi)
+    for _ in range(_MLE_TAU_ITERATIONS):
+        value, slope = count_and_slope(tau)
+        if value == target:
+            break
+        if value > target:
+            lo, p_lo = tau, value
+        else:
+            hi, p_hi = tau, value
+        step = (tau - math.log(value / target) * value / slope
+                if value > 0.0 and slope < 0.0 else math.nan)
+        if abs(step - tau) <= _MLE_TAU_RTOL * tau:
+            return lam, min(max(step, lo), hi)
+        if not lo < step < hi:
+            if hi - lo <= _MLE_TAU_RTOL * hi:
+                break
+            # false position on log P_SI across the bracket, else bisection
+            step = (lo + (hi - lo) * math.log(p_lo / target)
+                    / math.log(p_lo / p_hi) if p_hi > 0.0 else math.nan)
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+        tau = step
+    return lam, tau
 
 
 def cfa(data: Dataset) -> NonGenderParams:

@@ -7,7 +7,16 @@ spread 1e-6) and finishes with a projected Newton polish on the exact score
 and observed information of :func:`likelihood.score_and_information`; each
 Newton step backtracks on the value-path objective.  If the polish fails,
 the tight simplex runs from the warm start, as for over-parameterised
-designs.  The covariance of the estimates is the inverse of the observed
+designs.
+
+The saturated multinomial bound caps every likelihood, so an identified
+fit also ends its simplex at the first point within rounding noise of it.
+With two observation times the non-gendered MLE attains that bound and has
+a closed form (:func:`estimators.two_time_mle`).  Such a fit starts there:
+one evaluation meets the bound, and the polish confirms the point with one
+information evaluation.  Where the closed form does not apply (SS pairs
+that did not decline, a root outside the box), the CFA warm start and the
+simplex take over as before.  The covariance of the estimates is the inverse of the observed
 information (Efron & Hinkley 1978), the Hessian of the negative
 log-likelihood at the estimates; it needs no step into the box's exterior,
 so estimates on a bound keep their standard errors.  :func:`hessian_fd`,
@@ -18,9 +27,9 @@ observation times the data carry (k-1)*(m-1) free dimensions.  When the
 model has more parameters than that and the fit saturates the multinomial
 bound (an exact fit), the maximum is a flat ridge, the joint information is
 singular along it, and inverse-information standard errors are
-meaningless.  In that case the reported intervals fall back to conditional
-standard errors 1/sqrt(H_ii) (curvature with the other coordinates held
-fixed), and the result is flagged.  The gendered model with two observation
+meaningless.  In that case no joint covariance is computed, the reported
+intervals fall back to conditional standard errors 1/sqrt(H_ii) (curvature
+with the other coordinates held fixed), and the result is flagged.  The gendered model with two observation
 times is exactly this case.
 """
 
@@ -35,7 +44,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (ConfigError, DomainError, InfeasibleDataError,
                      SingularStencilError)
-from .estimators import cfa
+from .estimators import cfa, two_time_mle
 from .likelihood import (log_likelihood, saturated_log_likelihood,
                          score_and_information)
 from .model import (NONGENDER, PARAM_NAMES, GenderPairCounts, GenderParams,
@@ -292,7 +301,7 @@ class FitResult:
     seed: int
     identifiability: str
     hessian_positive_definite: bool
-    condition_number: float
+    condition_number: float | None  # None on a saturated ridge
     condition_warning: bool
     on_boundary: bool
     saturated_gap: float
@@ -374,17 +383,22 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, polish):
     """The optimizer stage of :func:`fit_mle`.
 
     Returns ``(x, fun, evaluations, converged, information)``;
-    ``information`` is the polish's last one, at ``x``, or None.
+    ``information`` is the polish's last one, at ``x``, or None.  For an
+    identified design the simplex stops at the first point within rounding
+    noise of the saturated bound, which no point can beat.
     """
     objective = _objective(kind, data)
     if not polish:
         result = minimize_simplex(objective, warm_start, bounds, seed=seed,
                                   max_evals=max_evals)
         return result.x, result.fun, result.n_evals, result.converged, None
+    saturated = saturated_log_likelihood(data)
     loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
                              max_evals=max_evals,
                              diameter_tol=_LOOSE_DIAMETER,
-                             spread_tol=_LOOSE_SPREAD)
+                             spread_tol=_LOOSE_SPREAD,
+                             floor=-saturated + _POLISH_NOISE
+                             * (1.0 + abs(saturated)))
     if not (loose.converged and math.isfinite(loose.fun)):
         return loose.x, loose.fun, loose.n_evals, loose.converged, None
     x, f, information, evals = _newton_polish(kind, data, objective, loose.x,
@@ -400,28 +414,33 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, polish):
     return tight.x, tight.fun, used + tight.n_evals, tight.converged, None
 
 
-def _default_warm_start(kind, data, seed, max_evals, polish):
+def _default_warm_start(kind, data, bounds, seed, max_evals, polish):
     if kind == NONGENDER:
         try:
             # clamping negative CFA rates is routine here, not user-visible
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                start = cfa(data)
-            return np.array(start.as_vector()), "CFA"
+                start, source = np.array(cfa(data).as_vector()), "CFA"
         except DomainError:
-            return np.array([1e-3, 1e-3]), "default"
+            start, source = np.array([1e-3, 1e-3]), "default"
+        # an identified two-time fit starts at the MLE itself when the
+        # closed form applies; the CFA tau seeds its root solve
+        closed = two_time_mle(data, bounds, start[1]) if polish else None
+        if closed is not None:
+            return np.array(closed), "closed-form"
+        return start, source
     # gendered warm start: symmetric split of the non-gendered fit, which
     # polishes only when the gendered fit does
     marginal = Dataset(
         data.times,
         tuple(PairCounts(o.ss, o.is_ + o.si, o.ii) for o in data.observations),
     )
-    start, _ = _default_warm_start(NONGENDER, marginal, seed, max_evals,
-                                   polish)
+    marginal_bounds = (DEFAULT_BOUNDS, DEFAULT_BOUNDS)
+    start, _ = _default_warm_start(NONGENDER, marginal, marginal_bounds, seed,
+                                   max_evals, polish)
     (lam, tau), fun = _maximize(NONGENDER, marginal,
                                 np.clip(start, *DEFAULT_BOUNDS),
-                                (DEFAULT_BOUNDS, DEFAULT_BOUNDS), seed,
-                                max_evals, polish)[:2]
+                                marginal_bounds, seed, max_evals, polish)[:2]
     if not math.isfinite(fun):
         raise InfeasibleDataError(
             "every optimizer start produced impossible data (-inf likelihood)")
@@ -433,15 +452,17 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
             uncertainty=True) -> FitResult:
     """Maximize the model log-likelihood with jittered simplex restarts.
 
-    The warm start defaults to the CFA (non-gendered) or a symmetric split
-    of the non-gendered fit (gendered); explicit warm starts are clipped
-    into the bounds.  Deterministic for a fixed seed.  ``uncertainty=False``
+    The warm start defaults to the closed-form MLE of an identified
+    two-time non-gendered design, else the CFA (non-gendered) or a
+    symmetric split of the non-gendered fit (gendered); explicit warm
+    starts are clipped into the bounds.  Deterministic for a fixed seed.  ``uncertainty=False``
     skips the covariance stage (used by bulk recovery sweeps, which record
     point estimates only).
 
-    Identified designs stop the simplex at a loose tolerance and finish
-    with a projected Newton polish; if the polish fails, the tight simplex
-    runs from the warm start.  Over-parameterised designs (more rates than
+    Identified designs stop the simplex at a loose tolerance, or at the
+    first point on the saturated bound, and finish with a projected Newton
+    polish; if the polish fails, the tight simplex runs from the warm
+    start.  Over-parameterised designs (more rates than
     the data's free dimensions) run the tight simplex alone, since their
     maximum is a ridge with no Newton step.  ``iterations`` counts the
     likelihood evaluations of the optimizer, one per score-and-information
@@ -459,7 +480,7 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     identified = dim <= free_dims
     if warm_start is None:
         warm_start, warm_start_source = _default_warm_start(
-            kind, data, seed, max_evals, identified)
+            kind, data, bounds, seed, max_evals, identified)
     warm_start = np.clip(np.asarray(warm_start, dtype=float),
                          [b[0] for b in bounds], [b[1] for b in bounds])
 
@@ -483,11 +504,9 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
             information = None if derivatives is None else derivatives[1]
         if information is not None and np.isfinite(information).all():
             hessian = information
-            with warnings.catch_warnings():
-                if ridge:
-                    # singular along the ridge by construction; the
-                    # conditional standard errors are reported instead
-                    warnings.simplefilter("ignore")
+            if not ridge:
+                # singular along a ridge by construction, so its inverse,
+                # joint errors and condition number are set by rounding
                 cov_result = covariance_from_hessian(hessian)
             conditional = curvature_std_errors(hessian)
 
@@ -536,7 +555,7 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
         seed=seed,
         identifiability=identifiability,
         hessian_positive_definite=cov_result.positive_definite,
-        condition_number=cov_result.condition_number,
+        condition_number=None if ridge else cov_result.condition_number,
         condition_warning=cov_result.condition_warning,
         on_boundary=on_boundary(estimates, bounds),
         saturated_gap=gap,

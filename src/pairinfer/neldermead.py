@@ -99,6 +99,10 @@ def _initial_simplex(x0, lo, hi):
     return vertices
 
 
+class _FloorReached(Exception):
+    """An evaluation reached the caller's lower bound of the objective."""
+
+
 def _sorted_by_value(vertices, fs):
     order = sorted(range(len(fs)), key=fs.__getitem__)
     return [vertices[k] for k in order], [fs[k] for k in order]
@@ -106,12 +110,14 @@ def _sorted_by_value(vertices, fs):
 
 def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
                      diameter_tol=1e-10, spread_tol=1e-12,
-                     n_starts=3, jitter=0.25) -> SimplexResult:
+                     n_starts=3, jitter=0.25,
+                     floor=-math.inf) -> SimplexResult:
     """Minimize ``fn`` over the box ``bounds`` starting near ``x0``.
 
     ``fn`` may return +inf for infeasible points.  Returns the best point
     seen across all evaluations, so the result never regresses below the
-    starting point.
+    starting point.  An evaluation at or below ``floor`` ends the search
+    there, converged.
     """
     x0 = np.asarray(x0, dtype=float)
     lo_arr = np.array([b[0] for b in bounds], dtype=float)
@@ -134,79 +140,94 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         if f < best_f:
             best_f = f
             best_x = v
+        if f <= floor:
+            raise _FloorReached
         return f
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    starts = [reflect_into_box(x0.tolist(), lo, hi)]
-    for _ in range(max(n_starts - 1, 0)):
-        u = rng.uniform(-1.0, 1.0, size=dim)
-        jittered = x0 * (1.0 + jitter * u)
-        jittered = np.where(x0 == 0.0, jitter * np.abs(u) * _ZERO_STEP, jittered)
-        starts.append(reflect_into_box(jittered.tolist(), lo, hi))
+    first = reflect_into_box(x0.tolist(), lo, hi)
+    n_jittered = max(n_starts - 1, 0)
+
+    def starts():
+        # drawn only when reached: a run that meets the floor draws nothing
+        yield first
+        if n_jittered:
+            rng = np.random.Generator(np.random.Philox(seed))
+        for _ in range(n_jittered):
+            u = rng.uniform(-1.0, 1.0, size=dim)
+            jittered = x0 * (1.0 + jitter * u)
+            jittered = np.where(x0 == 0.0, jitter * np.abs(u) * _ZERO_STEP,
+                                jittered)
+            yield reflect_into_box(jittered.tolist(), lo, hi)
 
     incumbent_f = math.inf
-    incumbent_x = starts[0]
+    incumbent_x = first
     incumbent_converged = False
 
-    for start in starts:
-        if n_evals >= max_evals:
-            break
-        vertices = _initial_simplex(start, lo, hi)
-        fs = []
-        for v in vertices:
+    try:
+        for start in starts():
             if n_evals >= max_evals:
                 break
-            fs.append(evaluate(v))
-        if len(fs) < len(vertices):
-            break
-        vertices, fs = _sorted_by_value(vertices, fs)
-        run_converged = False
-
-        while n_evals + 2 <= max_evals:
-            best = vertices[0]
-            if (fs[-1] - fs[0] < max(spread_tol, _SPREAD_ULPS * math.ulp(fs[0]))
-                    and all(abs(a - b) < diameter_tol
-                            for v in vertices[1:] for a, b in zip(v, best))):
-                run_converged = True
+            vertices = _initial_simplex(start, lo, hi)
+            fs = []
+            for v in vertices:
+                if n_evals >= max_evals:
+                    break
+                fs.append(evaluate(v))
+            if len(fs) < len(vertices):
                 break
-
-            worst = vertices[-1]
-            centroid = [reduce(add, column, 0.0) / dim
-                        for column in zip(*vertices[:-1])]
-            xr = reflect_into_box([c + _ALPHA * (c - w)
-                                   for c, w in zip(centroid, worst)], lo, hi)
-            fr = evaluate(xr)
-            if fs[0] <= fr < fs[-2]:
-                vertices[-1], fs[-1] = xr, fr
-            elif fr < fs[0]:
-                xe = reflect_into_box([c + _GAMMA * (r - c)
-                                       for c, r in zip(centroid, xr)], lo, hi)
-                fe = evaluate(xe)
-                if fe < fr:
-                    vertices[-1], fs[-1] = xe, fe
-                else:
-                    vertices[-1], fs[-1] = xr, fr
-            else:
-                xc = reflect_into_box([c + _RHO * (w - c)
-                                       for c, w in zip(centroid, worst)], lo, hi)
-                fc = evaluate(xc)
-                if fc < fs[-1]:
-                    vertices[-1], fs[-1] = xc, fc
-                else:
-                    # shrink toward the best vertex
-                    for k in range(1, dim + 1):
-                        if n_evals >= max_evals:
-                            break
-                        vertices[k] = reflect_into_box(
-                            [b + _SIGMA * (a - b)
-                             for a, b in zip(vertices[k], best)], lo, hi)
-                        fs[k] = evaluate(vertices[k])
             vertices, fs = _sorted_by_value(vertices, fs)
+            run_converged = False
 
-        if fs[0] < incumbent_f - _IMPROVEMENT_TOL:
-            incumbent_f = fs[0]
-            incumbent_x = vertices[0]
-            incumbent_converged = run_converged
+            while n_evals + 2 <= max_evals:
+                best = vertices[0]
+                # equal values, +inf ones too, have zero spread, where
+                # inf - inf is nan
+                spread = 0.0 if fs[-1] == fs[0] else fs[-1] - fs[0]
+                if (spread < max(spread_tol, _SPREAD_ULPS * math.ulp(fs[0]))
+                        and all(abs(a - b) < diameter_tol for v in vertices[1:]
+                                for a, b in zip(v, best))):
+                    run_converged = True
+                    break
+
+                worst = vertices[-1]
+                centroid = [reduce(add, column, 0.0) / dim
+                            for column in zip(*vertices[:-1])]
+                xr = reflect_into_box([c + _ALPHA * (c - w) for c, w
+                                       in zip(centroid, worst)], lo, hi)
+                fr = evaluate(xr)
+                if fs[0] <= fr < fs[-2]:
+                    vertices[-1], fs[-1] = xr, fr
+                elif fr < fs[0]:
+                    xe = reflect_into_box([c + _GAMMA * (r - c) for c, r
+                                           in zip(centroid, xr)], lo, hi)
+                    fe = evaluate(xe)
+                    if fe < fr:
+                        vertices[-1], fs[-1] = xe, fe
+                    else:
+                        vertices[-1], fs[-1] = xr, fr
+                else:
+                    xc = reflect_into_box([c + _RHO * (w - c) for c, w
+                                           in zip(centroid, worst)], lo, hi)
+                    fc = evaluate(xc)
+                    if fc < fs[-1]:
+                        vertices[-1], fs[-1] = xc, fc
+                    else:
+                        # shrink toward the best vertex
+                        for k in range(1, dim + 1):
+                            if n_evals >= max_evals:
+                                break
+                            vertices[k] = reflect_into_box(
+                                [b + _SIGMA * (a - b)
+                                 for a, b in zip(vertices[k], best)], lo, hi)
+                            fs[k] = evaluate(vertices[k])
+                vertices, fs = _sorted_by_value(vertices, fs)
+
+            if fs[0] < incumbent_f - _IMPROVEMENT_TOL:
+                incumbent_f = fs[0]
+                incumbent_x = vertices[0]
+                incumbent_converged = run_converged
+    except _FloorReached:
+        incumbent_f, incumbent_x, incumbent_converged = best_f, best_x, True
 
     # The global best evaluation can edge out the incumbent's final vertex
     # (e.g. budget exhausted mid-shrink); prefer it under the same tie rule.
@@ -215,7 +236,7 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         incumbent_x = best_x
         incumbent_converged = False
     if best_x is None:
-        incumbent_x = starts[0]
+        incumbent_x = first
         incumbent_f = math.inf
 
     x = np.array(incumbent_x)
@@ -225,5 +246,5 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         n_evals=n_evals,
         converged=incumbent_converged,
         on_boundary=on_boundary(x, bounds),
-        n_starts=len(starts),
+        n_starts=1 + n_jittered,
     )

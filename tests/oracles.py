@@ -242,7 +242,9 @@ def make_consistent_dataset(rng, horizon=2.0):
 # Python floats.  pairinfer.minimize_simplex must follow the same trajectory
 # bit for bit.  The one deliberate difference is the spread test, which the
 # production code floors at four ulps of the best value; the two agree
-# wherever |f| < 2,048.  The constants are those of pairinfer.neldermead.
+# wherever |f| < 2,048.  Both give equal vertex values, +inf included, zero
+# spread, so a simplex of infeasible points shrinks to the diameter
+# tolerance and stops.  The constants are those of pairinfer.neldermead.
 _IMPROVEMENT_TOL = 1e-9
 _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
 _NONZERO_STEP = 0.05
@@ -331,7 +333,7 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
 
         while n_evals + 2 <= max_evals:
             diameter = max(np.max(np.abs(v - vertices[0])) for v in vertices[1:])
-            spread = fs[-1] - fs[0]
+            spread = 0.0 if fs[-1] == fs[0] else fs[-1] - fs[0]
             if diameter < diameter_tol and spread < spread_tol:
                 run_converged = True
                 break

@@ -12,6 +12,8 @@ from pairinfer import (DomainError, ExpansionUndefinedError, NoRootError,
                        nongender_dataset, phi_hat_binomial, reparam_to_rates,
                        solve_nongender, tau_hat_rootsolve, GenderReparam,
                        solve_gender)
+import pairinfer.estimators as estimators
+from pairinfer.estimators import two_time_mle
 
 from oracles import make_consistent_dataset
 
@@ -137,6 +139,39 @@ def test_tau_rootsolve_no_root():
 def test_tau_rootsolve_negative_lambda_rejected(mwanza):
     with pytest.raises(DomainError):
         tau_hat_rootsolve(mwanza, -0.01)
+
+
+@pytest.mark.parametrize("seed", [None, 0.0, 10.0], ids=["cfa", "lo", "hi"])
+def test_two_time_mle_mwanza(mwanza, monkeypatch, seed):
+    # the bundled cohort's MLE reproduces its counts at T; from the CFA
+    # seed the solve takes the two bracket ends and four Newton steps on
+    # log P_SI, and from either end of the box at most six steps
+    calls = []
+    real = estimators._inflow_moments
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "_inflow_moments", counting)
+    tau_seed = cfa(mwanza).tau if seed is None else seed
+    lam, tau = two_time_mle(mwanza, ((0.0, 10.0), (0.0, 10.0)), tau_seed)
+    assert lam == math.log(1742 / 1721) / 4.0
+    assert tau == pytest.approx(0.056175471620382986, rel=1e-12)
+    assert len(calls) <= (6 if seed is None else 8)
+    state = solve_nongender(NonGenderParams(lam, tau), mwanza.initial, 2.0)
+    assert state.as_tuple() == pytest.approx(
+        mwanza.observations[1].as_tuple(), rel=1e-13)
+
+
+def test_two_time_mle_of_an_unchanged_cohort():
+    # nothing moved: the MLE is the corner (0, 0), found from the bracket
+    # ends alone whatever the seed
+    data = nongender_dataset((0.0, 3.0), [(500, 30, 20)] * 2)
+    assert two_time_mle(data, ((0.0, 10.0), (0.0, 10.0)), 1.0) == (0.0, 0.0)
+    fit = fit_mle("nongender", data, seed=0)
+    assert fit.warm_start_source == "closed-form"
+    assert np.array_equal(fit.estimates, [0.0, 0.0])
 
 
 def test_cfa_mwanza(mwanza):

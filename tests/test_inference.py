@@ -1,18 +1,25 @@
 """Fitting, Hessians, covariance, intervals, ellipses, infection tables."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairinfer.inference as inference
 from pairinfer import (DomainError, EllipseSpec, GenderPairCounts,
                        GenderParams, InfeasibleDataError, NonGenderParams,
-                       PairCounts, SingularStencilError, chi2_quantile_2dof,
-                       covariance_from_hessian, curvature_std_errors,
-                       ellipse_points, fit_mle, gender_dataset, hessian_fd,
-                       infections_per_year, minimize_simplex,
-                       nongender_dataset, solve_nongender, wald_intervals)
+                       PairCounts, SingularStencilError, cfa,
+                       chi2_quantile_2dof, covariance_from_hessian,
+                       curvature_std_errors, ellipse_points, fit_mle,
+                       gender_dataset, hessian_fd, infections_per_year,
+                       minimize_simplex, nongender_dataset,
+                       saturated_log_likelihood, solve_nongender,
+                       wald_intervals)
+from pairinfer.estimators import two_time_mle
 from pairinfer.likelihood import score_and_information
 
 from oracles import richardson_hessian
@@ -222,7 +229,7 @@ def test_fit_mwanza_nongender(mwanza):
     assert fit.converged
     assert fit.identifiability == "ok"
     assert fit.se_method == "joint-covariance"
-    assert fit.warm_start_source == "CFA"
+    assert fit.warm_start_source == "closed-form"
     assert not fit.on_boundary
     # never regress below the warm start
     from pairinfer import log_likelihood_nongender
@@ -316,8 +323,13 @@ def test_fit_infeasible_data_error():
         fit_mle("nongender", data, seed=0)
 
 
-def test_fit_nonconvergence_flagged(mwanza):
-    fit = fit_mle("nongender", mwanza, seed=0, max_evals=15)
+# Non-gendered, three times: no closed form, so the simplex does the work.
+THREE_TIME_COHORT = nongender_dataset((0.0, 1.5, 4.0), [
+    (1500, 250, 52), (1460, 268, 74), (1400, 281, 121)])
+
+
+def test_fit_nonconvergence_flagged():
+    fit = fit_mle("nongender", THREE_TIME_COHORT, seed=0, max_evals=15)
     assert not fit.converged
     assert fit.iterations <= 15
 
@@ -361,8 +373,7 @@ def _tight_simplex(kind, data, fit):
 
 @pytest.mark.parametrize("kind, data", [
     ("nongender", None),
-    ("nongender", nongender_dataset((0.0, 1.5, 4.0), [
-        (1500, 250, 52), (1460, 268, 74), (1400, 281, 121)])),
+    ("nongender", THREE_TIME_COHORT),
     ("gender", BOUNDARY_COHORT),
     ("gender", FOUR_TIME_COHORT),
     # both tau on their bound; the loose simplex stops just inside it
@@ -391,9 +402,14 @@ def test_failed_polish_falls_back_to_the_tight_simplex(mwanza, monkeypatch):
     monkeypatch.setattr(inference, "_newton_polish", failing_polish)
     fit = fit_mle("nongender", mwanza, seed=0)
     objective = inference._objective("nongender", mwanza)
+    # the closed-form start meets the saturated bound at once
+    saturated = saturated_log_likelihood(mwanza)
     loose = minimize_simplex(objective, fit.warm_start, fit.bounds, seed=0,
                              diameter_tol=inference._LOOSE_DIAMETER,
-                             spread_tol=inference._LOOSE_SPREAD)
+                             spread_tol=inference._LOOSE_SPREAD,
+                             floor=-saturated + inference._POLISH_NOISE
+                             * (1.0 + abs(saturated)))
+    assert loose.n_evals == 1
     tight = _tight_simplex("nongender", mwanza, fit)
     assert np.array_equal(fit.estimates, tight.x)
     assert fit.loglik_at_max == -tight.fun
@@ -403,17 +419,133 @@ def test_failed_polish_falls_back_to_the_tight_simplex(mwanza, monkeypatch):
 
 def test_over_parameterised_fit_keeps_the_tight_simplex(mwanza_gender):
     # two times, four rates: the tight simplex alone, from the tight
-    # simplex fit of the marginal non-gendered counts
+    # simplex fit of the marginal non-gendered counts started at their CFA
     fit = fit_mle("gender", mwanza_gender, seed=0)
     marginal = nongender_dataset(mwanza_gender.times, [
         (o.ss, o.is_ + o.si, o.ii) for o in mwanza_gender.observations])
-    base = fit_mle("nongender", marginal, seed=0)
     start = minimize_simplex(inference._objective("nongender", marginal),
-                             base.warm_start, base.bounds, seed=0).x
+                             cfa(marginal).as_vector(), fit.bounds[:2],
+                             seed=0).x
     assert np.array_equal(fit.warm_start, np.repeat(start, 2))
     tight = _tight_simplex("gender", mwanza_gender, fit)
     assert np.array_equal(fit.estimates, tight.x)
     assert fit.iterations == tight.n_evals
+
+
+def _path_without_floor(data, start):
+    """The identified optimizer stage as it ran before the saturated floor:
+    the loose simplex, the polish and, if that fails, the tight simplex."""
+    bounds = (inference.DEFAULT_BOUNDS, inference.DEFAULT_BOUNDS)
+    objective = inference._objective("nongender", data)
+    loose = minimize_simplex(objective, start, bounds, seed=0,
+                             diameter_tol=inference._LOOSE_DIAMETER,
+                             spread_tol=inference._LOOSE_SPREAD)
+    x, f, information, evals = inference._newton_polish(
+        "nongender", data, objective, loose.x, loose.fun, bounds)
+    used = loose.n_evals + evals
+    if information is not None:
+        return x, used
+    tight = minimize_simplex(objective, start, bounds, seed=0,
+                             max_evals=50_000 - used)
+    return tight.x, used + tight.n_evals
+
+
+@pytest.mark.parametrize("counts, horizon", [
+    ([(100, 50, 50), (0, 60, 140)], 0.5),       # N_SS^T = 0
+    ([(500, 30, 20), (510, 20, 20)], 1.0),      # N_SS^T > N_SS^0
+    ([(1000, 50, 10), (990, 65, 5)], 1.0),      # N_SI^T above P_SI(tau=0)
+    ([(1000, 100, 0), (100, 400, 600)], 0.1),   # lambda_hat = 11.5 > 10
+], ids=["ss-depleted", "ss-rises", "si-above-tau-zero", "lambda-above-box"])
+def test_closed_form_falls_back_to_cfa(counts, horizon):
+    data = nongender_dataset((0.0, horizon), counts)
+    assert two_time_mle(data, ((0.0, 10.0), (0.0, 10.0)), 0.1) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the CFA clamps
+        start = np.clip(cfa(data).as_vector(), *inference.DEFAULT_BOUNDS)
+    fit = fit_mle("nongender", data, seed=0)
+    assert fit.warm_start_source == "CFA"
+    assert np.array_equal(fit.warm_start, start)
+    x, evaluations = _path_without_floor(data, start)
+    assert np.array_equal(fit.estimates, x)
+    assert fit.iterations == evaluations
+
+
+def test_closed_form_with_unchanged_ss_has_lambda_zero():
+    # no SS pair lost: lambda_hat = 0, inside the box, and P_SI decays
+    # at tau alone
+    data = nongender_dataset((0.0, 3.0), [(500, 30, 20), (500, 25, 25)])
+    fit = fit_mle("nongender", data, seed=0)
+    assert fit.warm_start_source == "closed-form"
+    assert fit.estimates[0] == 0.0
+    assert fit.estimates[1] == pytest.approx(math.log(30 / 25) / 3.0,
+                                             rel=1e-12)
+    assert fit.iterations == 2
+
+
+@st.composite
+def two_time_cohorts(draw):
+    """Two-time non-gendered counts: the rounded expectations of a truth."""
+    n = draw(st.integers(10, 200_000))
+    horizon = draw(st.floats(0.1, 20.0))
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    truth = NonGenderParams(draw(rate), draw(rate))
+    ss0 = draw(st.integers(1, n))
+    si0 = draw(st.integers(0, n - ss0))
+    init = PairCounts(ss0, si0, n - ss0 - si0)
+    state = solve_nongender(truth, init, horizon)
+    ss = round(state.p_ss)
+    si = min(round(state.p_si), n - ss)
+    return nongender_dataset((0.0, horizon),
+                             [init.as_tuple(), (ss, si, n - ss - si)])
+
+
+def _tight_polished(data, fit):
+    """A tight simplex from the CFA start, then the Newton polish."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            start = np.clip(cfa(data).as_vector(), *inference.DEFAULT_BOUNDS)
+    except DomainError:
+        start = np.array([1e-3, 1e-3])
+    objective = inference._objective("nongender", data)
+    tight = minimize_simplex(objective, start, fit.bounds, seed=0)
+    # the polish holds a coordinate within the simplex's diameter
+    # tolerance of a bound, here the tight one
+    with mock.patch.object(inference, "_LOOSE_DIAMETER", 1e-10):
+        x, f, information, _ = inference._newton_polish(
+            "nongender", data, objective, tight.x, tight.fun, fit.bounds)
+    return (x, f) if information is not None else (tight.x, tight.fun)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_time_cohorts())
+def test_closed_form_fit_attains_the_saturated_bound(data):
+    fit = fit_mle("nongender", data, seed=0, uncertainty=False)
+    if fit.warm_start_source != "closed-form":
+        return  # the pinned fallback cases cover the CFA path
+    saturated = saturated_log_likelihood(data)
+    # rounding noise of the value path: each term n*log(p/N) carries a few
+    # ulps of n, and P_II = N - P_SS - P_SI a few ulps of N
+    eta = 1e-15 * (abs(saturated) + 3.0 * data.n)
+    noise = inference._POLISH_NOISE * (1.0 + abs(saturated))
+    assert fit.loglik_at_max >= saturated - max(noise, eta)
+    # the MLE reproduces every count at T
+    state = solve_nongender(NonGenderParams(*fit.estimates), data.initial,
+                            data.times[1])
+    assert state.as_tuple() == pytest.approx(data.observations[1].as_tuple(),
+                                             rel=1e-9, abs=1e-9)
+    x, f = _tight_polished(data, fit)
+    assert fit.loglik_at_max >= -f - max(1e-12 * (1.0 + abs(f)), eta)
+    # 1e-6 relative, or what the value path resolves where that is more:
+    # noise eta hides a move d with |g|*d + I*d^2/2 below it (score g,
+    # information I), so d under min(sqrt(2*eta/I), eta/|g|)
+    score, information = score_and_information("nongender", data,
+                                               fit.estimates)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resolution = np.fmin(np.sqrt(2.0 * eta / np.diag(information)),
+                             eta / np.abs(score))
+    scale = np.maximum(1e-6 * np.abs(x), resolution)
+    assert np.all(np.abs(fit.estimates - x) <= scale)
 
 
 def test_fits_do_not_use_finite_differences(mwanza, mwanza_gender,

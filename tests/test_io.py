@@ -185,13 +185,55 @@ def test_cli_infeasible_exit_3(tmp_path):
     assert code == 3
 
 
+def test_cli_infeasible_fit_stops_early(tmp_path, monkeypatch):
+    # every point is impossible, so every simplex vertex is +inf: each
+    # start shrinks to the diameter tolerance and stops, where it once ran
+    # to the 50,000-evaluation budget
+    import pairinfer.inference as inference
+
+    calls = []
+    real = inference.log_likelihood
+
+    def counting(kind, params, data):
+        calls.append(1)
+        return real(kind, params, data)
+
+    monkeypatch.setattr(inference, "log_likelihood", counting)
+    doomed = tmp_path / "doomed.csv"
+    doomed.write_text("time,SS,SI,II\n0,0,60,40\n1,10,50,40\n")
+    code = main(["fit", "--model", "nongender", "--input", str(doomed),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert 0 < len(calls) <= 1_000
+
+
 def test_cli_nonconvergence_exit_4(tmp_path):
+    # three times: no closed-form start, so 20 evaluations cannot converge
+    cohort = tmp_path / "three_times.csv"
+    cohort.write_text("time,SS,SI,II\n0,1500,250,52\n1.5,1460,268,74\n"
+                      "4,1400,281,121\n")
     out = tmp_path / "shortrun"
-    code = main(["fit", "--model", "nongender", "--out", str(out),
-                 "--max-evals", "20", "--seed", "1"])
+    code = main(["fit", "--model", "nongender", "--input", str(cohort),
+                 "--out", str(out), "--max-evals", "20", "--seed", "1"])
     assert code == 4
     summary = json.loads((out / "summary.json").read_text())
     assert summary["models"]["nongender"]["mle"]["converged"] is False
+
+
+def test_ridge_fit_reports_no_joint_uncertainty(tmp_path):
+    # the bundled gendered two-time fit lies on a ridge of exact fits: its
+    # joint information is singular, so joint standard errors and a
+    # condition number would be set by rounding
+    out = tmp_path / "ridge"
+    assert main(["fit", "--model", "gender", "--out", str(out)]) == 0
+    mle = json.loads((out / "summary.json").read_text())[
+        "models"]["gender"]["mle"]
+    assert mle["identifiability"] == "saturated-ridge"
+    assert mle["std_errors_joint"] is None
+    assert mle["condition_number"] is None
+    assert mle["se_method"] == "conditional-curvature"
+    assert mle["std_errors"] == mle["std_errors_conditional"]
+    assert all(v > 0 for v in mle["std_errors_conditional"].values())
 
 
 def test_cli_env_var_overrides_out_dir(tmp_path, monkeypatch):
