@@ -11,7 +11,7 @@ from .dataset import Dataset, gender_dataset, nongender_dataset
 from .errors import (ConfigError, DomainError, ExpansionUndefinedError,
                      InfeasibleDataError, InternalConsistencyError,
                      NoRootError, PairinferError, ParseError,
-                     SingularStencilError, UndefinedReparamError)
+                     SingularStencilError)
 from .estimators import (AnalyticEstimate, PhiExpansion, analytic_estimates,
                          cfa, gender_theta_approx, lambda_hat_closed_form,
                          phi_hat_binomial, tau_hat_rootsolve)
@@ -26,14 +26,12 @@ from .likelihood import (GridAxis, GridSpec, ProfileCurve, SurfaceResult,
                          log_likelihood_batch, log_likelihood_gender,
                          log_likelihood_nongender, saturated_log_likelihood,
                          slice_profile)
-from .model import (GENDER, NONGENDER, PARAM_NAMES, GenderPairCounts,
-                    GenderPairState, GenderParams, GenderReparam,
-                    NonGenderParams, PairCounts, PairState,
-                    rates_to_reparam, reparam_to_rates, solve_gender,
-                    solve_nongender)
+from .model import (GENDER, MODELS, NONGENDER, PARAM_NAMES, GenderPairCounts,
+                    GenderPairState, GenderParams, ModelSpec, NonGenderParams,
+                    PairCounts, PairState, solve_gender, solve_nongender)
 from .neldermead import SimplexResult, minimize_simplex
 from .quantiles import chi2_quantile_2dof, normal_quantile
-from .simulate import (ValidationRecord, derive_seed, exact_sample,
-                       gillespie_simulate, validation_sweep)
+from .simulate import (ValidationRecord, derive_seed, gillespie_simulate,
+                       validation_sweep)
 
 __version__ = "0.1.0"

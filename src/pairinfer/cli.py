@@ -19,8 +19,7 @@ from .dataset import Dataset
 from .errors import (ConfigError, InfeasibleDataError, PairinferError,
                      ParseError)
 from .likelihood import GridAxis, GridSpec, likelihood_surface, slice_profile
-from .model import (GENDER, NONGENDER, PARAM_NAMES, GenderPairCounts,
-                    PairCounts, params_from_vector)
+from .model import MODELS, NONGENDER, PARAM_NAMES, params_from_vector
 from .simulate import derive_seed, gillespie_simulate
 
 DEFAULT_OUT = "pairinfer-out"
@@ -30,21 +29,20 @@ def _resolve_out(value):
     return os.environ.get(pio.OUTPUT_DIR_ENV) or value
 
 
-def _number(text, what, convert=float):
-    try:
-        return convert(text)
-    except ValueError:
-        raise ConfigError(f"{what} must be a number, got {text!r}") from None
-
-
 def _integer_option(option):
     """An argparse ``type`` whose bad values are ConfigErrors, not usage
     errors (argparse would print usage and exit 2, the parse-error code)."""
-    return functools.partial(_number, what=option, convert=int)
+    return functools.partial(pio.to_number, what=option, convert=int)
+
+
+def _count_option(option):
+    """:func:`_integer_option` for a count, which must be at least 1."""
+    return functools.partial(pio.to_count, what=option)
 
 
 def _parse_levels(text):
-    levels = tuple(_number(v, "confidence level") for v in text.split(","))
+    levels = tuple(pio.to_number(v, "confidence level")
+                   for v in text.split(","))
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ConfigError(f"confidence level {level} outside (0, 1)")
@@ -61,13 +59,13 @@ def _parse_grid_axis(text) -> GridAxis:
     else:
         raise ConfigError(f"grid spec must be name:min:max:n[:log], got {text!r}")
     name, lo, hi, n = parts
-    return GridAxis(name, _number(lo, "grid minimum"),
-                    _number(hi, "grid maximum"),
-                    _number(n, "grid point count", int), log=log)
+    return GridAxis(name, pio.to_number(lo, "grid minimum"),
+                    pio.to_number(hi, "grid maximum"),
+                    pio.to_number(n, "grid point count", int), log=log)
 
 
 def _parse_times(text):
-    return tuple(_number(t, "time") for t in text.split(","))
+    return tuple(pio.to_number(t, "time") for t in text.split(","))
 
 
 def _parse_assignments(text, names):
@@ -79,7 +77,7 @@ def _parse_assignments(text, names):
         name = name.strip()
         if name not in names:
             raise ConfigError(f"unknown parameter {name!r}; expected one of {names}")
-        out[name] = _number(value, name)
+        out[name] = pio.to_number(value, name)
     missing = [n for n in names if n not in out]
     if missing:
         raise ConfigError(f"missing parameters: {missing}")
@@ -165,17 +163,16 @@ def _cmd_simulate(args):
         args.model, [
             _parse_assignments(args.rates, names)[n] for n in names])
     if args.init:
-        builder, states = ((PairCounts, 3) if args.model == NONGENDER
-                           else (GenderPairCounts, 4))
-        fields = [_number(v, "initial count") for v in args.init.split(":")]
-        if len(fields) != states:
-            raise ConfigError(f"--init needs {states} counts separated by "
-                              f"':', got {args.init!r}")
-        init = builder(*fields)
+        spec = MODELS[args.model]
+        fields = [pio.to_number(v, "initial count")
+                  for v in args.init.split(":")]
+        if len(fields) != len(spec.state_labels):
+            raise ConfigError(f"--init needs {len(spec.state_labels)} counts "
+                              f"separated by ':', got {args.init!r}")
+        init = spec.counts_type(*fields)
     else:
         init = pio.load_bundled(args.model).initial
     times = _parse_times(args.times)
-    pio.check_replicates(args.reps, "--reps")
     out = _resolve_out(args.out)
     os.makedirs(out, exist_ok=True)
     for rep in range(args.reps):
@@ -197,7 +194,6 @@ def _cmd_validate(args):
         raise ConfigError(f"validate needs a --grid for each parameter; "
                           f"missing {missing}")
     grid_cfg = {n: [float(v) for v in axes[n].values()] for n in names}
-    pio.check_replicates(args.reps, "--reps")
     config = {"model": args.model, "grid": grid_cfg,
               "replicates": args.reps,
               "times": list(_parse_times(args.times)),
@@ -226,13 +222,13 @@ def _cmd_report_all(args):
 
 
 def _add_common(parser, model_required=True):
-    parser.add_argument("--model", choices=(NONGENDER, GENDER),
+    parser.add_argument("--model", choices=tuple(MODELS),
                         required=model_required, help="model kind")
     parser.add_argument("--input", help="dataset file (default: bundled cohort)")
     parser.add_argument("--out", default=DEFAULT_OUT, help="output directory")
     parser.add_argument("--seed", type=_integer_option("--seed"), default=0,
                         help="random seed")
-    parser.add_argument("--max-evals", type=_integer_option("--max-evals"),
+    parser.add_argument("--max-evals", type=_count_option("--max-evals"),
                         default=50_000,
                         help="optimizer evaluation budget")
 
@@ -274,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="true rates, e.g. lambda=0.003,tau=0.056")
     p.add_argument("--init", help="initial counts ss:si:ii (or ss:is:si:ii)")
     p.add_argument("--times", default="0,2", help="snapshot times (years)")
-    p.add_argument("--reps", type=_integer_option("--reps"), default=1,
+    p.add_argument("--reps", type=_count_option("--reps"), default=1,
                    help="number of datasets")
     p.set_defaults(func=_cmd_simulate)
 
@@ -282,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--grid", action="append",
                    help="truth axis spec name:min:max:n (one per parameter)")
-    p.add_argument("--reps", type=_integer_option("--reps"), default=50,
+    p.add_argument("--reps", type=_count_option("--reps"), default=50,
                    help="replicates per cell")
     p.add_argument("--times", default="0,2", help="observation times (years)")
     p.set_defaults(func=_cmd_validate)

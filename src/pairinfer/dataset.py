@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .model import GENDER, NONGENDER, GenderPairCounts, PairCounts
+from .model import GenderPairCounts, PairCounts, model_of
 
 # Observations are conceptually integer counts; real-valued entries are
 # accepted so model-generated expectations can be used as synthetic data.
@@ -22,7 +22,10 @@ class Dataset:
 
     times: tuple
     observations: tuple
-    # every likelihood evaluation reads it, so it is computed once
+    # every likelihood evaluation reads these, so they are computed once
+    kind: str = field(init=False, repr=False, compare=False)
+    n: float = field(init=False, repr=False, compare=False)  # pair total N
+    counts: tuple = field(init=False, repr=False, compare=False)
     _elapsed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -36,14 +39,10 @@ class Dataset:
             if not b > a:
                 raise DomainError(
                     f"observation times must strictly increase, got {a} then {b}")
-        kinds = {type(obs) for obs in self.observations}
-        if kinds == {PairCounts}:
-            pass
-        elif kinds == {GenderPairCounts}:
-            pass
-        else:
+        if len({type(obs) for obs in self.observations}) != 1:
             raise DomainError("observations must be all PairCounts or all "
                               "GenderPairCounts")
+        spec = model_of(self.observations[0])
         n0 = self.observations[0].total
         if n0 <= 0:
             raise DomainError("pair total N must be positive")
@@ -52,16 +51,11 @@ class Dataset:
                 raise DomainError(
                     f"counts at time {t:g} sum to {obs.total:g}, expected N={n0:g}")
         t0 = self.times[0]
+        object.__setattr__(self, "kind", spec.kind)
+        object.__setattr__(self, "n", n0)
+        object.__setattr__(self, "counts", tuple(obs.as_tuple()
+                                                 for obs in self.observations))
         object.__setattr__(self, "_elapsed", tuple(t - t0 for t in self.times))
-
-    @property
-    def kind(self):
-        return NONGENDER if isinstance(self.observations[0], PairCounts) else GENDER
-
-    @property
-    def n(self):
-        """Constant pair total N."""
-        return self.observations[0].total
 
     @property
     def initial(self):

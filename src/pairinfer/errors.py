@@ -9,10 +9,6 @@ class DomainError(PairinferError, ValueError):
     """Inputs outside the valid domain (negative rates, bad counts, ...)."""
 
 
-class UndefinedReparamError(DomainError):
-    """Gendered reparameterization is undefined (lambda_m + lambda_f = 0)."""
-
-
 class ParseError(PairinferError):
     """A dataset file could not be parsed; the message names line/field."""
 

@@ -42,13 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (ConfigError, DomainError, InfeasibleDataError,
-                     SingularStencilError)
+from .errors import DomainError, InfeasibleDataError, SingularStencilError
 from .estimators import cfa, two_time_mle
 from .likelihood import (log_likelihood, saturated_log_likelihood,
                          score_and_information)
-from .model import (NONGENDER, PARAM_NAMES, GenderPairCounts, GenderParams,
-                    NonGenderParams, PairCounts, params_from_vector)
+from .model import (NONGENDER, PARAM_NAMES, PairCounts, model_of, model_spec,
+                    params_from_vector)
 from .neldermead import minimize_simplex, on_boundary
 from .quantiles import chi2_quantile_2dof, normal_quantile
 
@@ -245,32 +244,13 @@ class InfectionsTable:
 
 def infections_per_year(params, init) -> InfectionsTable:
     """Expected new infections per year from each route at state ``init``."""
-    if isinstance(params, NonGenderParams) and isinstance(init, PairCounts):
-        rows = [
-            InfectionRow("external", params.lam,
-                         params.lam * (2.0 * init.ss + init.si),
-                         params.lam * 1000.0),
-            InfectionRow("internal", params.tau,
-                         params.tau * init.si,
-                         params.tau * 1000.0),
-        ]
-    elif isinstance(params, GenderParams) and isinstance(init, GenderPairCounts):
-        rows = [
-            InfectionRow("external_m", params.lam_m,
-                         params.lam_m * (init.ss + init.si),
-                         params.lam_m * 1000.0),
-            InfectionRow("external_f", params.lam_f,
-                         params.lam_f * (init.ss + init.is_),
-                         params.lam_f * 1000.0),
-            InfectionRow("internal_mf", params.tau_mf,
-                         params.tau_mf * init.is_,
-                         params.tau_mf * 1000.0),
-            InfectionRow("internal_fm", params.tau_fm,
-                         params.tau_fm * init.si,
-                         params.tau_fm * 1000.0),
-        ]
-    else:
-        raise DomainError("params and init must belong to the same model kind")
+    rates = params.as_vector()
+    counts = init.as_tuple()
+    rows = []
+    for label, index, weights in model_of(init, params).routes:
+        rate = rates[index]
+        exposed = sum(w * c for w, c in zip(weights, counts))
+        rows.append(InfectionRow(label, rate, rate * exposed, rate * 1000.0))
     return InfectionsTable(
         rows=rows,
         total_infections=sum(r.infections for r in rows),
@@ -468,15 +448,13 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     likelihood evaluations of the optimizer, one per score-and-information
     evaluation of the polish included.
     """
-    if kind not in PARAM_NAMES:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    spec = model_spec(kind)
     if data.kind != kind:
         raise DomainError(f"dataset kind {data.kind!r} does not match {kind!r}")
-    dim = len(PARAM_NAMES[kind])
+    dim = len(spec.param_names)
     if bounds is None:
         bounds = tuple(DEFAULT_BOUNDS for _ in range(dim))
-    n_states = 3 if kind == NONGENDER else 4
-    free_dims = (n_states - 1) * (len(data.times) - 1)
+    free_dims = (len(spec.state_labels) - 1) * (len(data.times) - 1)
     identified = dim <= free_dims
     if warm_start is None:
         warm_start, warm_start_source = _default_warm_start(

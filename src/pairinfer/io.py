@@ -30,14 +30,11 @@ from .estimators import (AnalyticEstimate, analytic_estimates, cfa,
 from .inference import (EllipseSpec, FitResult, InfectionsTable, ellipse_points,
                         fit_mle, infections_per_year)
 from .likelihood import GridAxis, GridSpec, likelihood_surface, slice_profile
-from .model import (GENDER, NONGENDER, PARAM_NAMES, GenderPairCounts,
-                    NonGenderParams, PairCounts, params_from_vector)
+from .model import (GENDER, MODELS, NONGENDER, PARAM_NAMES, NonGenderParams,
+                    model_spec, params_from_vector)
 from .simulate import validation_sweep
 
 OUTPUT_DIR_ENV = "PAIRINFER_OUT_DIR"
-
-_NG_KEYS = ("SS", "SI", "II")
-_G_KEYS = ("SS", "IS", "SI", "II")
 
 # Values reported by the original published analysis of the bundled Mwanza
 # cohort.  They feed the discrepancy section of reports: where this engine's
@@ -92,17 +89,6 @@ def _round6(value):
 # ---------------------------------------------------------------------------
 # dataset parsing and writing
 
-def _counts_from_mapping(mapping, where):
-    keys = set(mapping)
-    if keys == set(_NG_KEYS):
-        return PairCounts(mapping["SS"], mapping["SI"], mapping["II"])
-    if keys == set(_G_KEYS):
-        return GenderPairCounts(mapping["SS"], mapping["IS"],
-                                mapping["SI"], mapping["II"])
-    raise ParseError(f"{where}: counts must have keys SS,SI,II or "
-                     f"SS,IS,SI,II, got {sorted(keys)}")
-
-
 def _parse_json_dataset(text, source):
     try:
         doc = json.loads(text)
@@ -116,9 +102,10 @@ def _parse_json_dataset(text, source):
         raise ParseError(f"{source}: field 'schema_version' must be 1, "
                          f"got {version!r}")
     model = doc.get("model")
-    if model not in (NONGENDER, GENDER):
+    if not (isinstance(model, str) and model in MODELS):
         raise ParseError(f"{source}: field 'model' must be 'nongender' or "
                          f"'gender', got {model!r}")
+    spec = MODELS[model]
     observations = doc.get("observations")
     if not isinstance(observations, list) or not observations:
         raise ParseError(f"{source}: field 'observations' must be a "
@@ -143,16 +130,15 @@ def _parse_json_dataset(text, source):
         for key, val in entry["counts"].items():
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ParseError(f"{where}: counts.{key} must be a number")
+        if set(entry["counts"]) != set(spec.state_labels):
+            raise ParseError(f"{where}: counts of model '{model}' must have "
+                             f"keys {','.join(spec.state_labels)}, got "
+                             f"{sorted(entry['counts'])}")
         try:
-            c = _counts_from_mapping(entry["counts"], where)
+            counts.append(spec.counts_type(*(entry["counts"][key]
+                                             for key in spec.state_labels)))
         except DomainError as exc:
             raise ParseError(f"{where}: {exc}") from exc
-        counts.append(c)
-    expected = PairCounts if model == NONGENDER else GenderPairCounts
-    for k, c in enumerate(counts):
-        if not isinstance(c, expected):
-            raise ParseError(f"{source}: observations[{k}] does not match "
-                             f"model '{model}'")
     try:
         return Dataset(tuple(times), tuple(counts))
     except DomainError as exc:
@@ -169,10 +155,10 @@ def _parse_table_dataset(text, source):
         raise ParseError(f"{source}: empty table")
     header_line, header = rows[0]
     header_up = [h.upper() for h in header]
-    if header_up == ["TIME", "SS", "SI", "II"]:
-        builder, width = PairCounts, 4
-    elif header_up == ["TIME", "SS", "IS", "SI", "II"]:
-        builder, width = GenderPairCounts, 5
+    for spec in MODELS.values():
+        if header_up == ["TIME", *spec.state_labels]:
+            builder, width = spec.counts_type, len(header_up)
+            break
     else:
         raise ParseError(f"{source}: line {header_line}: header must be "
                          "time,SS,SI,II or time,SS,IS,SI,II")
@@ -219,14 +205,14 @@ def _count_value(x):
 
 
 def dataset_to_document(data: Dataset, description=None) -> dict:
-    keys = _NG_KEYS if data.kind == NONGENDER else _G_KEYS
+    keys = MODELS[data.kind].state_labels
     doc = {"schema_version": 1, "model": data.kind}
     if description:
         doc["description"] = description
     doc["observations"] = [
         {"time": _count_value(t),
-         "counts": {k: _count_value(v) for k, v in zip(keys, obs.as_tuple())}}
-        for t, obs in zip(data.times, data.observations)
+         "counts": {k: _count_value(v) for k, v in zip(keys, counts)}}
+        for t, counts in zip(data.times, data.counts)
     ]
     return doc
 
@@ -241,11 +227,10 @@ def write_dataset(data: Dataset, path, description=None):
 
 def load_bundled(kind) -> Dataset:
     """Load the bundled Mwanza cohort dataset for the given model kind."""
-    name = {NONGENDER: "mwanza_nongender.json", GENDER: "mwanza_gender.json"}
-    if kind not in name:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    text = resources.files("pairinfer.data").joinpath(name[kind]).read_text()
-    return _parse_json_dataset(text, f"bundled:{name[kind]}")
+    model_spec(kind)  # an unknown kind is a ConfigError
+    name = f"mwanza_{kind}.json"
+    text = resources.files("pairinfer.data").joinpath(name).read_text()
+    return _parse_json_dataset(text, f"bundled:{name}")
 
 
 def _is_bundled_counts(data: Dataset) -> bool:
@@ -305,8 +290,7 @@ def analyze(data: Dataset, seed=0, levels=(0.67, 0.95), max_evals=50_000,
     bundled = _is_bundled_counts(data)
     at_reference = None
     if bundled:
-        ref = (REFERENCE_MWANZA["nongender_mle"] if kind == NONGENDER
-               else REFERENCE_MWANZA["gender_mle"])
+        ref = REFERENCE_MWANZA[f"{kind}_mle"]
         ref_params = params_from_vector(kind, [ref[n] for n in PARAM_NAMES[kind]])
         at_reference = infections_per_year(ref_params, data.initial)
     return AnalysisBundle(
@@ -536,7 +520,7 @@ def _report_text(summary) -> str:
     push(f"seed: {summary['config']['seed']}")
     push("levels: " + ", ".join(fmt(v) for v in summary["config"]["levels"]))
     push("")
-    model_order = [k for k in (NONGENDER, GENDER) if k in summary["models"]]
+    model_order = [k for k in MODELS if k in summary["models"]]
     for kind in model_order:
         model = summary["models"][kind]
         names = PARAM_NAMES[kind]
@@ -809,15 +793,30 @@ def _run_ellipses(bundle: AnalysisBundle, enabled, levels, ellipses):
                 ellipses[key] = ((names[i], names[j]), ellipse_points(spec))
 
 
-def check_replicates(reps, what):
-    """Replicate counts below 1 are a ConfigError, wherever they come from."""
-    if reps < 1:
-        raise ConfigError(f"{what} must be >= 1, got {reps}")
+def to_number(value, what, convert=float):
+    """``convert(value)``, a value it rejects being a ConfigError on ``what``.
+
+    Serves option text and manifest values alike.
+    """
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def to_count(value, what):
+    """A count of at least 1 (replicates, an evaluation budget), wherever
+    it comes from; anything else is a ConfigError."""
+    count = to_number(value, what, int)
+    if count < 1:
+        raise ConfigError(f"{what} must be >= 1, got {count}")
+    return count
 
 
 def _run_validation(config, master_seed, max_evals):
     kind = config.get("model", NONGENDER)
-    names = PARAM_NAMES[kind]
+    spec = model_spec(kind)
+    names = spec.param_names
     grid_cfg = config.get("grid")
     if not grid_cfg:
         raise ConfigError("validation configuration needs a 'grid' mapping")
@@ -841,14 +840,8 @@ def _run_validation(config, master_seed, max_evals):
     if init_cfg == "bundled":
         init = load_bundled(kind).initial
     else:
-        builder = PairCounts if kind == NONGENDER else GenderPairCounts
-        init = builder(*init_cfg)
-    try:
-        reps = int(config.get("replicates", 50))
-    except (TypeError, ValueError):
-        raise ConfigError(f"validation replicates must be an integer, got "
-                          f"{config.get('replicates')!r}") from None
-    check_replicates(reps, "validation replicates")
+        init = spec.counts_type(*init_cfg)
+    reps = to_count(config.get("replicates", 50), "validation replicates")
 
     def fit(fit_kind, data, seed):
         # recovery records carry point estimates only: no information stage
@@ -861,9 +854,10 @@ def _run_validation(config, master_seed, max_evals):
 
 def run_manifest(manifest, out_dir) -> list:
     """Execute a manifest end to end and emit every artifact into out_dir."""
-    seed = int(manifest.get("seed", DEFAULT_SEED))
-    levels = tuple(float(v) for v in manifest.get("levels", (0.67, 0.95)))
-    max_evals = int(manifest.get("max_evals", 50_000))
+    seed = to_number(manifest.get("seed", DEFAULT_SEED), "manifest seed", int)
+    levels = tuple(to_number(v, "manifest level")
+                   for v in manifest.get("levels", (0.67, 0.95)))
+    max_evals = to_count(manifest.get("max_evals", 50_000), "manifest max_evals")
     bundles = []
     surfaces = {}
     profiles = {}

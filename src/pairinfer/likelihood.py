@@ -27,51 +27,39 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DomainError
 from .model import (GENDER, NONGENDER, PARAM_NAMES, apply_libm,
-                    count_derivatives, solve_batch, solve_gender,
+                    count_derivatives, model_spec, solve_batch, solve_gender,
                     solve_nongender)
 
 
-def _loglik_terms(observed, predicted, n):
-    ll = 0.0
-    for n_obs, pred in zip(observed, predicted):
-        if n_obs > 0:
-            p = pred / n
-            if p <= 0.0:
-                return -math.inf
-            ll += n_obs * math.log(p)
-    return ll
-
-
-def log_likelihood_nongender(params, data: Dataset) -> float:
-    """Log-likelihood of a non-gendered dataset (t = 0 terms dropped)."""
-    if data.kind != NONGENDER:
-        raise DomainError("non-gendered likelihood requires non-gendered data")
+def _log_likelihood(solve, kind, params, data: Dataset) -> float:
+    """The log-likelihood loop of both models, over ``solve``'s counts."""
+    if data.kind != kind:
+        raise DomainError(f"{kind} likelihood requires {kind} data")
     init = data.initial
     n = data.n
     ll = 0.0
-    for t, obs in zip(data.elapsed()[1:], data.observations[1:]):
-        state = solve_nongender(params, init, t)
-        term = _loglik_terms(obs.as_tuple(), state.as_tuple(), n)
-        if term == -math.inf:
-            return -math.inf
+    for t, counts in zip(data.elapsed()[1:], data.counts[1:]):
+        term = 0.0
+        for n_obs, pred in zip(counts, solve(params, init, t).as_tuple()):
+            if n_obs > 0:
+                p = pred / n
+                if p <= 0.0:
+                    return -math.inf
+                term += n_obs * math.log(p)
         ll += term
     return ll
+
+
+# The solvers are passed as module globals at call time, never stored, so
+# that a rebinding of the module attribute (a tracer's wrapper) takes effect.
+def log_likelihood_nongender(params, data: Dataset) -> float:
+    """Log-likelihood of a non-gendered dataset (t = 0 terms dropped)."""
+    return _log_likelihood(solve_nongender, NONGENDER, params, data)
 
 
 def log_likelihood_gender(params, data: Dataset) -> float:
     """Log-likelihood of a gendered dataset (t = 0 terms dropped)."""
-    if data.kind != GENDER:
-        raise DomainError("gendered likelihood requires gendered data")
-    init = data.initial
-    n = data.n
-    ll = 0.0
-    for t, obs in zip(data.elapsed()[1:], data.observations[1:]):
-        state = solve_gender(params, init, t)
-        term = _loglik_terms(obs.as_tuple(), state.as_tuple(), n)
-        if term == -math.inf:
-            return -math.inf
-        ll += term
-    return ll
+    return _log_likelihood(solve_gender, GENDER, params, data)
 
 
 def log_likelihood(kind, params, data: Dataset) -> float:
@@ -94,17 +82,18 @@ def score_and_information(kind, data: Dataset, rates):
     """
     p, grad, hess = count_derivatives(kind, data.initial, rates,
                                       data.elapsed()[1:])
-    counts = np.array([obs.as_tuple() for obs in data.observations[1:]],
-                      dtype=float)
+    counts = np.array(data.counts[1:], dtype=float)
     seen = counts > 0
     if not np.all(p[seen] > 0.0):
         return None
-    # dP/P first: squaring 1/P alone overflows for P below ~1e-154
+    # dP/P and d2P/P first: squaring 1/P alone overflows for P below
+    # ~1e-154, and n/P for a subnormal P
     safe_p = np.where(seen, p, 1.0)
     relative = grad / safe_p[:, :, None]
     score = np.einsum("ts,tsj->j", counts, relative)
     information = (np.einsum("ts,tsj,tsk->jk", counts, relative, relative)
-                   - np.einsum("ts,tsjk->jk", counts / safe_p, hess))
+                   - np.einsum("ts,tsjk->jk", counts,
+                               hess / safe_p[:, :, None, None]))
     # halves first: the sum overflows for entries above ~9e307
     return score, 0.5 * information + 0.5 * information.T
 
@@ -116,16 +105,15 @@ def log_likelihood_batch(kind, data: Dataset, rates) -> np.ndarray:
     bit-identical to the scalar value, -inf sentinel included; a negative or
     non-finite rate raises :class:`DomainError`.
     """
-    if kind not in PARAM_NAMES:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    model_spec(kind)  # an unknown kind is a ConfigError, not a data mismatch
     if data.kind != kind:
         raise DomainError(f"{kind} likelihood requires {kind} data")
     rates = np.asarray(rates, dtype=float)
     n = data.n
     ll = np.zeros(len(rates))
     impossible = np.zeros(len(rates), dtype=bool)
-    for t, obs in zip(data.elapsed()[1:], data.observations[1:]):
-        counts = np.array(obs.as_tuple(), dtype=float)
+    for t, obs in zip(data.elapsed()[1:], data.counts[1:]):
+        counts = np.array(obs, dtype=float)
         # zero counts contribute nothing, even against p = 0
         observed = counts > 0
         p = solve_batch(kind, data.initial, rates, t)[observed] / n
@@ -150,8 +138,8 @@ def saturated_log_likelihood(data: Dataset) -> float:
     """
     n = data.n
     total = 0.0
-    for obs in data.observations[1:]:
-        for c in obs.as_tuple():
+    for counts in data.counts[1:]:
+        for c in counts:
             if c > 0:
                 total += c * math.log(c / n)
     return total

@@ -21,34 +21,34 @@ factor exp(-x*t) grows without bound, so it is folded into the decay:
     P_SI(t) = SI0 * e + SS0 * 2*lambda * (expm1(x*t) / x) * e,
     e = exp(-(tau + lambda)*t),
 
-which stays finite at any horizon.  The gendered solutions have the same
-shape per discordant class with x_m = tau_mf - lambda_m and x_f = tau_fm -
-lambda_f (and e_m = exp(-(tau_mf + lambda_f)*t), e_f = exp(-(tau_fm +
-lambda_m)*t)).  :func:`solve_batch` evaluates the same expressions for many
-rate vectors at once.  :func:`count_derivatives` gives the first and second
-rate derivatives of every expected count, for both models from one routine
-over the discordant classes; near x = 0 it sums the Taylor series of
-expm1(x*t)/x and its derivatives, whose closed forms cancel there.
-Everything here is a pure function of its arguments; all value types are
-frozen and safe to share across threads.
+which stays finite at any horizon.  The gendered model has the same shape
+per discordant class.  :data:`MODELS` holds that shape once per model: the
+SS hazard and, per discordant class, its start count, inflow from SS, x and
+exit rate, with the names, types and infection routes.  Every path serving
+both models reads it: :func:`solve_batch` evaluates the classes for many
+rate vectors in one block, :func:`count_derivatives` differentiates every
+count from one routine over them (near x = 0 through the Taylor series of
+expm1(x*t)/x, whose closed-form derivatives cancel there), and the
+simulator, infections table, parsers and CLI read it too.  The scalar
+solvers, the optimizer's inner loop, stay written out per model: a
+table-driven one, though bit-identical, took 1.31 against 1.00 us per
+non-gendered solve and 1.74 against 1.34 us per gendered one (2-CPU shared
+host, Python 3.11).  Everything here is a pure function of its arguments;
+all value types are frozen and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UndefinedReparamError
+from .errors import ConfigError, DomainError
 
 NONGENDER = "nongender"
 GENDER = "gender"
-
-PARAM_NAMES = {
-    NONGENDER: ("lambda", "tau"),
-    GENDER: ("lambda_m", "lambda_f", "tau_mf", "tau_fm"),
-}
 
 # Width of the singular band |tau - lambda| below which the analytic limit
 # of (1 - exp(-x*t))/x is used instead of the general expression.
@@ -152,29 +152,6 @@ class GenderParams:
 
 
 @dataclass(frozen=True)
-class GenderReparam:
-    """Alternate coordinates (lambda, q, theta_m, theta_f) for the gendered model.
-
-    q is the share of the total external force of infection acting on men;
-    theta_m and theta_f are dimensionless excesses of internal over external
-    hazard.
-    """
-
-    lam: float
-    q: float
-    theta_m: float
-    theta_f: float
-
-    def __post_init__(self):
-        _check_nonnegative("lambda", self.lam)
-        if not 0.0 <= self.q <= 1.0:
-            raise DomainError(f"q must lie in [0, 1], got {self.q!r}")
-        for name in ("theta_m", "theta_f"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
 class PairState:
     """Expected (real-valued) pair counts for the non-gendered model."""
 
@@ -205,6 +182,79 @@ class GenderPairState:
 
     def as_tuple(self):
         return (self.p_ss, self.p_is, self.p_si, self.p_ii)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """What one pair model is, for every path that serves both models.
+
+    ``r`` below is a rate vector in ``param_names`` order, of floats or of
+    numpy rows.  ``hazard(r)`` is the SS pairs' total external hazard.
+    ``classes(r)`` gives, for each discordant class in state order,
+    ``(start, inflow, x, rate)``: the index of its state, the coefficient a
+    of its inflow a * SS, x = tau - lambda of its susceptible partner, and
+    its exit rate to II.  Both are linear in ``r``.  Each of ``routes`` is
+    ``(label, rate index, weights)``: the route's infections per year are
+    the rate times the counts weighted by the susceptibles the route
+    reaches in each state.  Each expression keeps the scalar solvers'
+    operation order, which keeps the paths built on it bit-identical to
+    them.
+    """
+
+    kind: str
+    param_names: tuple
+    state_labels: tuple
+    counts_type: type
+    params_type: type
+    hazard: Callable
+    classes: Callable
+    routes: tuple
+
+
+MODELS = {spec.kind: spec for spec in (
+    ModelSpec(
+        kind=NONGENDER,
+        param_names=("lambda", "tau"),
+        state_labels=("SS", "SI", "II"),
+        counts_type=PairCounts,
+        params_type=NonGenderParams,
+        hazard=lambda r: 2.0 * r[0],
+        classes=lambda r: ((1, 2.0 * r[0], r[1] - r[0], r[1] + r[0]),),
+        routes=(("external", 0, (2.0, 1.0, 0.0)),
+                ("internal", 1, (0.0, 1.0, 0.0)))),
+    ModelSpec(
+        kind=GENDER,
+        param_names=("lambda_m", "lambda_f", "tau_mf", "tau_fm"),
+        state_labels=("SS", "IS", "SI", "II"),
+        counts_type=GenderPairCounts,
+        params_type=GenderParams,
+        hazard=lambda r: r[0] + r[1],
+        classes=lambda r: ((1, r[0], r[2] - r[0], r[2] + r[1]),
+                           (2, r[1], r[3] - r[1], r[3] + r[0])),
+        routes=(("external_m", 0, (1.0, 0.0, 1.0, 0.0)),
+                ("external_f", 1, (1.0, 1.0, 0.0, 0.0)),
+                ("internal_mf", 2, (0.0, 1.0, 0.0, 0.0)),
+                ("internal_fm", 3, (0.0, 0.0, 1.0, 0.0)))),
+)}
+
+PARAM_NAMES = {kind: spec.param_names for kind, spec in MODELS.items()}
+
+_BY_COUNTS_TYPE = {spec.counts_type: spec for spec in MODELS.values()}
+
+
+def model_spec(kind):
+    """The :data:`MODELS` entry of ``kind``; an unknown kind is a ConfigError."""
+    if isinstance(kind, str) and kind in MODELS:
+        return MODELS[kind]
+    raise ConfigError(f"unknown model kind {kind!r}")
+
+
+def model_of(counts, params=None):
+    """The :data:`MODELS` entry of a counts object, and of ``params`` if given."""
+    spec = _BY_COUNTS_TYPE.get(type(counts))
+    if spec is None or not (params is None or type(params) is spec.params_type):
+        raise DomainError("counts and params must belong to one pair model")
+    return spec
 
 
 def _check_time(t):
@@ -283,29 +333,22 @@ def solve_gender(params: GenderParams, init: GenderPairCounts, t: float) -> Gend
     return GenderPairState(p_ss, p_is, p_si, p_ii)
 
 
-# Each model is linear in its rate vector r.  The SS decay hazard is
-# h = HAZARD . r.  Each class, in state order and with II left out, has a
-# start count c0 (a field of the initial state), an inflow a = SS0 * (INFLOW
-# . r), an x = X . r and a rate = x + h, and counts
-#     c0*e + a*D(x)*e,  e = exp(-rate*t),  D(x) = expm1(x*t)/x
-# at time t, D being the integral of exp(x*s) over [0, t].  SS is the class
-# with no inflow and x = 0.
-_LINEAR_FORM = {
-    NONGENDER: ((2.0, 0.0),
-                (("ss", (0.0, 0.0), (0.0, 0.0)),
-                 ("si", (2.0, 0.0), (-1.0, 1.0)))),
-    GENDER: ((1.0, 1.0, 0.0, 0.0),
-             (("ss", (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
-              ("is_", (1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 1.0, 0.0)),
-              ("si", (0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0, 1.0)))),
-}
-# Rows d(INFLOW . r, x, rate)/dr of each class: (classes, 3, dim).  The
-# start count depends on the rates through the rate alone, so no rate
-# moves it twice with opposite signs.
-_CLASS_JACOBIAN = {
-    kind: np.array([(inflow, x_coef, np.add(x_coef, hazard))
-                    for _, inflow, x_coef in classes])
-    for kind, (hazard, classes) in _LINEAR_FORM.items()}
+def _class_jacobian(spec):
+    """Rows d(inflow, x, rate)/dr of SS and each discordant class.
+
+    Shape (classes + 1, 3, dim): ``hazard`` and ``classes`` are linear, so
+    their values at the unit vectors are the coefficients.  SS has no
+    inflow, x = 0 and rate = hazard.  A start count moves with the rates
+    through its class's rate alone, so no rate moves it twice with
+    opposite signs.
+    """
+    units = np.eye(len(spec.param_names)).tolist()
+    ss = [[0.0] * len(units), [0.0] * len(units), [spec.hazard(u) for u in units]]
+    per_unit = np.array([spec.classes(u) for u in units])  # (dim, classes, 4)
+    return np.concatenate([[ss], per_unit[:, :, 1:].transpose(1, 2, 0)])
+
+
+_CLASS_JACOBIAN = {kind: _class_jacobian(spec) for kind, spec in MODELS.items()}
 
 # Below |x*t| = 1 the derivatives of D come from its Taylor series: the
 # closed forms divide differences that cancel there.  At |x*t| >= 1 they
@@ -360,19 +403,24 @@ def count_derivatives(kind, init, rates, times):
     ``rates`` is one rate vector in ``PARAM_NAMES[kind]`` order.  Returns
     ``(p, grad, hess)`` of shapes (T, states), (T, states, dim) and
     (T, states, dim, dim), states in ``as_tuple`` order.  One routine serves
-    both models, over the classes of ``_LINEAR_FORM``: each count's partial
-    derivatives in (inflow, x, rate) are chained through their rate
-    coefficients, and II is N minus the rest.  ``p`` equals the solvers'
-    counts to rounding, without the clamp of II at 0.
+    both models, over SS and the discordant classes of ``MODELS[kind]``.
+    Each class with start count c0, inflow a = SS0 * inflow, x and h, the
+    SS hazard, counts
+        c0*e + a*D(x)*e,  e = exp(-(x+h)*t),  D(x) = expm1(x*t)/x
+    at time t, D being the integral of exp(x*s) over [0, t]; SS is the class
+    with no inflow and x = 0.  Each count's partial derivatives in (inflow,
+    x, rate) are chained through their rate coefficients, and II is N minus
+    the rest.  ``p`` equals the solvers' counts to rounding, without the
+    clamp of II at 0.
     """
-    hazard, classes = _LINEAR_FORM[kind]
+    spec = model_spec(kind)
     jac = _CLASS_JACOBIAN[kind]
     r = [float(v) for v in rates]
-    ss0 = init.ss
-    h = sum(c * v for c, v in zip(hazard, r))
-    terms = [(getattr(init, field), sum(c * v for c, v in zip(inflow, r)),
-              sum(c * v for c, v in zip(x_coef, r)))
-             for field, inflow, x_coef in classes]
+    counts = init.as_tuple()
+    ss0 = counts[0]
+    h = spec.hazard(r)
+    terms = [(ss0, 0.0, 0.0)] + [(counts[start], inflow, x)
+                                 for start, inflow, x, _ in spec.classes(r)]
     values, firsts, seconds = [], [], []
     for t in times:
         for c0, rate_in, x in terms:
@@ -440,9 +488,8 @@ def solve_batch(kind, init, rates, t):
     ``params_from_vector(kind, rates[i])``: the arithmetic is the same
     sequence of IEEE operations, and transcendentals go through :mod:`math`.
     """
-    names = PARAM_NAMES.get(kind)
-    if names is None:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    spec = model_spec(kind)
+    names = spec.param_names
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 2 or rates.shape[1] != len(names):
         raise ConfigError(f"rates for model {kind!r} must have shape "
@@ -455,61 +502,24 @@ def solve_batch(kind, init, rates, t):
     n = init.total
     if n <= 0:
         raise DomainError("initial counts must sum to a positive total")
-    if kind == NONGENDER:
-        lam, tau = rates.T
-        decay = apply_libm(math.exp, -2.0 * lam * t)
-        out = np.empty((3, len(rates)))
-        out[0] = init.ss * decay
-        out[1] = _discordant_batch(init.si, init.ss * 2.0 * lam, tau - lam,
-                                   tau + lam, decay, t)
-        out[2] = np.maximum(n - out[0] - out[1], 0.0)
-        return out
-    # rows (lambda_m, lambda_f) and (tau_mf, tau_fm): the IS and SI classes
-    # in one (2, k) evaluation
-    lam, tau = rates.T[:2], rates.T[2:]
-    decay = apply_libm(math.exp, -(lam[0] + lam[1]) * t)
-    out = np.empty((4, len(rates)))
-    out[0] = init.ss * decay
-    out[1:3] = _discordant_batch(
-        np.array([[init.is_], [init.si]], dtype=float), lam * init.ss,
-        tau - lam, tau + lam[::-1], decay, t)
-    out[3] = np.maximum(n - out[0] - out[1] - out[2], 0.0)
+    counts = init.as_tuple()
+    r = rates.T
+    decay = apply_libm(math.exp, -spec.hazard(r) * t)
+    # every discordant class in one (classes, k) evaluation
+    starts, inflows, xs, exits = zip(*spec.classes(r))
+    out = np.empty((len(counts), len(rates)))
+    out[0] = counts[0] * decay
+    out[list(starts)] = _discordant_batch(
+        np.array([[counts[s]] for s in starts], dtype=float),
+        counts[0] * np.array(inflows), np.array(xs), np.array(exits),
+        decay, t)
+    rest = n - out[0]
+    for row in out[1:-1]:
+        rest -= row
+    out[-1] = np.maximum(rest, 0.0)
     return out
-
-
-def reparam_to_rates(r: GenderReparam) -> GenderParams:
-    """Map (lambda, q, theta_m, theta_f) to the four gendered rates."""
-    lam2 = 2.0 * r.lam
-    return GenderParams(
-        lam_m=lam2 * r.q,
-        lam_f=lam2 * (1.0 - r.q),
-        tau_mf=lam2 * (r.q + r.theta_m),
-        tau_fm=lam2 * (1.0 - r.q + r.theta_f),
-    )
-
-
-def rates_to_reparam(p: GenderParams) -> GenderReparam:
-    """Inverse of :func:`reparam_to_rates`; requires lambda_m + lambda_f > 0."""
-    total = p.lam_m + p.lam_f
-    if total == 0:
-        raise UndefinedReparamError(
-            "reparameterization undefined: lambda_m + lambda_f = 0")
-    lam = total / 2.0
-    q = p.lam_m / total
-    return GenderReparam(
-        lam=lam,
-        q=q,
-        theta_m=p.tau_mf / (2.0 * lam) - q,
-        theta_f=p.tau_fm / (2.0 * lam) - (1.0 - q),
-    )
 
 
 def params_from_vector(kind, vector):
     """Build a typed parameter object from an ordered rate vector."""
-    if kind == NONGENDER:
-        lam, tau = vector
-        return NonGenderParams(lam, tau)
-    if kind == GENDER:
-        lam_m, lam_f, tau_mf, tau_fm = vector
-        return GenderParams(lam_m, lam_f, tau_mf, tau_fm)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return model_spec(kind).params_type(*vector)

@@ -6,13 +6,16 @@ pairs leave SS at lambda_m (male infected) or lambda_f (female infected) and
 each discordant class converts to II at internal-plus-external hazard.
 Because pairs are independent, event-driven simulation of the aggregated
 counts (classic direct-method sampling with exponential waiting times) is
-distributionally identical to simulating every pair separately, and a
-one-shot categorical sampler built from the closed-form per-pair state
-distribution provides an O(pairs) cross-check.
+distributionally identical to simulating every pair separately.  The
+test suite checks it against a one-shot sampler that draws each initial
+class's multinomial from the closed-form per-pair state distribution.
 
-The event-driven simulator keeps one channel table per model: channel k is
-``(coefficient, source, destination)``, fires at rate ``coefficient *
-counts[source]`` and moves one pair from ``source`` to ``destination``.
+The event-driven simulator builds one channel table per run from the
+model's entry in :data:`model.MODELS`: each discordant class gives an
+inflow channel from SS (rate coefficient ``inflow``) and an exit channel
+to II (``rate``), inflows first.  Channel k is ``(coefficient, source,
+destination)``, fires at rate ``coefficient * counts[source]`` and moves
+one pair from ``source`` to ``destination``.
 Per event the rates are summed in table order, the waiting time is an
 exponential(1) draw over the total rate and the channel is picked by a
 cumulative sum against a uniform draw times the total.  Both kinds of
@@ -27,14 +30,14 @@ construction and stable across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DomainError, InfeasibleDataError, InternalConsistencyError
-from .model import (GENDER, NONGENDER, GenderPairCounts, GenderParams,
-                    NonGenderParams, PairCounts, solve_gender, solve_nongender)
+from .errors import DomainError, InfeasibleDataError
+from .model import model_of
 
 _MASK64 = (1 << 64) - 1
 
@@ -84,16 +87,15 @@ def _channels(params, init):
 
     Channel k is ``(coefficient, source, destination)``: it fires at rate
     ``coefficient * counts[source]`` and moves one pair from ``source`` to
-    ``destination``.
+    ``destination``.  The inflows from SS come first, then the exits to
+    II, each in class order.
     """
-    if isinstance(params, NonGenderParams) and isinstance(init, PairCounts):
-        lam, tau = params.lam, params.tau
-        return ((2.0 * lam, 0, 1), (lam + tau, 1, 2)), PairCounts
-    if isinstance(params, GenderParams) and isinstance(init, GenderPairCounts):
-        p = params
-        return ((p.lam_m, 0, 1), (p.lam_f, 0, 2), (p.tau_mf + p.lam_f, 1, 3),
-                (p.lam_m + p.tau_fm, 2, 3)), GenderPairCounts
-    raise DomainError("params and init must belong to the same model kind")
+    spec = model_of(init, params)
+    classes = spec.classes(params.as_vector())
+    ii = len(spec.state_labels) - 1
+    channels = ([(inflow, 0, start) for start, inflow, _, _ in classes]
+                + [(rate, start, ii) for start, _, _, rate in classes])
+    return channels, spec.counts_type
 
 
 def gillespie_simulate(params, init, times, seed):
@@ -104,8 +106,11 @@ def gillespie_simulate(params, init, times, seed):
     """
     channels, counts_type = _channels(params, init)
     times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise DomainError("snapshot times must be nonnegative and increasing")
+    # the chained comparison is False for nan as well as for inf
+    if (not all(0.0 <= t < math.inf for t in times)
+            or any(b <= a for a, b in zip(times, times[1:]))):
+        raise DomainError("snapshot times must be finite, nonnegative and "
+                          "increasing")
     for c in init.as_tuple():
         if c != int(c):
             raise DomainError("simulation requires integer initial counts")
@@ -158,55 +163,6 @@ def gillespie_simulate(params, init, times, seed):
     return out
 
 
-def _class_distributions(params, init, t):
-    """Per-pair state distribution at time t for each initial state class."""
-    if isinstance(params, NonGenderParams):
-        dists = [
-            solve_nongender(params, PairCounts(1, 0, 0), t).as_tuple(),
-            solve_nongender(params, PairCounts(0, 1, 0), t).as_tuple(),
-            (0.0, 0.0, 1.0),  # II is absorbing
-        ]
-    else:
-        dists = [
-            solve_gender(params, GenderPairCounts(1, 0, 0, 0), t).as_tuple(),
-            solve_gender(params, GenderPairCounts(0, 1, 0, 0), t).as_tuple(),
-            solve_gender(params, GenderPairCounts(0, 0, 1, 0), t).as_tuple(),
-            (0.0, 0.0, 0.0, 1.0),
-        ]
-    checked = []
-    for dist in dists:
-        probs = np.asarray(dist, dtype=float)
-        if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
-            raise InternalConsistencyError(
-                f"per-pair probabilities left [0, 1]: {probs}")
-        probs = np.clip(probs, 0.0, None)
-        checked.append(probs / probs.sum())
-    return checked
-
-
-def exact_sample(params, init, t, seed):
-    """Sample pair counts at time t directly from the closed-form law.
-
-    Each initial-state class contributes a multinomial draw from its
-    per-pair state distribution; the draws are summed.
-    """
-    if isinstance(params, NonGenderParams) and isinstance(init, PairCounts):
-        counts_type = PairCounts
-    elif isinstance(params, GenderParams) and isinstance(init, GenderPairCounts):
-        counts_type = GenderPairCounts
-    else:
-        raise DomainError("params and init must belong to the same model kind")
-    rng = _rng(seed)
-    dists = _class_distributions(params, init, float(t))
-    total = np.zeros(len(dists), dtype=np.int64)
-    for n_class, dist in zip(init.as_tuple(), dists):
-        if n_class != int(n_class):
-            raise DomainError("sampling requires integer initial counts")
-        if n_class > 0:
-            total += rng.multinomial(int(n_class), dist)
-    return counts_type(*(int(c) for c in total))
-
-
 def validation_sweep(truth_grid, init, times, n_replicates, master_seed,
                      fit, bounds=None) -> list:
     """Simulate-and-refit over a grid of true parameters.
@@ -217,7 +173,7 @@ def validation_sweep(truth_grid, init, times, n_replicates, master_seed,
     (grid, replicate) order.
     """
     records = []
-    kind = NONGENDER if isinstance(init, PairCounts) else GENDER
+    kind = model_of(init).kind
     for grid_index, params in enumerate(truth_grid):
         for replicate in range(n_replicates):
             seed = derive_seed(master_seed, grid_index, replicate)

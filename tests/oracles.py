@@ -3,18 +3,29 @@
 Everything here deliberately avoids the code paths under test: forward
 states come from adaptive ODE integration, quantiles from mpmath at high
 precision, Hessians from Richardson extrapolation of plain central
-differences, and the simplex trajectory from its numpy formulation.
+differences, the simplex trajectory from its numpy formulation, and
+simulated counts from a one-shot sampler of the closed-form law.  The
+per-model rate algebra that the program now derives from its model table
+is kept here as it was written out per model: the linear form, the
+Gillespie channel tables and the batch solver.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from pairinfer import (GenderPairCounts, GenderParams, NonGenderParams,
-                       PairCounts, SimplexResult, nongender_dataset,
+from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
+                       DomainError, GenderPairCounts, GenderParams,
+                       InternalConsistencyError, NonGenderParams, PairCounts,
+                       SimplexResult, nongender_dataset, solve_gender,
                        solve_nongender)
+from pairinfer.model import (EPS_SINGULAR, _check_nonnegative, _check_time,
+                             apply_libm)
+from pairinfer.simulate import _rng
 
 
 def integrate_nongender(params: NonGenderParams, init: PairCounts, t: float):
@@ -392,3 +403,143 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         on_boundary=at_bound,
         n_starts=len(starts),
     )
+
+
+# ---------------------------------------------------------------------------
+# the one-shot sampler
+
+def _class_distributions(params, init, t):
+    """Per-pair state distribution at time t for each initial state class."""
+    if isinstance(params, NonGenderParams):
+        dists = [
+            solve_nongender(params, PairCounts(1, 0, 0), t).as_tuple(),
+            solve_nongender(params, PairCounts(0, 1, 0), t).as_tuple(),
+            (0.0, 0.0, 1.0),  # II is absorbing
+        ]
+    else:
+        dists = [
+            solve_gender(params, GenderPairCounts(1, 0, 0, 0), t).as_tuple(),
+            solve_gender(params, GenderPairCounts(0, 1, 0, 0), t).as_tuple(),
+            solve_gender(params, GenderPairCounts(0, 0, 1, 0), t).as_tuple(),
+            (0.0, 0.0, 0.0, 1.0),
+        ]
+    checked = []
+    for dist in dists:
+        probs = np.asarray(dist, dtype=float)
+        if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
+            raise InternalConsistencyError(
+                f"per-pair probabilities left [0, 1]: {probs}")
+        probs = np.clip(probs, 0.0, None)
+        checked.append(probs / probs.sum())
+    return checked
+
+
+def exact_sample(params, init, t, seed):
+    """Sample pair counts at time t directly from the closed-form law.
+
+    Each initial-state class contributes a multinomial draw from its
+    per-pair state distribution; the draws are summed.
+    """
+    if isinstance(params, NonGenderParams) and isinstance(init, PairCounts):
+        counts_type = PairCounts
+    elif isinstance(params, GenderParams) and isinstance(init, GenderPairCounts):
+        counts_type = GenderPairCounts
+    else:
+        raise DomainError("params and init must belong to the same model kind")
+    rng = _rng(seed)
+    dists = _class_distributions(params, init, float(t))
+    total = np.zeros(len(dists), dtype=np.int64)
+    for n_class, dist in zip(init.as_tuple(), dists):
+        if n_class != int(n_class):
+            raise DomainError("sampling requires integer initial counts")
+        if n_class > 0:
+            total += rng.multinomial(int(n_class), dist)
+    return counts_type(*(int(c) for c in total))
+
+
+# ---------------------------------------------------------------------------
+# the per-model rate algebra, written out as before the model table
+
+# Each model is linear in its rate vector r.  The SS decay hazard is
+# h = HAZARD . r.  Each class, in state order and with II left out, has a
+# start count c0 (a field of the initial state), an inflow a = SS0 * (INFLOW
+# . r), an x = X . r and a rate = x + h.  SS is the class with no inflow
+# and x = 0.
+LINEAR_FORM = {
+    NONGENDER: ((2.0, 0.0),
+                (("ss", (0.0, 0.0), (0.0, 0.0)),
+                 ("si", (2.0, 0.0), (-1.0, 1.0)))),
+    GENDER: ((1.0, 1.0, 0.0, 0.0),
+             (("ss", (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+              ("is_", (1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 1.0, 0.0)),
+              ("si", (0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0, 1.0)))),
+}
+# Rows d(INFLOW . r, x, rate)/dr of each class: (classes, 3, dim).
+CLASS_JACOBIAN = {
+    kind: np.array([(inflow, x_coef, np.add(x_coef, hazard))
+                    for _, inflow, x_coef in classes])
+    for kind, (hazard, classes) in LINEAR_FORM.items()}
+
+
+def gillespie_channels(params, init):
+    """The simulator's transition channels and counts type, per model."""
+    if isinstance(params, NonGenderParams) and isinstance(init, PairCounts):
+        lam, tau = params.lam, params.tau
+        return ((2.0 * lam, 0, 1), (lam + tau, 1, 2)), PairCounts
+    if isinstance(params, GenderParams) and isinstance(init, GenderPairCounts):
+        p = params
+        return ((p.lam_m, 0, 1), (p.lam_f, 0, 2), (p.tau_mf + p.lam_f, 1, 3),
+                (p.lam_m + p.tau_fm, 2, 3)), GenderPairCounts
+    raise DomainError("params and init must belong to the same model kind")
+
+
+def _discordant_batch(c0, inflow, x, rate, decay, t):
+    """One discordant class of the scalar solvers, over arrays."""
+    below = x <= -EPS_SINGULAR
+    singular = np.abs(x) < EPS_SINGULAR
+    neg_x = -x
+    e = apply_libm(math.exp, np.where(below, -rate, neg_x) * t)
+    ratio = (apply_libm(math.expm1, np.where(below, x, neg_x) * t)
+             / np.where(singular, 1.0, x))
+    ce = c0 * e
+    above_value = (ce + inflow * np.where(singular, t, -ratio)) * decay
+    return np.where(below, ce + inflow * ratio * e, above_value)
+
+
+def solve_batch(kind, init, rates, t):
+    """Expected pair counts at time t for each row of ``rates``, per model."""
+    names = PARAM_NAMES.get(kind)
+    if names is None:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 2 or rates.shape[1] != len(names):
+        raise ConfigError(f"rates for model {kind!r} must have shape "
+                          f"(k, {len(names)}), got {rates.shape}")
+    bad = ~(np.isfinite(rates) & (rates >= 0))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        _check_nonnegative(names[col], float(rates[row, col]))
+    _check_time(t)
+    n = init.total
+    if n <= 0:
+        raise DomainError("initial counts must sum to a positive total")
+    if kind == NONGENDER:
+        lam, tau = rates.T
+        decay = apply_libm(math.exp, -2.0 * lam * t)
+        out = np.empty((3, len(rates)))
+        out[0] = init.ss * decay
+        out[1] = _discordant_batch(init.si, init.ss * 2.0 * lam, tau - lam,
+                                   tau + lam, decay, t)
+        out[2] = np.maximum(n - out[0] - out[1], 0.0)
+        return out
+    # rows (lambda_m, lambda_f) and (tau_mf, tau_fm): the IS and SI classes
+    # in one (2, k) evaluation
+    lam, tau = rates.T[:2], rates.T[2:]
+    decay = apply_libm(math.exp, -(lam[0] + lam[1]) * t)
+    out = np.empty((4, len(rates)))
+    out[0] = init.ss * decay
+    out[1:3] = _discordant_batch(
+        np.array([[init.is_], [init.si]], dtype=float), lam * init.ss,
+        tau - lam, tau + lam[::-1], decay, t)
+    out[3] = np.maximum(n - out[0] - out[1] - out[2], 0.0)
+    return out

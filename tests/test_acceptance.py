@@ -14,14 +14,14 @@ from scipy.stats import chi2_contingency
 
 from pairinfer import (GenderPairCounts, GenderParams, GridAxis, GridSpec,
                        NonGenderParams, PairCounts, analyze, derive_seed,
-                       exact_sample, fit_mle, gillespie_simulate,
-                       infections_per_year, lambda_hat_closed_form,
-                       likelihood_surface, load_bundled, solve_gender,
-                       solve_nongender, validation_sweep)
+                       fit_mle, gillespie_simulate, infections_per_year,
+                       lambda_hat_closed_form, likelihood_surface,
+                       load_bundled, solve_gender, solve_nongender,
+                       validation_sweep)
 from pairinfer.cli import main
 from pairinfer.io import emit_report
 
-from oracles import integrate_gender, integrate_nongender
+from oracles import exact_sample, integrate_gender, integrate_nongender
 
 
 def _report(number, ok, detail):

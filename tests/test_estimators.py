@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from pairinfer import (DomainError, ExpansionUndefinedError, NoRootError,
-                       NonGenderParams, PairCounts, cfa, fit_mle,
+from pairinfer import (DomainError, ExpansionUndefinedError, GenderParams,
+                       NoRootError, NonGenderParams, PairCounts, cfa, fit_mle,
                        gender_dataset, gender_theta_approx,
                        lambda_hat_closed_form, log_likelihood_nongender,
-                       nongender_dataset, phi_hat_binomial, reparam_to_rates,
-                       solve_nongender, tau_hat_rootsolve, GenderReparam,
-                       solve_gender)
+                       nongender_dataset, phi_hat_binomial, solve_gender,
+                       solve_nongender, tau_hat_rootsolve)
 import pairinfer.estimators as estimators
 from pairinfer.estimators import two_time_mle
 
@@ -214,15 +213,19 @@ def test_theta_approx_mwanza_recorded(mwanza_gender):
 
 
 def test_theta_approx_recovers_truth_at_tiny_depletion():
-    # forward-solve at a known reparameterization, then invert
-    reparam = GenderReparam(lam=0.0004, q=0.55, theta_m=2.0, theta_f=3.0)
-    rates = reparam_to_rates(reparam)
+    # forward-solve at known (lambda, q, theta_m, theta_f), then invert:
+    # lambda_m = 2*lambda*q and tau_mf = 2*lambda*(q + theta_m), and
+    # likewise with 1 - q for women
+    lam, q = 0.0004, 0.55
+    lam2 = 2.0 * lam
+    rates = GenderParams(lam2 * q, lam2 * (1.0 - q), lam2 * (q + 2.0),
+                         lam2 * (1.0 - q + 3.0))
     init = (1742.0, 40.0, 35.0, 17.0)
     from pairinfer import GenderPairCounts
 
     state = solve_gender(rates, GenderPairCounts(*init), 2.0)
     data = gender_dataset((0.0, 2.0), [init, state.as_tuple()])
-    theta_m, theta_f = gender_theta_approx(data, reparam.q, reparam.lam * 1.0)
+    theta_m, theta_f = gender_theta_approx(data, q, lam)
     dss = abs(state.p_ss - init[0]) / state.p_ss
     # error is first order in theta * dSS/SS; the constant measured over a
     # 8x depletion range sits at 5.1-6.4, so 8 gives margin without losing

@@ -478,14 +478,42 @@ def test_manifest_zero_replicates_is_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("scalars", [
+    {"seed": "x"}, {"levels": ["x"]}, {"max_evals": "x"}, {"max_evals": 0},
+], ids=["seed", "levels", "max-evals", "max-evals-0"])
+def test_manifest_bad_scalars_are_config_errors(scalars, tmp_path, capsys):
+    # an evaluation budget below 1 used to end in exit 3, blaming the data
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"runs": [{"model": "nongender"}], **scalars}))
+    out = tmp_path / "out"
+    assert main(["report-all", "--manifest", str(path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: manifest ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    _SIM + ["--times", "0,nan"],
+    _SIM + ["--times", "0,inf"],
+    _VALIDATE + ["--times", "0,nan"],
+], ids=["simulate-nan", "simulate-inf", "validate-nan"])
+def test_cli_non_finite_times_are_domain_errors(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: snapshot times")
+
+
 @pytest.mark.parametrize("argv", [
     _SIM + ["--reps", "x"],
     _VALIDATE + ["--reps", "x"],
     ["fit", "--model", "nongender", "--seed", "x"],
     ["report-all", "--seed", "1.5"],
     ["fit", "--model", "nongender", "--max-evals", "x"],
+    ["fit", "--model", "nongender", "--max-evals", "0"],
+    ["fit", "--model", "nongender", "--max-evals", "-5"],
 ], ids=["simulate-reps", "validate-reps", "fit-seed", "report-all-seed",
-        "max-evals"])
+        "max-evals", "max-evals-0", "max-evals-negative"])
 def test_cli_integer_option_type_errors(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1

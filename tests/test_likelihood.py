@@ -465,3 +465,20 @@ def test_score_and_information_match_mpmath_property(case):
     assert np.all(np.abs(score - exact_score) <= 1e-8 * score_scale)
     assert np.all(np.abs(information - exact_information) <= 1e-8 * info_scale)
     assert np.array_equal(information, information.T)
+
+
+@pytest.mark.filterwarnings("error")
+def test_information_at_a_subnormal_proportion_is_finite():
+    """At rates (10, 1) over 35.5 y the SS proportion is exp(-710), ~4e-309,
+    a subnormal: counts / P overflowed there, and the information came out
+    [[-inf, nan], [nan, nan]] with a RuntimeWarning.  Its lambda-lambda
+    entry cancels from terms of 71^2 = 5041 to ~7e-167, so it is held to
+    the terms' size; the others to their own."""
+    data = nongender_dataset((0.0, 35.5), [(1, 0, 999), (1, 0, 999)])
+    score, information = score_and_information(NONGENDER, data, [10.0, 1.0])
+    exact_score, exact_information = loglik_derivatives_mp(
+        NONGENDER, [10.0, 1.0], data)
+    assert np.isfinite(information).all()
+    assert score == pytest.approx(exact_score, rel=1e-12)
+    assert abs(information[0, 0] - exact_information[0, 0]) <= 1e-8 * 71.0**2
+    assert information[1] == pytest.approx(exact_information[1], rel=1e-12)

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairinfer import (GENDER, NONGENDER, DomainError, GenderPairCounts,
-                       GenderParams, GenderReparam, NonGenderParams,
-                       PairCounts, rates_to_reparam, reparam_to_rates,
+                       GenderParams, NonGenderParams, PairCounts,
                        solve_gender, solve_nongender)
+from pairinfer import model
 from pairinfer.model import EPS_SINGULAR, count_derivatives
 
+import oracles
 from oracles import (count_derivatives_mp, integrate_gender,
                      integrate_nongender)
 
@@ -159,41 +160,6 @@ def test_domain_errors():
         solve_nongender(NonGenderParams(0.1, 0.1), PairCounts(0, 0, 0), 1.0)
 
 
-def test_reparam_symmetric_zero_excess():
-    rates = reparam_to_rates(GenderReparam(0.003, 0.5, 0.0, 0.0))
-    assert rates.lam_m == pytest.approx(0.003, abs=1e-15)
-    assert rates.lam_f == pytest.approx(0.003, abs=1e-15)
-    assert rates.tau_mf == pytest.approx(0.003, abs=1e-15)
-    assert rates.tau_fm == pytest.approx(0.003, abs=1e-15)
-
-
-def test_reparam_from_fitted_lambdas():
-    r = rates_to_reparam(GenderParams(0.004, 0.002, 0.047, 0.068))
-    assert r.lam == pytest.approx(0.003, abs=1e-15)
-    assert r.q == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-
-def test_reparam_undefined_at_zero_external():
-    from pairinfer import UndefinedReparamError
-
-    with pytest.raises(UndefinedReparamError):
-        rates_to_reparam(GenderParams(0.0, 0.0, 0.1, 0.1))
-
-
-positive_rate = st.floats(min_value=1e-6, max_value=0.5, allow_nan=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(lam_m=positive_rate, lam_f=positive_rate,
-       tau_mf=positive_rate, tau_fm=positive_rate)
-def test_reparam_round_trip_property(lam_m, lam_f, tau_mf, tau_fm):
-    rates = GenderParams(lam_m, lam_f, tau_mf, tau_fm)
-    back = reparam_to_rates(rates_to_reparam(rates))
-    scale = lam_m + lam_f + tau_mf + tau_fm
-    for a, b in zip(rates.as_vector(), back.as_vector()):
-        assert b == pytest.approx(a, rel=1e-14, abs=1e-14 * scale)
-
-
 def test_theta_and_phi_accessors():
     params = NonGenderParams(0.003, 0.056)
     assert params.theta == pytest.approx(0.053)
@@ -226,19 +192,23 @@ def _internal_rate(draw, lam, times):
     return draw(st.floats(0.0, 10.0))
 
 
+def _rate_vector(draw, kind, times):
+    """Rates 0-10 with exact zeros, each internal rate in one x regime."""
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    if kind == NONGENDER:
+        lam = draw(rate)
+        return [lam, _internal_rate(draw, lam, times)]
+    lam_m, lam_f = draw(rate), draw(rate)
+    return [lam_m, lam_f, _internal_rate(draw, lam_m, times),
+            _internal_rate(draw, lam_f, times)]
+
+
 @st.composite
 def derivative_cases(draw):
     kind = draw(st.sampled_from((NONGENDER, GENDER)))
     times = sorted(draw(st.lists(st.floats(0.01, 100.0), min_size=1,
                                  max_size=3, unique=True)))
-    rate = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
-    if kind == NONGENDER:
-        lam = draw(rate)
-        rates = [lam, _internal_rate(draw, lam, times)]
-    else:
-        lam_m, lam_f = draw(rate), draw(rate)
-        rates = [lam_m, lam_f, _internal_rate(draw, lam_m, times),
-                 _internal_rate(draw, lam_f, times)]
+    rates = _rate_vector(draw, kind, times)
     states = 3 if kind == NONGENDER else 4
     counts = draw(st.lists(st.integers(0, 5000), min_size=states,
                            max_size=states).filter(any))
@@ -267,3 +237,59 @@ def test_count_derivatives_match_mpmath_property(case):
             scales[-1] = scales.max()
             for s, scale in enumerate(scales):
                 assert np.abs(ours[s] - ref[s]).max() <= 1e-8 * scale + 1e-300
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_class_jacobian_is_the_written_out_linear_form():
+    """The coefficients read from the model table at unit vectors."""
+    for kind in (NONGENDER, GENDER):
+        ours, written = model._CLASS_JACOBIAN[kind], oracles.CLASS_JACOBIAN[kind]
+        assert ours.shape == written.shape
+        assert _bits(ours.ravel()) == _bits(written.ravel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=derivative_cases())
+def test_table_terms_match_the_written_out_linear_form_property(case):
+    """The hazard and each class's start count, inflow and x, as
+    count_derivatives takes them from the table, carry the bits of the
+    written-out form's dot products (SS being the class with none)."""
+    kind, rates, init, _ = case
+    spec = model.MODELS[kind]
+    hazard, classes = oracles.LINEAR_FORM[kind]
+
+    def dot(coefficients):
+        return sum(c * v for c, v in zip(coefficients, rates))
+
+    counts = init.as_tuple()
+    ours = [(counts[0], 0.0, 0.0)] + [
+        (counts[start], inflow, x)
+        for start, inflow, x, _ in spec.classes(rates)]
+    written = [(getattr(init, field), dot(inflow), dot(x_coef))
+               for field, inflow, x_coef in classes]
+    assert _bits([spec.hazard(rates)]) == _bits([dot(hazard)])
+    assert [_bits(term) for term in ours] == [_bits(term) for term in written]
+
+
+@st.composite
+def batch_cases(draw):
+    kind, _, init, times = draw(derivative_cases())
+    rows = [_rate_vector(draw, kind, times)
+            for _ in range(draw(st.integers(1, 5)))]
+    t = draw(st.sampled_from((0.0, *times)))
+    return kind, np.array(rows, dtype=float), init, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=batch_cases())
+def test_batch_kernel_matches_the_written_out_solver_property(case):
+    """One kernel over the table's classes against the per-model batch
+    solver: both models, rates 0-10 with exact zeros, horizons to 100 y,
+    the singular band and x < 0, bit for bit."""
+    kind, rates, init, t = case
+    ours = model.solve_batch(kind, init, rates, t)
+    written = oracles.solve_batch(kind, init, rates, t)
+    assert ours.tobytes() == written.tobytes()

@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from pairinfer import (GenderPairCounts, GenderParams, NonGenderParams,
-                       PairCounts, derive_seed, exact_sample,
+from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, GenderPairCounts,
+                       GenderParams, NonGenderParams, PairCounts, derive_seed,
                        fit_mle, gillespie_simulate, solve_gender,
                        solve_nongender, validation_sweep)
+from pairinfer.model import params_from_vector
+from pairinfer.simulate import _channels
+
+import oracles
+from oracles import exact_sample
 
 MWANZA_PARAMS = NonGenderParams(0.003033, 0.0561)
 MWANZA_INIT = PairCounts(1742, 43, 17)
@@ -118,7 +125,6 @@ def test_exact_sample_absorbing_ii():
 
 
 def test_exact_sample_internal_consistency_guard(monkeypatch):
-    from pairinfer import simulate as sim
     from pairinfer.errors import InternalConsistencyError
 
     def broken(params, init, t):
@@ -128,7 +134,7 @@ def test_exact_sample_internal_consistency_guard(monkeypatch):
 
         return Bad()
 
-    monkeypatch.setattr(sim, "solve_nongender", broken)
+    monkeypatch.setattr(oracles, "solve_nongender", broken)
     with pytest.raises(InternalConsistencyError):
         exact_sample(MWANZA_PARAMS, MWANZA_INIT, 1.0, seed=0)
 
@@ -280,3 +286,22 @@ def test_gillespie_draws_random_numbers_in_blocks(monkeypatch):
     assert out[-1].as_tuple() == (0, 0, 2000)
     # 4 refills, each of 512 exponentials and 512 uniforms
     assert len(calls) == 2 * math.ceil(2000 / 512)
+
+
+rate = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from((NONGENDER, GENDER)), data=st.data())
+def test_channels_match_the_written_out_tables_property(kind, data):
+    """The channel table built from the model table: the written-out
+    per-model tuples bit for bit, in their order (so seeded streams hold)."""
+    dim = len(PARAM_NAMES[kind])
+    rates = data.draw(st.lists(rate, min_size=dim, max_size=dim))
+    params = params_from_vector(kind, rates)
+    init = MWANZA_INIT if kind == NONGENDER else GenderPairCounts(1742, 22, 21, 17)
+    ours, ours_type = _channels(params, init)
+    written, written_type = oracles.gillespie_channels(params, init)
+    assert ours_type is written_type
+    assert ([(c.hex(), s, d) for c, s, d in ours]
+            == [(c.hex(), s, d) for c, s, d in written])
