@@ -9,9 +9,8 @@ analytical estimators, and a stochastic simulator for end-to-end validation.
 
 from .dataset import Dataset, gender_dataset, nongender_dataset
 from .errors import (ConfigError, DomainError, ExpansionUndefinedError,
-                     InfeasibleDataError, InternalConsistencyError,
-                     NoRootError, PairinferError, ParseError,
-                     SingularStencilError)
+                     InfeasibleDataError, NoRootError, PairinferError,
+                     ParseError, SingularStencilError)
 from .estimators import (AnalyticEstimate, PhiExpansion, analytic_estimates,
                          cfa, gender_theta_approx, lambda_hat_closed_form,
                          phi_hat_binomial, tau_hat_rootsolve)

@@ -1,10 +1,16 @@
 """Command-line interface.
 
-Subcommands: fit, surface, profile, simulate, validate, report-all.  Exit
-codes: 0 success, 1 invalid option value or configuration (an output
-directory that cannot be written included), 2 parse error, 3 infeasible
-data, 4 non-convergence (results are still written, with flags).  The
-PAIRINFER_OUT_DIR environment variable overrides the output directory.
+Subcommands: fit, surface, profile, simulate, validate, report-all.  Every
+subcommand but simulate translates its options into a manifest and runs
+it through :func:`pairinfer.io.run_manifest`, the one analysis pipeline;
+the manifest is echoed under ``config`` in ``summary.json``, so
+``report-all --manifest`` replays it.  simulate writes datasets, not
+reports.  This module only parses options and maps errors to exit codes:
+0 success, 1 invalid option value or configuration (an output directory
+that cannot be written included), 2 parse error, 3 infeasible data, 4
+non-convergence of a run's fit (results are still written, with flags).
+The PAIRINFER_OUT_DIR environment variable overrides the output
+directory.
 """
 
 from __future__ import annotations
@@ -18,15 +24,10 @@ from . import io as pio
 from .dataset import Dataset
 from .errors import (ConfigError, InfeasibleDataError, PairinferError,
                      ParseError)
-from .likelihood import GridAxis, GridSpec, likelihood_surface, slice_profile
 from .model import MODELS, NONGENDER, PARAM_NAMES, params_from_vector
 from .simulate import derive_seed, gillespie_simulate
 
 DEFAULT_OUT = "pairinfer-out"
-
-
-def _resolve_out(value):
-    return os.environ.get(pio.OUTPUT_DIR_ENV) or value
 
 
 def _integer_option(option):
@@ -41,27 +42,18 @@ def _count_option(option):
 
 
 def _parse_levels(text):
-    levels = tuple(pio.to_number(v, "confidence level")
-                   for v in text.split(","))
-    for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ConfigError(f"confidence level {level} outside (0, 1)")
-    return levels
+    return [pio.to_number(v, "confidence level") for v in text.split(",")]
 
 
-def _parse_grid_axis(text) -> GridAxis:
-    parts = text.split(":")
-    if len(parts) == 5 and parts[4] == "log":
-        log = True
-        parts = parts[:4]
-    elif len(parts) == 4:
-        log = False
-    else:
+def _parse_grid_axis(text) -> list:
+    """``name:min:max:n[:log]`` as the manifest axis of :func:`io.grid_axis`."""
+    name, *rest = text.split(":")
+    if len(rest) not in (3, 4):
         raise ConfigError(f"grid spec must be name:min:max:n[:log], got {text!r}")
-    name, lo, hi, n = parts
-    return GridAxis(name, pio.to_number(lo, "grid minimum"),
-                    pio.to_number(hi, "grid maximum"),
-                    pio.to_number(n, "grid point count", int), log=log)
+    lo, hi, n = rest[:3]
+    return [name, pio.to_number(lo, "grid minimum"),
+            pio.to_number(hi, "grid maximum"),
+            pio.to_number(n, "grid point count", int), *rest[3:]]
 
 
 def _parse_times(text):
@@ -84,77 +76,48 @@ def _parse_assignments(text, names):
     return out
 
 
-def _load_input(args):
-    if args.input:
-        data = pio.parse_dataset(args.input)
-        label = args.input
-    else:
-        data = pio.load_bundled(args.model)
-        label = f"bundled:mwanza_{args.model}"
-    if data.kind != args.model:
-        raise ConfigError(f"dataset {label} is {data.kind!r}, but --model "
-                          f"says {args.model!r}")
-    return data, label
+def _manifest(args, runs=(), **settings):
+    """The default manifest with this command's seed, budget and runs."""
+    return {**pio.default_manifest(args.seed), "max_evals": args.max_evals,
+            "runs": list(runs), **settings}
 
 
-def _cmd_fit(args):
-    data, label = _load_input(args)
-    bundle = pio.analyze(data, seed=args.seed, levels=_parse_levels(args.levels),
-                         max_evals=args.max_evals, input_label=label)
-    out = _resolve_out(args.out)
-    written = pio.emit_report(out, [bundle],
-                              config={"seed": args.seed,
-                                      "levels": list(_parse_levels(args.levels)),
-                                      "command": "fit"})
-    for path in written:
-        print(path)
-    return 0 if bundle.fit.converged else 4
+def _run_of(args, **sections):
+    return {"model": args.model, "input": args.input or "bundled", **sections}
 
 
-def _cmd_surface(args):
-    data, label = _load_input(args)
+def _fit_manifest(args):
+    return _manifest(args, [_run_of(args)], levels=_parse_levels(args.levels))
+
+
+def _surface_manifest(args):
     axes = [_parse_grid_axis(g) for g in args.grid or []]
     if not axes and args.model == NONGENDER:
-        axes = [GridAxis(*spec) for spec in pio.DEFAULT_SURFACE_AXES]
-    if len(axes) != 2:
-        raise ConfigError("surface needs exactly two --grid axes")
-    bundle = pio.analyze(data, seed=args.seed, max_evals=args.max_evals,
-                         input_label=label)
-    free = {a.name for a in axes}
-    fixed = {n: float(v)
-             for n, v in zip(PARAM_NAMES[args.model], bundle.fit.estimates)
-             if n not in free}
-    surface = likelihood_surface(args.model, data, GridSpec(tuple(axes)), fixed)
-    out = _resolve_out(args.out)
-    key = f"{args.model}_{axes[0].name}_{axes[1].name}"
-    written = pio.emit_report(out, [bundle], surfaces={key: surface},
-                              config={"seed": args.seed, "levels": [],
-                                      "command": "surface"})
-    for path in written:
-        print(path)
-    return 0
+        axes = [list(a) for a in pio.DEFAULT_SURFACE_AXES]
+    return _manifest(args, [_run_of(args, surface={"axes": axes})])
 
 
-def _cmd_profile(args):
-    data, label = _load_input(args)
-    bundle = pio.analyze(data, seed=args.seed, max_evals=args.max_evals,
-                         input_label=label)
-    profiles = {}
-    if args.grid:
-        for text in args.grid:
-            axis = _parse_grid_axis(text)
-            profiles[f"{args.model}_{axis.name}"] = slice_profile(
-                args.model, data, axis.name, axis, bundle.fit.params)
-    else:
-        pio._run_profiles(bundle, {"points": 101, "half_width_sigmas": 4.0},
-                          profiles)
-    out = _resolve_out(args.out)
-    written = pio.emit_report(out, [bundle], profiles=profiles,
-                              config={"seed": args.seed, "levels": [],
-                                      "command": "profile"})
-    for path in written:
-        print(path)
-    return 0
+def _profile_manifest(args):
+    profiles = ({"axes": [_parse_grid_axis(g) for g in args.grid]} if args.grid
+                else {"points": 101, "half_width_sigmas": 4.0})
+    return _manifest(args, [_run_of(args, profiles=profiles)])
+
+
+def _validate_manifest(args):
+    axes = [pio.grid_axis(_parse_grid_axis(g)) for g in args.grid or []]
+    return _manifest(args, validation={
+        "model": args.model,
+        "grid": {axis.name: axis.values().tolist() for axis in axes},
+        "replicates": args.reps, "times": _parse_times(args.times),
+        "init": "bundled"})
+
+
+def _report_all_manifest(args):
+    manifest = (pio.load_manifest(args.manifest) if args.manifest
+                else pio.default_manifest())
+    if args.seed is not None:
+        manifest["seed"] = args.seed
+    return manifest
 
 
 def _cmd_simulate(args):
@@ -173,7 +136,7 @@ def _cmd_simulate(args):
     else:
         init = pio.load_bundled(args.model).initial
     times = _parse_times(args.times)
-    out = _resolve_out(args.out)
+    out = os.environ.get(pio.OUTPUT_DIR_ENV) or args.out
     os.makedirs(out, exist_ok=True)
     for rep in range(args.reps):
         seed = derive_seed(args.seed, rep)
@@ -186,39 +149,11 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_validate(args):
-    names = PARAM_NAMES[args.model]
-    axes = {a.name: a for a in (_parse_grid_axis(g) for g in args.grid or [])}
-    missing = [n for n in names if n not in axes]
-    if missing:
-        raise ConfigError(f"validate needs a --grid for each parameter; "
-                          f"missing {missing}")
-    grid_cfg = {n: [float(v) for v in axes[n].values()] for n in names}
-    config = {"model": args.model, "grid": grid_cfg,
-              "replicates": args.reps,
-              "times": list(_parse_times(args.times)),
-              "init": "bundled"}
-    kind, records = pio._run_validation(config, args.seed, args.max_evals)
-    out = _resolve_out(args.out)
-    written = pio.emit_report(out, [], validation=records, validation_kind=kind,
-                              config={"seed": args.seed, "levels": [],
-                                      "command": "validate",
-                                      "validation": config})
+def _cmd_analysis(args):
+    written, converged = pio.run_manifest(args.manifest_of(args), args.out)
     for path in written:
         print(path)
-    return 0
-
-
-def _cmd_report_all(args):
-    manifest = (pio.load_manifest(args.manifest) if args.manifest
-                else pio.default_manifest())
-    if args.seed is not None:
-        manifest["seed"] = args.seed
-    out = _resolve_out(args.out)
-    written = pio.run_manifest(manifest, out)
-    for path in written:
-        print(path)
-    return 0
+    return 0 if converged else 4
 
 
 def _add_common(parser, model_required=True):
@@ -250,19 +185,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--levels", default="0.67,0.95",
                    help="comma-separated confidence levels")
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_analysis, manifest_of=_fit_manifest)
 
     p = sub.add_parser("surface", help="log-likelihood grid for heatmaps")
     _add_common(p)
     p.add_argument("--grid", action="append",
                    help="axis spec name:min:max:n (twice)")
-    p.set_defaults(func=_cmd_surface)
+    p.set_defaults(func=_cmd_analysis, manifest_of=_surface_manifest)
 
     p = sub.add_parser("profile", help="fixed-slice likelihood curves")
     _add_common(p)
     p.add_argument("--grid", action="append",
                    help="axis spec name:min:max:n (default: all parameters)")
-    p.set_defaults(func=_cmd_profile)
+    p.set_defaults(func=_cmd_analysis, manifest_of=_profile_manifest)
 
     p = sub.add_parser("simulate", help="generate synthetic cohort datasets")
     _add_common(p)
@@ -281,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_count_option("--reps"), default=50,
                    help="replicates per cell")
     p.add_argument("--times", default="0,2", help="observation times (years)")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_analysis, manifest_of=_validate_manifest)
 
     p = sub.add_parser("report-all", help="run the full reproduction pipeline")
     p.add_argument("--manifest", help="manifest JSON (default: bundled runs)")
     p.add_argument("--out", default=DEFAULT_OUT, help="output directory")
     p.add_argument("--seed", type=_integer_option("--seed"), default=None,
                    help="override manifest seed")
-    p.set_defaults(func=_cmd_report_all)
+    p.set_defaults(func=_cmd_analysis, manifest_of=_report_all_manifest)
     return parser
 
 

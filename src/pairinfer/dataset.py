@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -35,6 +36,8 @@ class Dataset:
             raise DomainError("times and observations must have equal length")
         if len(self.times) < 2:
             raise DomainError("at least two observation times required")
+        if not all(math.isfinite(t) for t in self.times):
+            raise DomainError(f"observation times must be finite, got {self.times}")
         for a, b in zip(self.times, self.times[1:]):
             if not b > a:
                 raise DomainError(

@@ -31,7 +31,3 @@ class InfeasibleDataError(PairinferError):
 
 class SingularStencilError(PairinferError):
     """Finite-difference stencil hit non-finite objective values after retries."""
-
-
-class InternalConsistencyError(PairinferError):
-    """A computed probability left [0, 1] by more than tolerance."""

@@ -8,12 +8,19 @@ profiles, ellipse point lists, validation records), one human-readable
 ``report.txt`` and one machine-readable ``summary.json``.  Every number in
 the report is printed with six significant digits and also appears in the
 summary; all outputs are byte-reproducible for identical inputs and seeds.
+
+:func:`run_manifest` is the one analysis pipeline: every analysis command
+of the CLI is a manifest run by it.  It checks every manifest value (a bad
+one is a ConfigError) and reads every dataset before the first fit, and
+echoes the manifest under ``config`` in ``summary.json``, so the echo
+replays the run.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
 import math
 import os
@@ -259,7 +266,6 @@ class AnalysisBundle:
     theta_approx: tuple | None = None
     infections_at_reference: InfectionsTable | None = None
     is_bundled: bool = False
-    levels: tuple = (0.67, 0.95)
 
 
 def analyze(data: Dataset, seed=0, levels=(0.67, 0.95), max_evals=50_000,
@@ -304,7 +310,6 @@ def analyze(data: Dataset, seed=0, levels=(0.67, 0.95), max_evals=50_000,
         theta_approx=theta,
         infections_at_reference=at_reference,
         is_bundled=bundled,
-        levels=tuple(levels),
     )
 
 
@@ -720,54 +725,36 @@ def _profile_axis(name, estimate, sigma, points, half_width_sigmas):
     return GridAxis(name, lo, hi, points)
 
 
-def _run_surfaces(bundle: AnalysisBundle, config, surfaces):
-    if not config:
+def _section_axes(bundle: AnalysisBundle, section):
+    """The axes of a checked surface or profiles section for this fit."""
+    axes, points, half_width = section
+    if axes is not None:
+        return axes
+    fit = bundle.fit
+    se = (fit.std_errors if fit.std_errors is not None
+          else [None] * len(fit.estimates))
+    return [_profile_axis(name, float(est), None if s is None else float(s),
+                          points, half_width)
+            for name, est, s in zip(PARAM_NAMES[bundle.kind], fit.estimates, se)]
+
+
+def _run_surfaces(bundle: AnalysisBundle, section, surfaces):
+    if section is None:
         return
     kind = bundle.kind
-    names = PARAM_NAMES[kind]
-    fit = bundle.fit
-    if "axes" in config:
-        ax0, ax1 = (GridAxis(a[0], a[1], a[2], int(a[3]))
-                    for a in config["axes"])
-        fixed = {n: float(v) for n, v in zip(names, fit.estimates)
+    for ax0, ax1 in itertools.combinations(_section_axes(bundle, section), 2):
+        fixed = {n: float(v) for n, v in zip(PARAM_NAMES[kind], bundle.fit.estimates)
                  if n not in (ax0.name, ax1.name)}
-        result = likelihood_surface(kind, bundle.data,
-                                    GridSpec((ax0, ax1)), fixed)
-        surfaces[f"{kind}_{ax0.name}_{ax1.name}"] = result
-        return
-    points = int(config.get("pairwise_points", 41))
-    hw = float(config.get("half_width_sigmas", 3.0))
-    se = fit.std_errors if fit.std_errors is not None else [None] * len(names)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            ax0 = _profile_axis(names[i], float(fit.estimates[i]),
-                                None if se[i] is None else float(se[i]),
-                                points, hw)
-            ax1 = _profile_axis(names[j], float(fit.estimates[j]),
-                                None if se[j] is None else float(se[j]),
-                                points, hw)
-            fixed = {n: float(v) for n, v in zip(names, fit.estimates)
-                     if n not in (ax0.name, ax1.name)}
-            result = likelihood_surface(kind, bundle.data,
-                                        GridSpec((ax0, ax1)), fixed)
-            surfaces[f"{kind}_{ax0.name}_{ax1.name}"] = result
+        surfaces[f"{kind}_{ax0.name}_{ax1.name}"] = likelihood_surface(
+            kind, bundle.data, GridSpec((ax0, ax1)), fixed)
 
 
-def _run_profiles(bundle: AnalysisBundle, config, profiles):
-    if not config:
+def _run_profiles(bundle: AnalysisBundle, section, profiles):
+    if section is None:
         return
-    kind = bundle.kind
-    names = PARAM_NAMES[kind]
-    fit = bundle.fit
-    points = int(config.get("points", 101))
-    hw = float(config.get("half_width_sigmas", 4.0))
-    se = fit.std_errors if fit.std_errors is not None else [None] * len(names)
-    for k, name in enumerate(names):
-        axis = _profile_axis(name, float(fit.estimates[k]),
-                             None if se[k] is None else float(se[k]),
-                             points, hw)
-        profiles[f"{kind}_{name}"] = slice_profile(kind, bundle.data, name,
-                                                   axis, fit.params)
+    for axis in _section_axes(bundle, section):
+        profiles[f"{bundle.kind}_{axis.name}"] = slice_profile(
+            bundle.kind, bundle.data, axis.name, axis, bundle.fit.params)
 
 
 def _run_ellipses(bundle: AnalysisBundle, enabled, levels, ellipses):
@@ -813,82 +800,155 @@ def to_count(value, what):
     return count
 
 
-def _run_validation(config, master_seed, max_evals):
-    kind = config.get("model", NONGENDER)
-    spec = model_spec(kind)
-    names = spec.param_names
-    grid_cfg = config.get("grid")
-    if not grid_cfg:
-        raise ConfigError("validation configuration needs a 'grid' mapping")
-    value_lists = []
-    for name in names:
-        if name not in grid_cfg:
-            raise ConfigError(f"validation grid missing parameter {name!r}")
-        value_lists.append([float(v) for v in grid_cfg[name]])
-    truth_grid = []
+def _listed(value, what) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return list(value)
 
-    # row-major cartesian product in parameter order
-    def build(prefix, remaining):
-        if not remaining:
-            truth_grid.append(params_from_vector(kind, prefix))
-            return
-        for v in remaining[0]:
-            build(prefix + [v], remaining[1:])
-    build([], value_lists)
-    times = tuple(float(t) for t in config.get("times", (0.0, 2.0)))
-    init_cfg = config.get("init", "bundled")
-    if init_cfg == "bundled":
-        init = load_bundled(kind).initial
+
+def _numbers(value, what, convert=float) -> list:
+    return [to_number(v, what, convert) for v in _listed(value, what)]
+
+
+def grid_axis(spec, what="grid axis") -> GridAxis:
+    """The axis ``[name, min, max, n]``, log-spaced with ``"log"`` appended.
+
+    Manifest surface and profile axes take this form, and so does the
+    command line's ``--grid name:min:max:n[:log]`` once split.
+    """
+    if not (isinstance(spec, (list, tuple)) and len(spec) in (4, 5)
+            and tuple(spec[4:]) in ((), ("log",))):
+        raise ConfigError(f'{what} must be [name, min, max, n] or '
+                          f'[name, min, max, n, "log"], got {spec!r}')
+    name, lo, hi, n = spec[:4]
+    return GridAxis(name, to_number(lo, f"{what} minimum"),
+                    to_number(hi, f"{what} maximum"),
+                    to_number(n, f"{what} point count", int),
+                    log=len(spec) == 5)
+
+
+def _grid_section(run, key, points_key, points, half_width):
+    """A run's ``surface`` or ``profiles`` section, or None if it has none.
+
+    The section is ``(axes, points, half_width)``: its explicit axes, or
+    None for ``points``-point axes spanning ``half_width`` standard
+    errors either side of each estimate.
+    """
+    section = run.get(key)
+    if not section:
+        return None
+    if not isinstance(section, dict):
+        raise ConfigError(f"manifest {key} must be an object, got {section!r}")
+    if "axes" in section:
+        return ([grid_axis(a, f"{key} axis")
+                 for a in _listed(section["axes"], f"{key} axes")], None, None)
+    return (None, to_count(section.get(points_key, points), f"{key} {points_key}"),
+            to_number(section.get("half_width_sigmas", half_width),
+                      f"{key} half_width_sigmas"))
+
+
+def _run_settings(run):
+    """A manifest run, checked and loaded: (data, label, surface, profiles,
+    ellipses)."""
+    if not isinstance(run, dict):
+        raise ConfigError(f"manifest run must be an object, got {run!r}")
+    kind = model_spec(run.get("model")).kind
+    source = run.get("input", "bundled")
+    if source == "bundled":
+        data, label = load_bundled(kind), f"bundled:mwanza_{kind}"
+    elif isinstance(source, str):
+        data, label = parse_dataset(source), source
     else:
-        init = spec.counts_type(*init_cfg)
+        raise ConfigError(f"manifest input must be a path, got {source!r}")
+    if data.kind != kind:
+        raise ConfigError(f"dataset {label} has kind {data.kind!r}, "
+                          f"manifest says {kind!r}")
+    surface = _grid_section(run, "surface", "pairwise_points", 41, 3.0)
+    if surface and surface[0] is not None and len(surface[0]) != 2:
+        raise ConfigError(f"a surface needs exactly two axes, got "
+                          f"{len(surface[0])}")
+    return (data, label, surface,
+            _grid_section(run, "profiles", "points", 101, 4.0),
+            bool(run.get("ellipses")))
+
+
+def _validation_settings(config):
+    """A manifest's validation section, checked: (kind, truth grid,
+    initial counts, times, replicates)."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"manifest validation must be an object, got {config!r}")
+    spec = model_spec(config.get("model", NONGENDER))
+    grid = config.get("grid")
+    if not isinstance(grid, dict):
+        raise ConfigError("validation configuration needs a 'grid' mapping")
+    unknown = sorted(set(grid) - set(spec.param_names))
+    if unknown:
+        raise ConfigError(f"validation grid has unknown parameters {unknown}")
+    value_lists = []
+    for name in spec.param_names:
+        if name not in grid:
+            raise ConfigError(f"validation grid missing parameter {name!r}")
+        value_lists.append(_numbers(grid[name], f"validation grid {name}"))
+    # row-major cartesian product in parameter order
+    truth_grid = [params_from_vector(spec.kind, v)
+                  for v in itertools.product(*value_lists)]
+    times = tuple(_numbers(config.get("times", (0.0, 2.0)), "validation times"))
+    init = config.get("init", "bundled")
+    if init == "bundled":
+        init = load_bundled(spec.kind).initial
+    else:
+        counts = _numbers(init, "validation init")
+        if len(counts) != len(spec.state_labels):
+            raise ConfigError(f"validation init needs the {len(spec.state_labels)} "
+                              f"counts {','.join(spec.state_labels)}, got {init!r}")
+        init = spec.counts_type(*counts)
     reps = to_count(config.get("replicates", 50), "validation replicates")
-
-    def fit(fit_kind, data, seed):
-        # recovery records carry point estimates only: no information stage
-        return fit_mle(fit_kind, data, seed=seed, max_evals=max_evals,
-                       uncertainty=False)
-
-    records = validation_sweep(truth_grid, init, times, reps, master_seed, fit)
-    return kind, records
+    return spec.kind, truth_grid, init, times, reps
 
 
-def run_manifest(manifest, out_dir) -> list:
-    """Execute a manifest end to end and emit every artifact into out_dir."""
+def run_manifest(manifest, out_dir) -> tuple:
+    """Execute a manifest end to end and emit every artifact into out_dir.
+
+    Every value is checked, and every dataset read, before the first fit.
+    Returns the written paths and whether every run's fit converged; the
+    validation replicates carry their own flags in ``validation.csv``.
+    """
     seed = to_number(manifest.get("seed", DEFAULT_SEED), "manifest seed", int)
-    levels = tuple(to_number(v, "manifest level")
-                   for v in manifest.get("levels", (0.67, 0.95)))
+    levels = tuple(_numbers(manifest.get("levels", (0.67, 0.95)),
+                            "manifest levels"))
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise ConfigError(f"manifest level {level} outside (0, 1)")
     max_evals = to_count(manifest.get("max_evals", 50_000), "manifest max_evals")
+    runs = [_run_settings(run)
+            for run in _listed(manifest.get("runs"), "manifest runs")]
+    validation = (_validation_settings(manifest["validation"])
+                  if manifest.get("validation") else None)
     bundles = []
     surfaces = {}
     profiles = {}
     ellipses = {}
-    for run in manifest["runs"]:
-        kind = run["model"]
-        if kind not in PARAM_NAMES:
-            raise ConfigError(f"unknown model kind {kind!r} in manifest")
-        source = run.get("input", "bundled")
-        if source == "bundled":
-            data = load_bundled(kind)
-            label = f"bundled:mwanza_{kind}"
-        else:
-            data = parse_dataset(source)
-            label = str(source)
-        if data.kind != kind:
-            raise ConfigError(f"dataset {label} has kind {data.kind!r}, "
-                              f"manifest says {kind!r}")
+    for data, label, surface, profile, show_ellipses in runs:
         bundle = analyze(data, seed=seed, levels=levels, max_evals=max_evals,
                          input_label=label)
         bundles.append(bundle)
-        _run_surfaces(bundle, run.get("surface"), surfaces)
-        _run_profiles(bundle, run.get("profiles"), profiles)
-        _run_ellipses(bundle, run.get("ellipses"), levels, ellipses)
-    validation = None
-    validation_kind = None
-    if manifest.get("validation"):
-        validation_kind, validation = _run_validation(
-            manifest["validation"], seed, max_evals)
+        _run_surfaces(bundle, surface, surfaces)
+        _run_profiles(bundle, profile, profiles)
+        _run_ellipses(bundle, show_ellipses, levels, ellipses)
+    records = validation_kind = None
+    if validation:
+        validation_kind, truth_grid, init, times, reps = validation
+
+        def fit(fit_kind, data, fit_seed):
+            # recovery records carry point estimates only: no information stage
+            return fit_mle(fit_kind, data, seed=fit_seed, max_evals=max_evals,
+                           uncertainty=False)
+
+        records = validation_sweep(truth_grid, init, times, reps, seed, fit)
     config_echo = {"seed": seed, "levels": list(levels),
                    "max_evals": max_evals, "manifest": manifest}
-    return emit_report(out_dir, bundles, surfaces=surfaces, profiles=profiles,
-                       ellipses=ellipses, validation=validation,
-                       validation_kind=validation_kind, config=config_echo)
+    written = emit_report(out_dir, bundles, surfaces=surfaces,
+                          profiles=profiles, ellipses=ellipses,
+                          validation=records, validation_kind=validation_kind,
+                          config=config_echo)
+    return written, all(bundle.fit.converged for bundle in bundles)

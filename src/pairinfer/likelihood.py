@@ -20,7 +20,7 @@ observed information that the Newton polish and the standard errors use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,6 +160,8 @@ class GridAxis:
     log: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError("grid axis bounds must be finite")
         if self.n < 1:
             raise ConfigError("grid axis needs at least one point")
         if self.lo < 0:
@@ -205,7 +207,6 @@ class SurfaceResult:
     normalized: np.ndarray
     max_loglik: float
     argmax: tuple
-    fixed: dict = field(default_factory=dict)
 
 
 def _resolve_axes(kind, grid: GridSpec, fixed):
@@ -260,7 +261,6 @@ def likelihood_surface(kind, data: Dataset, grid: GridSpec, fixed=None) -> Surfa
         normalized=normalized,
         max_loglik=max_ll,
         argmax=tuple(int(k) for k in argmax),
-        fixed=fixed,
     )
 
 
@@ -271,7 +271,6 @@ class ProfileCurve:
     name: str
     values: np.ndarray
     loglik: np.ndarray
-    anchor: tuple
 
 
 def slice_profile(kind, data: Dataset, vary: str, axis: GridAxis, anchor) -> ProfileCurve:
@@ -285,11 +284,9 @@ def slice_profile(kind, data: Dataset, vary: str, axis: GridAxis, anchor) -> Pro
         raise ConfigError(f"unknown parameter {vary!r} for model {kind!r}")
     if axis.name != vary:
         raise ConfigError(f"axis name {axis.name!r} does not match vary={vary!r}")
-    anchor_vec = list(anchor.as_vector())
     xs = axis.values()
     rates = np.empty((len(xs), len(names)))
-    rates[:] = anchor_vec
+    rates[:] = list(anchor.as_vector())
     rates[:, names.index(vary)] = xs
-    ys = log_likelihood_batch(kind, data, rates)
-    return ProfileCurve(name=vary, values=xs, loglik=ys,
-                        anchor=tuple(anchor_vec))
+    return ProfileCurve(name=vary, values=xs,
+                        loglik=log_likelihood_batch(kind, data, rates))

@@ -164,7 +164,7 @@ def gillespie_simulate(params, init, times, seed):
 
 
 def validation_sweep(truth_grid, init, times, n_replicates, master_seed,
-                     fit, bounds=None) -> list:
+                     fit) -> list:
     """Simulate-and-refit over a grid of true parameters.
 
     ``fit`` is the fitting callable (kind, dataset, seed) -> FitResult-like

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 
 from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        DomainError, GenderPairCounts, GenderParams,
-                       InternalConsistencyError, NonGenderParams, PairCounts,
+                       NonGenderParams, PairCounts, PairinferError,
                        SimplexResult, nongender_dataset, solve_gender,
                        solve_nongender)
 from pairinfer.model import (EPS_SINGULAR, _check_nonnegative, _check_time,
@@ -407,6 +407,10 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
 
 # ---------------------------------------------------------------------------
 # the one-shot sampler
+
+class InternalConsistencyError(PairinferError):
+    """A computed probability left [0, 1] by more than tolerance."""
+
 
 def _class_distributions(params, init, t):
     """Per-pair state distribution at time t for each initial state class."""

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import pairinfer.cli
 import pairinfer.io
-from pairinfer import (Dataset, GridAxis, GridSpec, ParseError, analyze,
-                       emit_report, fit_mle, likelihood_surface, load_bundled,
-                       nongender_dataset, parse_dataset, write_dataset)
+from pairinfer import (Dataset, DomainError, GridAxis, GridSpec, ParseError,
+                       analyze, emit_report, fit_mle, likelihood_surface,
+                       load_bundled, nongender_dataset, parse_dataset,
+                       write_dataset)
 from pairinfer.cli import main
 from pairinfer.io import fmt
 
@@ -207,11 +208,15 @@ def test_cli_infeasible_fit_stops_early(tmp_path, monkeypatch):
     assert 0 < len(calls) <= 1_000
 
 
-def test_cli_nonconvergence_exit_4(tmp_path):
+def _three_time_cohort(path):
     # three times: no closed-form start, so 20 evaluations cannot converge
-    cohort = tmp_path / "three_times.csv"
-    cohort.write_text("time,SS,SI,II\n0,1500,250,52\n1.5,1460,268,74\n"
-                      "4,1400,281,121\n")
+    path.write_text("time,SS,SI,II\n0,1500,250,52\n1.5,1460,268,74\n"
+                    "4,1400,281,121\n")
+    return path
+
+
+def test_cli_nonconvergence_exit_4(tmp_path):
+    cohort = _three_time_cohort(tmp_path / "three_times.csv")
     out = tmp_path / "shortrun"
     code = main(["fit", "--model", "nongender", "--input", str(cohort),
                  "--out", str(out), "--max-evals", "20", "--seed", "1"])
@@ -364,7 +369,8 @@ def test_cli_surface_long_horizon_tau_below_lambda(tmp_path):
 
 def test_cli_surface_fits_once(tmp_path, monkeypatch):
     grid = ("lambda_m:0:0.01:5", "tau_mf:0:0.2:6")
-    # reference: the surface built from a separate fit, as the command once did
+    # reference: the surface built from a separate fit, as the command once
+    # did, reported with the manifest the command echoes
     data = load_bundled("gender")
     fit = fit_mle("gender", data, seed=3)
     fixed = {"lambda_f": float(fit.estimates[1]),
@@ -373,9 +379,15 @@ def test_cli_surface_fits_once(tmp_path, monkeypatch):
                      GridAxis("tau_mf", 0.0, 0.2, 6)))
     surface = likelihood_surface("gender", data, axes, fixed)
     bundle = analyze(data, seed=3, input_label="bundled:mwanza_gender")
+    manifest = {"seed": 3, "levels": [0.67, 0.95], "max_evals": 50_000,
+                "runs": [{"model": "gender", "input": "bundled",
+                          "surface": {"axes": [["lambda_m", 0.0, 0.01, 5],
+                                               ["tau_mf", 0.0, 0.2, 6]]}}],
+                "validation": None}
     ref = tmp_path / "ref"
     emit_report(ref, [bundle], surfaces={"gender_lambda_m_tau_mf": surface},
-                config={"seed": 3, "levels": [], "command": "surface"})
+                config={"seed": 3, "levels": [0.67, 0.95],
+                        "max_evals": 50_000, "manifest": manifest})
 
     fits = []
     real_fit = pairinfer.io.fit_mle
@@ -414,19 +426,31 @@ _VALIDATE = ["validate", "--model", "nongender", "--grid", "lambda:0.002:0.004:2
     _VALIDATE + ["--reps", "0"],
     _VALIDATE + ["--times", "0,x"],
     ["fit", "--model", "nongender", "--levels", "x"],
+    ["fit", "--model", "nongender", "--levels", "0.5,1.5"],
     ["surface", "--model", "nongender", "--grid", "lambda:a:1:3",
      "--grid", "tau:0.01:0.2:4"],
     ["surface", "--model", "nongender", "--grid", "lambda:0:1:x",
      "--grid", "tau:0.01:0.2:4"],
+    ["surface", "--model", "nongender", "--grid", "lambda:0:inf:3",
+     "--grid", "tau:0.01:0.2:4"],
 ], ids=["init-text", "init-short", "times-text", "rates-text", "simulate-reps-0",
-        "validate-reps-0", "validate-times-text", "levels-text", "grid-bound-text",
-        "grid-count-text"])
+        "validate-reps-0", "validate-times-text", "levels-text", "levels-range",
+        "grid-bound-text",
+        "grid-count-text", "grid-bound-inf"])
 def test_cli_bad_option_values_are_config_errors(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def test_grid_log_flag_spaces_an_axis_geometrically(tmp_path):
+    out = tmp_path / "prof"
+    assert main(["profile", "--model", "nongender", "--out", str(out),
+                 "--grid", "lambda:0.0001:0.01:3:log"]) == 0
+    rows = (out / "profile_nongender_lambda.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.0001", "0.001", "0.01"]
 
 
 def test_cli_consecutive_calls_share_no_values(tmp_path):
@@ -536,3 +560,113 @@ def test_cli_unusable_out_is_config_error(argv, where, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write output")
     assert blocker.read_text() == "in the way"
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "--model", "nongender"],
+    ["profile", "--model", "nongender"],
+    ["report-all", "--manifest", "manifest.json"],
+], ids=["surface", "profile", "report-all"])
+def test_every_analysis_command_exits_4_on_nonconvergence(argv, tmp_path,
+                                                          monkeypatch):
+    # report-all, surface and profile once exited 0 with converged false
+    monkeypatch.chdir(tmp_path)
+    _three_time_cohort(tmp_path / "three_times.csv")
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "seed": 1, "max_evals": 20,
+        "runs": [{"model": "nongender", "input": "three_times.csv",
+                  "profiles": {"points": 11}}]}))
+    if argv[0] != "report-all":
+        argv = argv + ["--input", "three_times.csv", "--max-evals", "20",
+                       "--seed", "1"]
+    assert main(argv + ["--out", "out"]) == 4
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["models"]["nongender"]["mle"]["converged"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--model", "nongender", "--input", "cohort.csv",
+     "--levels", "0.5,0.9", "--seed", "4"],
+    ["surface", "--model", "nongender", "--seed", "2"],
+    ["surface", "--model", "gender", "--grid", "lambda_m:0:0.01:5",
+     "--grid", "tau_mf:0.001:0.2:6:log"],
+    ["profile", "--model", "gender", "--seed", "1"],
+    ["profile", "--model", "nongender", "--grid", "tau:0.01:0.2:31",
+     "--grid", "lambda:0.0001:0.01:9:log"],
+    ["validate", "--model", "nongender", "--grid", "lambda:0.002:0.004:2",
+     "--grid", "tau:0.05:0.05:1", "--reps", "2", "--seed", "5"],
+], ids=["fit", "surface", "surface-grid", "profile", "profile-grid",
+        "validate"])
+def test_command_summary_replays_through_report_all(argv, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cohort.csv").write_text(
+        "time,SS,SI,II\n0,1742,43,17\n1,1733,49,20\n3,1710,62,30\n")
+    assert main(argv + ["--out", "command"]) == 0
+    config = json.loads((tmp_path / "command" / "summary.json").read_text())[
+        "config"]
+    (tmp_path / "manifest.json").write_text(json.dumps(config["manifest"]))
+    assert main(["report-all", "--manifest", "manifest.json",
+                 "--out", "replay"]) == 0
+    names = sorted(os.listdir(tmp_path / "command"))
+    assert sorted(os.listdir(tmp_path / "replay")) == names
+    for name in names:
+        assert ((tmp_path / "command" / name).read_bytes()
+                == (tmp_path / "replay" / name).read_bytes()), name
+
+
+_RUN = {"model": "nongender"}
+_VALIDATION = {"model": "nongender", "replicates": 1,
+               "grid": {"lambda": [0.003], "tau": [0.05]}}
+
+
+@pytest.mark.parametrize("manifest", [
+    {"runs": [], "validation": {**_VALIDATION, "init": [1, 2]}},
+    {"runs": [_RUN], "levels": 1.5},
+    {"runs": [{"input": "bundled"}]},
+    {"runs": 5},
+    {"runs": [{**_RUN, "surface": {"axes": [["lambda", "x", 0.01, 5],
+                                            ["tau", 0.001, 0.3, 5]]}}]},
+    {"runs": [{**_RUN, "profiles": {"points": "x"}}]},
+    {"runs": [], "validation": {**_VALIDATION,
+                                "grid": {"lambda": 0.003, "tau": [0.05]}}},
+    {"runs": [{"model": "gender", "surface": {"axes": [
+        [name, 0.001, 0.01, 3] for name in ("lambda_m", "lambda_f", "tau_mf")]}}]},
+    {"runs": [{**_RUN, "input": 5}]},
+    {"runs": [{**_RUN, "surface": 5}]},
+    {"runs": [], "validation": {**_VALIDATION, "times": 2}},
+    {"runs": [], "validation": {**_VALIDATION, "grid": {
+        "lambda": [0.003], "tau": [0.05], "theta": [1.0]}}},
+    # no standard errors on this fit, so no interval would check the level
+    {"runs": [{"model": "gender", "input": "stationary.csv"}],
+     "levels": [1.5]},
+], ids=["init-short", "levels-scalar", "run-without-model", "runs-scalar",
+        "surface-axis-text", "profile-points-text", "grid-scalar",
+        "surface-three-axes", "input-number", "surface-scalar",
+        "times-scalar", "grid-unknown-parameter", "level-range"])
+def test_malformed_manifests_are_config_errors(manifest, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "stationary.csv").write_text(
+        "time,SS,IS,SI,II\n0,100,10,5,3\n1,100,10,5,3\n2,100,10,5,3\n")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert main(["report-all", "--manifest", str(path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("time", ["inf", "nan"])
+def test_non_finite_observation_times_are_parse_errors(time, tmp_path,
+                                                        capsys):
+    with pytest.raises(DomainError, match="finite"):
+        nongender_dataset((0.0, float(time)), [(100, 30, 20), (90, 35, 25)])
+    table = tmp_path / "cohort.csv"
+    table.write_text(f"time,SS,SI,II\n0,100,30,20\n{time},90,35,25\n")
+    assert main(["fit", "--model", "nongender", "--input", str(table),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

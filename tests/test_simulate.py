@@ -125,8 +125,6 @@ def test_exact_sample_absorbing_ii():
 
 
 def test_exact_sample_internal_consistency_guard(monkeypatch):
-    from pairinfer.errors import InternalConsistencyError
-
     def broken(params, init, t):
         class Bad:
             def as_tuple(self):
@@ -135,7 +133,7 @@ def test_exact_sample_internal_consistency_guard(monkeypatch):
         return Bad()
 
     monkeypatch.setattr(oracles, "solve_nongender", broken)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(oracles.InternalConsistencyError):
         exact_sample(MWANZA_PARAMS, MWANZA_INIT, 1.0, seed=0)
 
 
