@@ -25,6 +25,7 @@ from .dataset import Dataset
 from .errors import (ConfigError, InfeasibleDataError, PairinferError,
                      ParseError)
 from .model import MODELS, NONGENDER, PARAM_NAMES, params_from_vector
+from .neldermead import DEFAULT_MAX_EVALS
 from .simulate import derive_seed, gillespie_simulate
 
 DEFAULT_OUT = "pairinfer-out"
@@ -87,7 +88,7 @@ def _run_of(args, **sections):
 
 
 def _fit_manifest(args):
-    return _manifest(args, [_run_of(args)], levels=_parse_levels(args.levels))
+    return _manifest(args, [_run_of(args)], levels=list(args.levels))
 
 
 def _surface_manifest(args):
@@ -99,7 +100,7 @@ def _surface_manifest(args):
 
 def _profile_manifest(args):
     profiles = ({"axes": [_parse_grid_axis(g) for g in args.grid]} if args.grid
-                else {"points": 101, "half_width_sigmas": 4.0})
+                else dict(pio.DEFAULT_PROFILES))
     return _manifest(args, [_run_of(args, profiles=profiles)])
 
 
@@ -125,16 +126,8 @@ def _cmd_simulate(args):
     params = params_from_vector(
         args.model, [
             _parse_assignments(args.rates, names)[n] for n in names])
-    if args.init:
-        spec = MODELS[args.model]
-        fields = [pio.to_number(v, "initial count")
-                  for v in args.init.split(":")]
-        if len(fields) != len(spec.state_labels):
-            raise ConfigError(f"--init needs {len(spec.state_labels)} counts "
-                              f"separated by ':', got {args.init!r}")
-        init = spec.counts_type(*fields)
-    else:
-        init = pio.load_bundled(args.model).initial
+    init = (pio.initial_counts(args.model, args.init.split(":"), "--init")
+            if args.init else pio.load_bundled(args.model).initial)
     times = _parse_times(args.times)
     out = os.environ.get(pio.OUTPUT_DIR_ENV) or args.out
     os.makedirs(out, exist_ok=True)
@@ -156,16 +149,21 @@ def _cmd_analysis(args):
     return 0 if converged else 4
 
 
-def _add_common(parser, model_required=True):
-    parser.add_argument("--model", choices=tuple(MODELS),
-                        required=model_required, help="model kind")
-    parser.add_argument("--input", help="dataset file (default: bundled cohort)")
+def _add_common(parser, fits=True, reads=True):
+    """The options of a command; ``fits`` adds the evaluation budget and
+    ``reads`` the dataset file."""
+    parser.add_argument("--model", choices=tuple(MODELS), required=True,
+                        help="model kind")
+    if reads:
+        parser.add_argument("--input",
+                            help="dataset file (default: bundled cohort)")
     parser.add_argument("--out", default=DEFAULT_OUT, help="output directory")
     parser.add_argument("--seed", type=_integer_option("--seed"), default=0,
                         help="random seed")
-    parser.add_argument("--max-evals", type=_count_option("--max-evals"),
-                        default=50_000,
-                        help="optimizer evaluation budget")
+    if fits:
+        parser.add_argument("--max-evals", type=_count_option("--max-evals"),
+                            default=DEFAULT_MAX_EVALS,
+                            help="optimizer evaluation budget")
 
 
 @functools.cache
@@ -183,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="maximum-likelihood fit with uncertainty")
     _add_common(p)
-    p.add_argument("--levels", default="0.67,0.95",
+    p.add_argument("--levels", type=_parse_levels, default=pio.DEFAULT_LEVELS,
                    help="comma-separated confidence levels")
     p.set_defaults(func=_cmd_analysis, manifest_of=_fit_manifest)
 
@@ -200,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analysis, manifest_of=_profile_manifest)
 
     p = sub.add_parser("simulate", help="generate synthetic cohort datasets")
-    _add_common(p)
+    _add_common(p, fits=False, reads=False)
     p.add_argument("--rates", required=True,
                    help="true rates, e.g. lambda=0.003,tau=0.056")
     p.add_argument("--init", help="initial counts ss:si:ii (or ss:is:si:ii)")
@@ -210,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("validate", help="simulate-and-refit recovery sweep")
-    _add_common(p)
+    _add_common(p, reads=False)
     p.add_argument("--grid", action="append",
                    help="truth axis spec name:min:max:n (one per parameter)")
     p.add_argument("--reps", type=_count_option("--reps"), default=50,

@@ -11,11 +11,13 @@ every predicted count at T to the observed one, so it attains the saturated
 multinomial bound and no other point can beat it; the fit starts there.
 
 :func:`tau_hat_rootsolve` targets a different quantity, the previously
-published stationarity condition on the discordant-pair prediction, by
-bracketed bisection; it feeds the discrepancy ledger of reports.  A series
-estimator for the coordinate phi (tau = (2*phi + 1)*lambda) is retained
-verbatim for comparison output even though its arithmetic is known not to
-reproduce previously reported values.
+published stationarity condition on the discordant-pair prediction; it
+feeds the discrepancy ledger of reports.  Both solve P_SI(T; lambda, tau) =
+target with one safeguarded Newton solve on log P_SI (:func:`_tau_root`),
+over different brackets and targets.  A series estimator for the
+coordinate phi (tau = (2*phi + 1)*lambda) is retained verbatim for
+comparison output even though its arithmetic is known not to reproduce
+previously reported values.
 """
 
 from __future__ import annotations
@@ -26,17 +28,14 @@ from dataclasses import dataclass
 
 from .dataset import Dataset
 from .errors import (DomainError, ExpansionUndefinedError, NoRootError)
-from .model import (GENDER, NONGENDER, NonGenderParams, _inflow_moments,
-                    solve_nongender)
+from .model import GENDER, NONGENDER, NonGenderParams, _inflow_moments
 
-# Bisection controls for the tau stationarity equation.
-_TAU_ABS_TOL = 1e-10
-_TAU_BRACKET_START = 1.0
+# Upper end of the tau bracket of the stationarity equation.
 _TAU_BRACKET_LIMIT = 1e3
-# The closed-form MLE's safeguarded Newton solve for tau stops at a step
-# below this relative size; the error left is about its square.
-_MLE_TAU_RTOL = 1e-12
-_MLE_TAU_ITERATIONS = 64
+# The safeguarded Newton solve for tau stops at a step below this relative
+# size; the error left is about its square.
+_TAU_RTOL = 1e-12
+_TAU_ITERATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -116,69 +115,97 @@ def phi_hat_binomial(data: Dataset) -> PhiExpansion:
     )
 
 
-def tau_hat_rootsolve(data: Dataset, lambda_hat: float) -> float:
-    """Solve the tau stationarity condition by bracketed bisection.
+def _p_si(obs0, lam, big_t, tau):
+    """P_SI(T; lam, tau) from ``obs0`` and its derivative in tau.
 
-    The target is P_SI(T) = N_SI^0 * (N - P_SS(T; lambda_hat)) / (N - N_SS^0).
-    The bracket starts at [lambda_hat*(1+1e-9), 1.0] and the upper end grows
-    geometrically until a sign change appears or 1e3 is reached; the root is
-    returned to absolute tolerance 1e-10.
+    This is the SI class of :func:`model.count_derivatives`: x = tau - lam
+    and the SS hazard h = 2*lam.
+    """
+    inflow = obs0.ss * 2.0 * lam
+    e, r0, r1, _ = _inflow_moments(tau - lam, 2.0 * lam, big_t)
+    value = obs0.si * e + inflow * r0
+    return value, inflow * r1 - big_t * value
+
+
+def _tau_root(obs0, lam, big_t, target, lo, hi, seed):
+    """The tau in [lo, hi] where P_SI(T; lam, tau) = target, or None.
+
+    P_SI decreases in tau, and log P_SI is nearly linear in it: a Newton
+    solve on log P_SI from ``seed`` (clamped into the bracket) takes a few
+    steps, and a step that leaves the bracket is replaced by false position
+    or bisection.  Returns None when the target lies outside [P_SI(hi),
+    P_SI(lo)] or P_SI does not move with tau.
+    """
+    at_hi = _p_si(obs0, lam, big_t, hi)[0]
+    at_lo = _p_si(obs0, lam, big_t, lo)[0]
+    if not at_hi <= target <= at_lo or at_hi == at_lo:
+        return None
+    if target in (at_lo, at_hi):
+        return lo if target == at_lo else hi
+    p_lo, p_hi = at_lo, at_hi
+    tau = min(max(seed, lo), hi)
+    for _ in range(_TAU_ITERATIONS):
+        value, slope = _p_si(obs0, lam, big_t, tau)
+        if value == target:
+            break
+        if value > target:
+            lo, p_lo = tau, value
+        else:
+            hi, p_hi = tau, value
+        step = (tau - math.log(value / target) * value / slope
+                if value > 0.0 and slope < 0.0 else math.nan)
+        if abs(step - tau) <= _TAU_RTOL * tau:
+            return min(max(step, lo), hi)
+        if not lo < step < hi:
+            if hi - lo <= _TAU_RTOL * hi:
+                break
+            # false position on log P_SI across the bracket, else bisection
+            step = (lo + (hi - lo) * math.log(p_lo / target)
+                    / math.log(p_lo / p_hi) if p_hi > 0.0 else math.nan)
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+        tau = step
+    return tau
+
+
+def tau_hat_rootsolve(data: Dataset, lambda_hat: float) -> float:
+    """Solve the tau stationarity condition for tau.
+
+    The target is P_SI(T) = N_SI^0 * (N - P_SS(T; lambda_hat)) / (N - N_SS^0),
+    solved by :func:`_tau_root` over [lambda_hat*(1+1e-9), 1e3].  A target
+    within a relative 1e-9 of P_SI at the lower end returns that end; any
+    other target outside the bracket's range is a NoRootError.
     """
     if data.kind != NONGENDER:
         raise DomainError("tau root solve applies to the non-gendered model")
     if lambda_hat < 0:
         raise DomainError("lambda_hat must be >= 0")
-    obs0, obs1, big_t = _two_time_counts(data)
+    obs0, _, big_t = _two_time_counts(data)
     n = data.n
     if n - obs0.ss <= 0:
         raise DomainError("N - N_SS^0 must be positive")
-    p_ss_t = solve_nongender(NonGenderParams(lambda_hat, lambda_hat),
-                             obs0, big_t).p_ss
+    p_ss_t = obs0.ss * math.exp(-2.0 * lambda_hat * big_t)
     target = obs0.si * (n - p_ss_t) / (n - obs0.ss)
-
-    def gap(tau):
-        return solve_nongender(NonGenderParams(lambda_hat, tau),
-                               obs0, big_t).p_si - target
-
     lo = lambda_hat * (1.0 + 1e-9)
-    g_lo = gap(lo)
-    if g_lo == 0.0:
+    tau = _tau_root(obs0, lambda_hat, big_t, target, lo, _TAU_BRACKET_LIMIT, lo)
+    if tau is not None:
+        return tau
+    # P_SI decreases in tau; a target at (or just above) the tau = lambda
+    # value means the root sits at the bracket edge.
+    at_lo = _p_si(obs0, lambda_hat, big_t, lo)[0]
+    if abs(at_lo - target) <= 1e-9 * max(1.0, abs(target)):
         return lo
-    hi = max(_TAU_BRACKET_START, lo * 2.0)
-    g_hi = gap(hi)
-    while g_lo * g_hi > 0 and hi < _TAU_BRACKET_LIMIT:
-        hi = min(hi * 2.0, _TAU_BRACKET_LIMIT)
-        g_hi = gap(hi)
-    if g_lo * g_hi > 0:
-        # P_SI is monotone decreasing in tau; a target at (or above) the
-        # tau = lambda boundary value means the root sits at the bracket edge.
-        if abs(g_lo) <= 1e-9 * max(1.0, abs(target)):
-            return lo
-        raise NoRootError("no sign change for tau in "
-                          f"[{lo:g}, {_TAU_BRACKET_LIMIT:g}]; data incompatible "
-                          "with the model")
-    while hi - lo > _TAU_ABS_TOL:
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if g_mid == 0.0:
-            return mid
-        if g_lo * g_mid < 0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
+    raise NoRootError(f"no root for tau in [{lo:g}, {_TAU_BRACKET_LIMIT:g}]; "
+                      "data incompatible with the model")
 
 
 def two_time_mle(data: Dataset, bounds, tau_seed):
     """The non-gendered two-time MLE ``(lambda_hat, tau_hat)``, or None.
 
     lambda_hat = log(N_SS^0 / N_SS^T) / (2 T) and tau_hat is the root of
-    P_SI(T; lambda_hat, tau) = N_SI^T in the tau bounds, so every predicted
-    count at T equals the observed one.  P_SI decreases in tau, and log P_SI
-    is nearly linear in it: a Newton solve on log P_SI from ``tau_seed``
-    (clamped into the bounds) takes a few steps, and a step that leaves the
-    bracket is replaced by false position or bisection.  ``bounds`` are the
-    fit's ``((lam_lo, lam_hi), (tau_lo, tau_hi))``.
+    P_SI(T; lambda_hat, tau) = N_SI^T in the tau bounds (:func:`_tau_root`
+    from ``tau_seed``), so every predicted count at T equals the observed
+    one.  ``bounds`` are the fit's ``((lam_lo, lam_hi), (tau_lo, tau_hi))``.
 
     Returns None where the closed form does not apply: not a non-gendered
     two-time design, N_SS^T = 0 or N_SS^T > N_SS^0, lambda_hat outside its
@@ -194,44 +221,8 @@ def two_time_mle(data: Dataset, bounds, tau_seed):
     lam = math.log(obs0.ss / obs1.ss) / (2.0 * big_t)
     if not lam_lo <= lam <= lam_hi:
         return None
-    inflow = obs0.ss * 2.0 * lam
-    target = obs1.si
-
-    def count_and_slope(tau):
-        # the SI class of model.count_derivatives: x = tau - lam, h = 2*lam
-        e, r0, r1, _ = _inflow_moments(tau - lam, 2.0 * lam, big_t)
-        value = obs0.si * e + inflow * r0
-        return value, inflow * r1 - big_t * value
-
-    at_hi, at_lo = count_and_slope(tau_hi)[0], count_and_slope(tau_lo)[0]
-    if not at_hi <= target <= at_lo or at_hi == at_lo:
-        return None
-    if target in (at_lo, at_hi):
-        return lam, tau_lo if target == at_lo else tau_hi
-    lo, hi, p_lo, p_hi = tau_lo, tau_hi, at_lo, at_hi
-    tau = min(max(tau_seed, lo), hi)
-    for _ in range(_MLE_TAU_ITERATIONS):
-        value, slope = count_and_slope(tau)
-        if value == target:
-            break
-        if value > target:
-            lo, p_lo = tau, value
-        else:
-            hi, p_hi = tau, value
-        step = (tau - math.log(value / target) * value / slope
-                if value > 0.0 and slope < 0.0 else math.nan)
-        if abs(step - tau) <= _MLE_TAU_RTOL * tau:
-            return lam, min(max(step, lo), hi)
-        if not lo < step < hi:
-            if hi - lo <= _MLE_TAU_RTOL * hi:
-                break
-            # false position on log P_SI across the bracket, else bisection
-            step = (lo + (hi - lo) * math.log(p_lo / target)
-                    / math.log(p_lo / p_hi) if p_hi > 0.0 else math.nan)
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi)
-        tau = step
-    return lam, tau
+    tau = _tau_root(obs0, lam, big_t, obs1.si, tau_lo, tau_hi, tau_seed)
+    return None if tau is None else (lam, tau)
 
 
 def cfa(data: Dataset) -> NonGenderParams:

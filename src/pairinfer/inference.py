@@ -48,7 +48,7 @@ from .likelihood import (log_likelihood, saturated_log_likelihood,
                          score_and_information)
 from .model import (NONGENDER, PARAM_NAMES, PairCounts, model_of, model_spec,
                     params_from_vector)
-from .neldermead import minimize_simplex, on_boundary
+from .neldermead import DEFAULT_MAX_EVALS, minimize_simplex, on_boundary
 from .quantiles import chi2_quantile_2dof, normal_quantile
 
 DEFAULT_BOUNDS = (0.0, 10.0)
@@ -428,7 +428,7 @@ def _default_warm_start(kind, data, bounds, seed, max_evals, polish):
 
 
 def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
-            bounds=None, seed=0, levels=(0.95,), max_evals=50_000,
+            bounds=None, seed=0, levels=(0.95,), max_evals=DEFAULT_MAX_EVALS,
             uncertainty=True) -> FitResult:
     """Maximize the model log-likelihood with jittered simplex restarts.
 

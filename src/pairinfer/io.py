@@ -8,6 +8,8 @@ profiles, ellipse point lists, validation records), one human-readable
 ``report.txt`` and one machine-readable ``summary.json``.  Every number in
 the report is printed with six significant digits and also appears in the
 summary; all outputs are byte-reproducible for identical inputs and seeds.
+The estimates and infections tables are built once, from the rounded
+summary, and rendered both as CSV files and as ``report.txt`` sections.
 
 :func:`run_manifest` is the one analysis pipeline: every analysis command
 of the CLI is a manifest run by it.  It checks every manifest value (a bad
@@ -39,9 +41,20 @@ from .inference import (EllipseSpec, FitResult, InfectionsTable, ellipse_points,
 from .likelihood import GridAxis, GridSpec, likelihood_surface, slice_profile
 from .model import (GENDER, MODELS, NONGENDER, PARAM_NAMES, NonGenderParams,
                     model_spec, params_from_vector)
+from .neldermead import DEFAULT_MAX_EVALS
 from .simulate import validation_sweep
 
 OUTPUT_DIR_ENV = "PAIRINFER_OUT_DIR"
+
+# Analysis defaults of a manifest and of the commands that build one.
+DEFAULT_SEED = 20260801
+DEFAULT_LEVELS = (0.67, 0.95)
+DEFAULT_SURFACE_AXES = (("lambda", 0.0005, 0.01, 101),
+                        ("tau", 0.001, 0.3, 101))
+# a surface for each pair of parameters, or a profile of each parameter,
+# over this many points within this many standard errors of the estimate
+DEFAULT_PAIRWISE_SURFACES = {"pairwise_points": 41, "half_width_sigmas": 3.0}
+DEFAULT_PROFILES = {"points": 101, "half_width_sigmas": 4.0}
 
 # Values reported by the original published analysis of the bundled Mwanza
 # cohort.  They feed the discrepancy section of reports: where this engine's
@@ -240,15 +253,6 @@ def load_bundled(kind) -> Dataset:
     return _parse_json_dataset(text, f"bundled:{name}")
 
 
-def _is_bundled_counts(data: Dataset) -> bool:
-    try:
-        bundled = load_bundled(data.kind)
-    except Exception:  # pragma: no cover - bundled data always present
-        return False
-    return (data.times == bundled.times
-            and data.observations == bundled.observations)
-
-
 # ---------------------------------------------------------------------------
 # analysis pipeline
 
@@ -268,8 +272,8 @@ class AnalysisBundle:
     is_bundled: bool = False
 
 
-def analyze(data: Dataset, seed=0, levels=(0.67, 0.95), max_evals=50_000,
-            input_label="dataset") -> AnalysisBundle:
+def analyze(data: Dataset, seed=0, levels=DEFAULT_LEVELS,
+            max_evals=DEFAULT_MAX_EVALS, input_label="dataset") -> AnalysisBundle:
     """Run the full pipeline for one dataset: analytics, warm start, MLE."""
     kind = data.kind
     analytic = None
@@ -293,7 +297,7 @@ def analyze(data: Dataset, seed=0, levels=(0.67, 0.95), max_evals=50_000,
             theta = None
     fit = fit_mle(kind, data, seed=seed, levels=levels, max_evals=max_evals)
     infections = infections_per_year(fit.params, data.initial)
-    bundled = _is_bundled_counts(data)
+    bundled = data == load_bundled(kind)
     at_reference = None
     if bundled:
         ref = REFERENCE_MWANZA[f"{kind}_mle"]
@@ -435,44 +439,60 @@ def _infections_summary(table: InfectionsTable) -> dict:
     }
 
 
-def _estimates_csv(bundle: AnalysisBundle, summary) -> str:
-    names = PARAM_NAMES[bundle.kind]
-    levels = [_interval_key(level) for level in bundle.fit.intervals]
-    header = ["parameter", "analytical", "cfa", "mle", "std_error"]
-    for key in levels:
-        header += [f"ci{key}_lo", f"ci{key}_hi"]
-    analytical = {}
-    if bundle.analytic:
-        analytical = {"lambda": bundle.analytic.lambda_hat,
-                      "tau": bundle.analytic.tau_hat_rootsolve}
-    cfa_vals = {}
-    if bundle.cfa_params:
-        cfa_vals = {"lambda": bundle.cfa_params.lam, "tau": bundle.cfa_params.tau}
-    lines = [",".join(header)]
-    mle = summary["mle"]
-    for name in names:
-        se = mle["std_errors"][name]
-        row = [name,
-               fmt(analytical[name]) if name in analytical else "",
-               fmt(cfa_vals[name]) if name in cfa_vals else "",
-               fmt(mle["estimates"][name]),
-               fmt(se) if se is not None and not math.isnan(se) else ""]
-        for key in levels:
-            ci = mle["intervals"][key][name]
-            row += ([fmt(ci[0]), fmt(ci[1])] if ci is not None else ["", ""])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _estimates_rows(kind, model) -> list:
+    """The estimates table of a rounded model summary: a header, then one
+    row per parameter; None is a blank cell.  Interval columns follow the
+    manifest's level order."""
+    mle = model["mle"]
+    analytical = model.get("analytical", {})
+    by_name = {"lambda": analytical.get("lambda_hat"),
+               "tau": analytical.get("tau_hat_rootsolve")}
+    cfa_vals = model.get("cfa", {})
+    rows = [["parameter", "analytical", "cfa", "mle", "std_error"]
+            + [f"ci{key}_{end}" for key in mle["intervals"]
+               for end in ("lo", "hi")]]
+    for name in PARAM_NAMES[kind]:
+        rows.append([name, by_name.get(name), cfa_vals.get(name),
+                     mle["estimates"][name], mle["std_errors"][name]]
+                    + [v for ci in mle["intervals"].values()
+                       for v in (ci[name] or (None, None))])
+    return rows
 
 
-def _infections_csv(summary_inf) -> str:
-    lines = ["route,rate,infections_per_year,per_1000_per_year,note"]
-    for row in summary_inf["rows"]:
-        lines.append(",".join([row["route"], fmt(row["rate"]),
-                               fmt(row["infections"]), fmt(row["per_1000"]), ""]))
-    lines.append(",".join(["TOTAL", "", fmt(summary_inf["total_infections"]),
-                           fmt(summary_inf["total_per_1000"]),
-                           "per-1000 total sums rates over different denominators"]))
-    return "\n".join(lines) + "\n"
+_TOTAL_NOTE = "per-1000 total sums rates over different denominators"
+_INFECTIONS_HEADER = ["route", "rate", "infections", "per_1000"]
+
+
+def _infections_rows(infections) -> list:
+    """The rows of a rounded infections summary: one per route, then the
+    total; None is a blank cell."""
+    return ([[r["route"], r["rate"], r["infections"], r["per_1000"]]
+             for r in infections["rows"]]
+            + [["TOTAL", None, infections["total_infections"],
+                infections["total_per_1000"]]])
+
+
+def _cells(row, blank) -> list:
+    """A table row as text: labels as they are, numbers by :func:`fmt`,
+    ``blank`` for None."""
+    return [blank if c is None else c if isinstance(c, str) else fmt(c)
+            for c in row]
+
+
+def _csv_table(rows) -> str:
+    return "".join(",".join(_cells(row, "")) + "\n" for row in rows)
+
+
+def _text_table(rows) -> list:
+    return ["  " + " | ".join(_cells(row, "-")) for row in rows]
+
+
+def _infections_csv(infections) -> str:
+    *routes, total = _infections_rows(infections)
+    return _csv_table([["route", "rate", "infections_per_year",
+                        "per_1000_per_year", "note"]]
+                      + [row + [None] for row in routes]
+                      + [total + [_TOTAL_NOTE]])
 
 
 def _float_rows(header, rows) -> str:
@@ -528,35 +548,13 @@ def _report_text(summary) -> str:
     model_order = [k for k in MODELS if k in summary["models"]]
     for kind in model_order:
         model = summary["models"][kind]
-        names = PARAM_NAMES[kind]
         push(f"model: {kind}")
         push(f"input: {model['input']}")
         push(f"pairs: N = {fmt(model['n_pairs'])}; observation times (years): "
              + ", ".join(fmt(t) for t in model["times"]))
         push("")
         push("estimates (rates per year)")
-        levels = sorted(model["mle"]["intervals"])
-        header = ["parameter", "analytical", "cfa", "mle", "std_error"]
-        for key in levels:
-            header += [f"ci{key}_lo", f"ci{key}_hi"]
-        push("  " + " | ".join(header))
-        analytical = model.get("analytical", {})
-        analytical_by_name = {"lambda": analytical.get("lambda_hat"),
-                              "tau": analytical.get("tau_hat_rootsolve")}
-        cfa_vals = model.get("cfa", {})
-        for name in names:
-            row = [name]
-            a = analytical_by_name.get(name)
-            row.append(fmt(a) if a is not None else "-")
-            c = cfa_vals.get(name)
-            row.append(fmt(c) if c is not None else "-")
-            row.append(fmt(model["mle"]["estimates"][name]))
-            se = model["mle"]["std_errors"][name]
-            row.append(fmt(se) if se is not None else "-")
-            for key in levels:
-                ci = model["mle"]["intervals"][key][name]
-                row += ([fmt(ci[0]), fmt(ci[1])] if ci is not None else ["-", "-"])
-            push("  " + " | ".join(row))
+        out += _text_table(_estimates_rows(kind, model))
         push("")
         push(f"log-likelihood at maximum: {fmt(model['mle']['loglik'])}")
         push(f"converged: {str(model['mle']['converged']).lower()} "
@@ -571,21 +569,14 @@ def _report_text(summary) -> str:
                  "intervals use conditional (held-fixed) standard errors.")
         push("")
         push("expected infections per year at the MLE")
-        push("  route | rate | infections | per_1000")
-        for row in model["infections"]["rows"]:
-            push("  " + " | ".join([row["route"], fmt(row["rate"]),
-                                    fmt(row["infections"]), fmt(row["per_1000"])]))
-        push("  TOTAL | - | " + fmt(model["infections"]["total_infections"])
-             + " | " + fmt(model["infections"]["total_per_1000"])
-             + "  [per-1000 total sums rates over different denominators]")
+        out += _text_table([_INFECTIONS_HEADER,
+                            *_infections_rows(model["infections"])])
+        out[-1] += f"  [{_TOTAL_NOTE}]"
         if "infections_at_published_rates" in model:
             push("")
             push("expected infections per year at the published rates")
-            push("  route | rate | infections | per_1000")
-            for row in model["infections_at_published_rates"]["rows"]:
-                push("  " + " | ".join([row["route"], fmt(row["rate"]),
-                                        fmt(row["infections"]),
-                                        fmt(row["per_1000"])]))
+            out += _text_table([_INFECTIONS_HEADER, *_infections_rows(
+                model["infections_at_published_rates"])[:-1]])
         push("")
     if summary["discrepancies"]:
         push("known discrepancies vs the published analysis of this cohort")
@@ -634,12 +625,8 @@ def emit_report(out_dir, bundles, surfaces=None, profiles=None, ellipses=None,
                        "note": "no validation configuration supplied"},
     }
     for bundle in bundles:
-        model_summary = _bundle_summary(bundle)
-        summary["models"][bundle.kind] = model_summary
+        summary["models"][bundle.kind] = _bundle_summary(bundle)
         summary["discrepancies"].extend(_discrepancies(bundle))
-        files[f"estimates_{bundle.kind}.csv"] = _estimates_csv(bundle, model_summary)
-        files[f"infections_{bundle.kind}.csv"] = _infections_csv(
-            model_summary["infections"])
     for name, surface in (surfaces or {}).items():
         files[f"surface_{name}.csv"] = _surface_csv(surface)
     for name, curve in (profiles or {}).items():
@@ -652,6 +639,9 @@ def emit_report(out_dir, bundles, surfaces=None, profiles=None, ellipses=None,
         summary["validation"] = {"present": True, "n_records": len(validation),
                                  "file": "validation.csv"}
     summary = _round6(summary)
+    for kind, model in summary["models"].items():
+        files[f"estimates_{kind}.csv"] = _csv_table(_estimates_rows(kind, model))
+        files[f"infections_{kind}.csv"] = _infections_csv(model["infections"])
     files["report.txt"] = _report_text(summary)
     files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
@@ -671,27 +661,19 @@ def emit_report(out_dir, bundles, surfaces=None, profiles=None, ellipses=None,
 # ---------------------------------------------------------------------------
 # manifest-driven pipeline (one command reproduces every report artifact)
 
-DEFAULT_SEED = 20260801
-
-DEFAULT_SURFACE_AXES = (("lambda", 0.0005, 0.01, 101),
-                        ("tau", 0.001, 0.3, 101))
-
-
 def default_manifest(seed=DEFAULT_SEED) -> dict:
     """The configuration used by ``report-all`` when no manifest is given."""
     return {
         "seed": seed,
-        "levels": [0.67, 0.95],
-        "max_evals": 50_000,
+        "levels": list(DEFAULT_LEVELS),
+        "max_evals": DEFAULT_MAX_EVALS,
         "runs": [
             {"model": NONGENDER, "input": "bundled",
              "surface": {"axes": [list(a) for a in DEFAULT_SURFACE_AXES]},
-             "profiles": {"points": 101, "half_width_sigmas": 4.0},
-             "ellipses": True},
+             "profiles": dict(DEFAULT_PROFILES), "ellipses": True},
             {"model": GENDER, "input": "bundled",
-             "surface": {"pairwise_points": 41, "half_width_sigmas": 3.0},
-             "profiles": {"points": 101, "half_width_sigmas": 4.0},
-             "ellipses": True},
+             "surface": dict(DEFAULT_PAIRWISE_SURFACES),
+             "profiles": dict(DEFAULT_PROFILES), "ellipses": True},
         ],
         "validation": None,
     }
@@ -810,6 +792,18 @@ def _numbers(value, what, convert=float) -> list:
     return [to_number(v, what, convert) for v in _listed(value, what)]
 
 
+def initial_counts(kind, values, what):
+    """The initial pair counts of model ``kind`` from the list ``values``,
+    one number per state; a bad list is a ConfigError on ``what``, and a
+    negative count a DomainError."""
+    spec = model_spec(kind)
+    counts = _numbers(values, what)
+    if len(counts) != len(spec.state_labels):
+        raise ConfigError(f"{what} needs the {len(spec.state_labels)} counts "
+                          f"{','.join(spec.state_labels)}, got {values!r}")
+    return spec.counts_type(*counts)
+
+
 def grid_axis(spec, what="grid axis") -> GridAxis:
     """The axis ``[name, min, max, n]``, log-spaced with ``"log"`` appended.
 
@@ -827,12 +821,13 @@ def grid_axis(spec, what="grid axis") -> GridAxis:
                     log=len(spec) == 5)
 
 
-def _grid_section(run, key, points_key, points, half_width):
+def _grid_section(run, key, defaults):
     """A run's ``surface`` or ``profiles`` section, or None if it has none.
 
     The section is ``(axes, points, half_width)``: its explicit axes, or
     None for ``points``-point axes spanning ``half_width`` standard
-    errors either side of each estimate.
+    errors either side of each estimate.  ``defaults`` gives the points
+    (under its first key) and half width a section leaves out.
     """
     section = run.get(key)
     if not section:
@@ -842,9 +837,10 @@ def _grid_section(run, key, points_key, points, half_width):
     if "axes" in section:
         return ([grid_axis(a, f"{key} axis")
                  for a in _listed(section["axes"], f"{key} axes")], None, None)
-    return (None, to_count(section.get(points_key, points), f"{key} {points_key}"),
-            to_number(section.get("half_width_sigmas", half_width),
-                      f"{key} half_width_sigmas"))
+    points_key = next(iter(defaults))
+    settings = {**defaults, **section}
+    return (None, to_count(settings[points_key], f"{key} {points_key}"),
+            to_number(settings["half_width_sigmas"], f"{key} half_width_sigmas"))
 
 
 def _run_settings(run):
@@ -863,12 +859,12 @@ def _run_settings(run):
     if data.kind != kind:
         raise ConfigError(f"dataset {label} has kind {data.kind!r}, "
                           f"manifest says {kind!r}")
-    surface = _grid_section(run, "surface", "pairwise_points", 41, 3.0)
+    surface = _grid_section(run, "surface", DEFAULT_PAIRWISE_SURFACES)
     if surface and surface[0] is not None and len(surface[0]) != 2:
         raise ConfigError(f"a surface needs exactly two axes, got "
                           f"{len(surface[0])}")
     return (data, label, surface,
-            _grid_section(run, "profiles", "points", 101, 4.0),
+            _grid_section(run, "profiles", DEFAULT_PROFILES),
             bool(run.get("ellipses")))
 
 
@@ -894,14 +890,8 @@ def _validation_settings(config):
                   for v in itertools.product(*value_lists)]
     times = tuple(_numbers(config.get("times", (0.0, 2.0)), "validation times"))
     init = config.get("init", "bundled")
-    if init == "bundled":
-        init = load_bundled(spec.kind).initial
-    else:
-        counts = _numbers(init, "validation init")
-        if len(counts) != len(spec.state_labels):
-            raise ConfigError(f"validation init needs the {len(spec.state_labels)} "
-                              f"counts {','.join(spec.state_labels)}, got {init!r}")
-        init = spec.counts_type(*counts)
+    init = (load_bundled(spec.kind).initial if init == "bundled"
+            else initial_counts(spec.kind, init, "validation init"))
     reps = to_count(config.get("replicates", 50), "validation replicates")
     return spec.kind, truth_grid, init, times, reps
 
@@ -914,12 +904,13 @@ def run_manifest(manifest, out_dir) -> tuple:
     validation replicates carry their own flags in ``validation.csv``.
     """
     seed = to_number(manifest.get("seed", DEFAULT_SEED), "manifest seed", int)
-    levels = tuple(_numbers(manifest.get("levels", (0.67, 0.95)),
+    levels = tuple(_numbers(manifest.get("levels", DEFAULT_LEVELS),
                             "manifest levels"))
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ConfigError(f"manifest level {level} outside (0, 1)")
-    max_evals = to_count(manifest.get("max_evals", 50_000), "manifest max_evals")
+    max_evals = to_count(manifest.get("max_evals", DEFAULT_MAX_EVALS),
+                         "manifest max_evals")
     runs = [_run_settings(run)
             for run in _listed(manifest.get("runs"), "manifest runs")]
     validation = (_validation_settings(manifest["validation"])

@@ -99,6 +99,10 @@ def _initial_simplex(x0, lo, hi):
     return vertices
 
 
+# The evaluation budget of a fit unless its caller sets one.
+DEFAULT_MAX_EVALS = 50_000
+
+
 class _FloorReached(Exception):
     """An evaluation reached the caller's lower bound of the objective."""
 
@@ -108,7 +112,7 @@ def _sorted_by_value(vertices, fs):
     return [vertices[k] for k in order], [fs[k] for k in order]
 
 
-def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
+def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
                      diameter_tol=1e-10, spread_tol=1e-12,
                      n_starts=3, jitter=0.25,
                      floor=-math.inf) -> SimplexResult:

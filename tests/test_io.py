@@ -445,6 +445,54 @@ def test_cli_bad_option_values_are_config_errors(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    _SIM + ["--input", "/nonexistent.csv"],
+    _SIM + ["--max-evals", "3"],
+    ["validate", "--model", "nongender", "--grid", "lambda:0.003:0.003:1",
+     "--grid", "tau:0.05:0.05:1", "--reps", "1", "--input", "/nonexistent.csv"],
+], ids=["simulate-input", "simulate-max-evals", "validate-input"])
+def test_cli_rejects_options_a_command_would_ignore(argv, tmp_path, capsys):
+    # simulate and validate start from the bundled counts and simulate
+    # fits nothing, so these options once exited 0 unread
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "manifest"])
+def test_negative_initial_counts_are_domain_errors(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = _SIM + ["--init=1:-2:3"]
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"runs": [], "validation": {
+            "model": "nongender", "replicates": 1, "init": [1, -2, 3],
+            "grid": {"lambda": [0.003], "tau": [0.05]}}}))
+        argv = ["report-all", "--manifest", str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_report_interval_columns_follow_the_csv(tmp_path):
+    # the report once sorted the interval columns as strings, so levels
+    # 0.95,0.5 printed as ci0.5 before ci0.95 against the CSV's order
+    out = tmp_path / "out"
+    assert main(["fit", "--model", "nongender", "--levels", "0.95,0.5",
+                 "--out", str(out)]) == 0
+    csv_header = (out / "estimates_nongender.csv").read_text().splitlines()[0]
+    report = (out / "report.txt").read_text().splitlines()
+    text_header = report[report.index("estimates (rates per year)") + 1]
+    assert text_header.strip().split(" | ") == csv_header.split(",")
+    assert csv_header.split(",")[5:] == ["ci0.95_lo", "ci0.95_hi",
+                                         "ci0.5_lo", "ci0.5_hi"]
+
+
 def test_grid_log_flag_spaces_an_axis_geometrically(tmp_path):
     out = tmp_path / "prof"
     assert main(["profile", "--model", "nongender", "--out", str(out),
