@@ -24,7 +24,7 @@ from . import io as pio
 from .dataset import Dataset
 from .errors import (ConfigError, InfeasibleDataError, PairinferError,
                      ParseError)
-from .model import MODELS, NONGENDER, PARAM_NAMES, params_from_vector
+from .model import MODELS, PARAM_NAMES, params_from_vector
 from .neldermead import DEFAULT_MAX_EVALS
 from .simulate import derive_seed, gillespie_simulate
 
@@ -92,10 +92,12 @@ def _fit_manifest(args):
 
 
 def _surface_manifest(args):
-    axes = [_parse_grid_axis(g) for g in args.grid or []]
-    if not axes and args.model == NONGENDER:
-        axes = [list(a) for a in pio.DEFAULT_SURFACE_AXES]
-    return _manifest(args, [_run_of(args, surface={"axes": axes})])
+    if args.grid:
+        surface = {"axes": [_parse_grid_axis(g) for g in args.grid]}
+    else:  # the surface report-all draws for this model
+        surface = next(run["surface"] for run in pio.default_manifest()["runs"]
+                       if run["model"] == args.model)
+    return _manifest(args, [_run_of(args, surface=surface)])
 
 
 def _profile_manifest(args):

@@ -1,26 +1,39 @@
 """Numeric maximum-likelihood refinement and uncertainty quantification.
 
-Fitting starts with a box-constrained Nelder-Mead simplex with jittered
-restarts, the global stage that guards against several optima.  For an
-identified design it stops the simplex at a loose tolerance (diameter 1e-5,
-spread 1e-6) and finishes with a projected Newton polish on the exact score
-and observed information of :func:`likelihood.score_and_information`; each
-Newton step backtracks on the value-path objective.  If the polish fails,
-the tight simplex runs from the warm start, as for over-parameterised
-designs.
+An identified fit (no more rates than the data's free dimensions) climbs
+in up to four stages:
 
-The saturated multinomial bound caps every likelihood, so an identified
-fit also ends its simplex at the first point within rounding noise of it.
-With two observation times the non-gendered MLE attains that bound and has
-a closed form (:func:`estimators.two_time_mle`).  Such a fit starts there:
-one evaluation meets the bound, and the polish confirms the point with one
-information evaluation.  Where the closed form does not apply (SS pairs
-that did not decline, a root outside the box), the CFA warm start and the
-simplex take over as before.  The covariance of the estimates is the inverse of the observed
-information (Efron & Hinkley 1978), the Hessian of the negative
-log-likelihood at the estimates; it needs no step into the box's exterior,
-so estimates on a bound keep their standard errors.  :func:`hessian_fd`,
-the finite-difference Hessian that preceded it, is kept as a test oracle.
+1. **Closed form.**  With two observation times the non-gendered MLE
+   attains the saturated multinomial bound and has a closed form
+   (:func:`estimators.two_time_mle`).  Such a fit starts there; with three
+   or more times the closed form of the first and last observations is the
+   start.  A gendered fit starts at the symmetric split of the marginal
+   non-gendered fit, which takes these same stages.
+2. **Fisher scoring** (three or more times).  Projected Newton steps on the
+   expected information (Osborne 1992), which is positive semi-definite
+   wherever the likelihood is finite, or on the observed information where
+   that is positive definite.  Each step backtracks on the value-path
+   objective.  Scoring runs from the warm start and from each of its
+   corners (one rate on its lower bound), since sparse or depleted cohorts
+   can have several local maxima, and the best converged point goes on.
+3. **Newton polish.**  Projected Newton on the exact score and observed
+   information of :func:`likelihood.score_and_information` (Bertsekas
+   1982); its last information gives the standard errors.
+4. **Simplex.**  A box-constrained Nelder-Mead simplex with jittered
+   restarts.  It is the path of two-time designs: it stops at a loose
+   tolerance (diameter 1e-5, spread 1e-6), or at the first point within
+   rounding noise of the saturated bound, which the closed-form start
+   meets in one evaluation, and the polish finishes.  With three or more
+   times it is the fallback when scoring or the polish fails (a non-finite
+   value, no descent, a singular information).  If the polish after it
+   fails too, the tight simplex runs from the warm start.
+
+Over-parameterised designs run the tight simplex alone.  The covariance of
+the estimates is the inverse of the observed information (Efron & Hinkley
+1978), the Hessian of the negative log-likelihood at the estimates; it
+needs no step into the box's exterior, so estimates on a bound keep their
+standard errors.  :func:`hessian_fd`, the finite-difference Hessian that
+preceded it, is kept as a test oracle.
 
 One structural caveat drives the interval logic: with k pair states and m
 observation times the data carry (k-1)*(m-1) free dimensions.  When the
@@ -45,7 +58,7 @@ from .dataset import Dataset
 from .errors import DomainError, InfeasibleDataError, SingularStencilError
 from .estimators import cfa, two_time_mle
 from .likelihood import (log_likelihood, saturated_log_likelihood,
-                         score_and_information)
+                         score_and_information, score_observed_expected)
 from .model import (NONGENDER, PARAM_NAMES, PairCounts, model_of, model_spec,
                     params_from_vector)
 from .neldermead import DEFAULT_MAX_EVALS, minimize_simplex, on_boundary
@@ -69,6 +82,13 @@ _POLISH_HALVINGS = 20
 # below it, but the exact score still resolves them.
 _POLISH_DECREMENT = 1e-20
 _POLISH_NOISE = 1e-14
+# Fisher scoring, the stage before the polish for identified designs with
+# three or more times, hands its point over once its decrement is below
+# _SCORING_DECREMENT * (1 + |f|).  Far from the maximum a scoring step can
+# overshoot by orders of magnitude, hence the many halvings.
+_SCORING_ITERATIONS = 50
+_SCORING_HALVINGS = 30
+_SCORING_DECREMENT = 1e-10
 
 
 def hessian_fd(objective, point, rel_step=1e-4, min_step=1e-6) -> np.ndarray:
@@ -304,86 +324,237 @@ def _objective(kind, data):
     return objective
 
 
-def _newton_polish(kind, data, objective, x, f, bounds):
+def _newton_step(x, gradient, information, lo, hi, to_lo, to_hi):
+    """The Newton step with the ``to_lo`` and ``to_hi`` coordinates moved
+    onto those bounds and the system solved on the rest given that move.
+
+    Returns None where the information is not positive definite on the
+    rest.
+    """
+    held = to_lo | to_hi
+    free = ~held
+    step = np.where(to_lo, lo - x, np.where(to_hi, hi - x, 0.0))
+    rhs = gradient[free] + information[np.ix_(free, held)] @ step[held]
+    if rhs.any():
+        try:
+            chol = np.linalg.cholesky(information[np.ix_(free, free)])
+        except np.linalg.LinAlgError:
+            return None
+        step[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    return step
+
+
+def _step_into_box(x, gradient, information, lo, hi, to_lo, to_hi, newton):
+    """The Newton step ``newton`` bent into the box.
+
+    Where the step would take coordinates past a bound, the one whose bound
+    it meets first is moved onto it and the rest re-solved, until no
+    coordinate leaves the box (Bertsekas 1982); ``to_lo`` and ``to_hi``
+    grow in place.  Clipping alone would keep the other coordinates'
+    steps, solved for the full move, and zigzag toward the bound.
+    """
+    step = newton
+    while True:
+        free = ~(to_lo | to_hi)
+        below, above = free & (x + step < lo), free & (x + step > hi)
+        if not (below.any() or above.any()):
+            return step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(below, (lo - x) / step,
+                             np.where(above, (hi - x) / step, np.inf))
+        first = np.argmin(reach)
+        to_lo[first] |= below[first]
+        to_hi[first] |= above[first]
+        step = _newton_step(x, gradient, information, lo, hi, to_lo, to_hi)
+        if step is None:
+            # only by rounding: a principal block of a positive definite
+            # matrix is positive definite
+            return newton
+
+
+def _projected_newton(derivatives, kind, data, objective, x, f, bounds, *,
+                      max_evals, iterations, halvings, decrement_tol, noise):
     """Projected Newton iterations on the box from the point (x, f).
 
-    Each iteration takes the exact score and observed information at x.
-    A coordinate within the loose simplex's diameter tolerance of a bound,
-    with its gradient pointing out of the box, is held: its step takes it
-    onto the bound, and the Newton system is solved on the other
-    coordinates given that move.  The step is clipped into the box and halved until the
-    value-path objective does not rise by more than its rounding noise.
-    Returns ``(x, f, information, evaluations)``.  ``information`` is the
-    observed information at x once the Newton decrement is negligible, and
-    None when the polish failed: the information was not positive definite
-    on the free coordinates, no step was accepted, or the iterations ran out.
+    ``derivatives(kind, data, x)`` gives the score and an information
+    matrix at x.  Each iteration takes the Newton step, bent into the box
+    by :func:`_step_into_box`, clips it into the box and halves it until
+    the value-path objective rises by no more than ``noise * (1 + |f|)``.
+    A coordinate near a bound whose optimum lies inside the box stays
+    free.  Returns ``(x, f, information, evaluations)``: ``information``
+    is the last one, at x, once the decrement is below
+    ``decrement_tol * (1 + |f|)``, and None when the information was not
+    positive definite on the free coordinates, no halving was accepted,
+    the iterations ran out or ``max_evals`` evaluations (one per
+    derivative evaluation, one per objective value) were spent.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     evals = 0
-    for _ in range(_POLISH_ITERATIONS):
-        derivatives = score_and_information(kind, data, x)
+    for _ in range(iterations):
+        if evals >= max_evals:
+            break
+        result = derivatives(kind, data, x)
         evals += 1
-        if derivatives is None:
-            return x, f, None, evals
-        gradient, information = -derivatives[0], derivatives[1]
-        at_lo = (x - lo <= _LOOSE_DIAMETER) & (gradient > 0)
-        at_hi = (hi - x <= _LOOSE_DIAMETER) & (gradient < 0)
-        free = ~(at_lo | at_hi)
-        step = np.where(at_lo, lo - x, np.where(at_hi, hi - x, 0.0))
-        rhs = gradient[free] + information[np.ix_(free, ~free)] @ step[~free]
-        if rhs.any():
-            try:
-                chol = np.linalg.cholesky(information[np.ix_(free, free)])
-            except np.linalg.LinAlgError:
-                return x, f, None, evals
-            step[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-        # twice the gain the quadratic model predicts for the full step
+        if result is None:
+            break
+        gradient, information = -result[0], result[1]
+        # a coordinate on a bound with its gradient pointing out is held;
+        # the decrement of the Newton step on the rest vanishes only where
+        # x is stationary on the box
+        to_lo = (x <= lo) & (gradient > 0)
+        to_hi = (x >= hi) & (gradient < 0)
+        step = _newton_step(x, gradient, information, lo, hi, to_lo, to_hi)
+        if step is None:
+            break
+        # twice the gain the quadratic model predicts for the step
         decrement = -float(2.0 * gradient @ step + step @ information @ step)
         if not math.isfinite(decrement):
-            return x, f, None, evals
-        if decrement <= _POLISH_DECREMENT * (1.0 + abs(f)):
+            break
+        if decrement <= decrement_tol * (1.0 + abs(f)):
             return x, f, information, evals
-        noise = _POLISH_NOISE * (1.0 + abs(f))
+        step = _step_into_box(x, gradient, information, lo, hi, to_lo, to_hi,
+                              step)
+        allowed = noise * (1.0 + abs(f))
         scale = 1.0
-        for _ in range(_POLISH_HALVINGS):
+        for _ in range(halvings):
+            if evals >= max_evals:
+                return x, f, None, evals
             trial = np.clip(x + scale * step, lo, hi)
             f_trial = objective(trial)
             evals += 1
-            if f_trial <= f + noise:
+            if f_trial <= f + allowed:
                 break
             scale *= 0.5
         else:
-            return x, f, None, evals
+            break
         x, f = trial, f_trial
     return x, f, None, evals
+
+
+def _newton_polish(kind, data, objective, x, f, bounds):
+    """Newton iterations on the exact score and observed information.
+
+    Steps are accepted within the objective's rounding noise, which the
+    exact score still resolves.  Returns ``(x, f, information,
+    evaluations)``; ``information`` is the observed information at x once
+    the Newton decrement is negligible, else None (the polish failed).
+    """
+    return _projected_newton(score_and_information, kind, data, objective,
+                             x, f, bounds, max_evals=math.inf,
+                             iterations=_POLISH_ITERATIONS,
+                             halvings=_POLISH_HALVINGS,
+                             decrement_tol=_POLISH_DECREMENT,
+                             noise=_POLISH_NOISE)
+
+
+def _scoring_derivatives(kind, data, rates):
+    """The score with the observed information where that is positive
+    definite, else with the expected information."""
+    derivatives = score_observed_expected(kind, data, rates)
+    if derivatives is None:
+        return None
+    score, observed, expected = derivatives
+    try:
+        np.linalg.cholesky(observed)
+    except np.linalg.LinAlgError:
+        return score, expected
+    return score, observed
+
+
+def _fisher_scoring(kind, data, objective, x, f, bounds, max_evals):
+    """Fisher scoring: Newton steps on the expected information.
+
+    That information is positive semi-definite wherever the likelihood is
+    finite, so steps descend from starts where the observed information is
+    indefinite (Osborne 1992).  Where the observed information is positive
+    definite the step takes it instead: scoring converges only linearly
+    where the two differ, as they do along a weakly identified direction.
+    Each step must lower the objective.  Returns ``(x, f, information,
+    evaluations)`` as :func:`_newton_polish` does.
+    """
+    return _projected_newton(_scoring_derivatives, kind, data,
+                             objective, x, f, bounds, max_evals=max_evals,
+                             iterations=_SCORING_ITERATIONS,
+                             halvings=_SCORING_HALVINGS,
+                             decrement_tol=_SCORING_DECREMENT, noise=0.0)
+
+
+def _score_from_starts(kind, data, objective, warm_start, bounds, max_evals):
+    """Fisher scoring from the warm start and from each of its corners.
+
+    A corner is the warm start with one rate on its lower bound.  Sparse or
+    depleted cohorts can have several local maxima, each with another rate
+    on its bound, and scoring climbs the one whose basin holds its start;
+    the corners reach the others.  Returns ``(best, reached, evaluations)``:
+    ``best`` is the ``(x, f)`` of the lowest objective among the runs that
+    converged, or None, and ``reached`` that among all runs, the warm start
+    with +inf if no start had a finite objective.
+    """
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    starts = [warm_start] + [np.where(np.arange(lo.size) == i, lo, warm_start)
+                             for i in range(lo.size) if warm_start[i] > lo[i]]
+    best, reached, used = None, (warm_start, math.inf), 0
+    for start in starts:
+        if used >= max_evals:
+            break
+        f = objective(start)
+        used += 1
+        if not math.isfinite(f):
+            continue
+        x, f, fisher, evals = _fisher_scoring(kind, data, objective, start, f,
+                                              bounds, max_evals - used)
+        used += evals
+        if f < reached[1]:
+            reached = (x, f)
+        if fisher is not None and (best is None or f < best[1]):
+            best = (x, f)
+    return best, reached, used
 
 
 def _maximize(kind, data, warm_start, bounds, seed, max_evals, polish):
     """The optimizer stage of :func:`fit_mle`.
 
     Returns ``(x, fun, evaluations, converged, information)``;
-    ``information`` is the polish's last one, at ``x``, or None.  For an
-    identified design the simplex stops at the first point within rounding
-    noise of the saturated bound, which no point can beat.
+    ``information`` is the polish's last one, at ``x``, or None.  An
+    identified design with three or more times runs Fisher scoring from
+    the warm start and its corners, then the polish; if either fails, or
+    an identified design has two times, the loose simplex and the polish
+    run, and the tight simplex if the polish fails.  That simplex stops at
+    the first point within rounding noise of the saturated bound, which no
+    point can beat.  The budget ``max_evals`` bounds scoring and the
+    simplex; the polish, at most eight iterations, may pass it.
     """
     objective = _objective(kind, data)
     if not polish:
         result = minimize_simplex(objective, warm_start, bounds, seed=seed,
                                   max_evals=max_evals)
         return result.x, result.fun, result.n_evals, result.converged, None
+    used = 0
+    if len(data.times) > 2:
+        best, reached, used = _score_from_starts(kind, data, objective,
+                                                 warm_start, bounds, max_evals)
+        if best is not None:
+            x, f, information, evals = _newton_polish(kind, data, objective,
+                                                      *best, bounds)
+            used += evals
+            if information is not None:
+                return x, f, used, True, information
+        if used >= max_evals:  # the budget ran out first
+            return *reached, used, False, None
     saturated = saturated_log_likelihood(data)
     loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
-                             max_evals=max_evals,
+                             max_evals=max_evals - used,
                              diameter_tol=_LOOSE_DIAMETER,
                              spread_tol=_LOOSE_SPREAD,
                              floor=-saturated + _POLISH_NOISE
                              * (1.0 + abs(saturated)))
+    used += loose.n_evals
     if not (loose.converged and math.isfinite(loose.fun)):
-        return loose.x, loose.fun, loose.n_evals, loose.converged, None
+        return loose.x, loose.fun, used, loose.converged, None
     x, f, information, evals = _newton_polish(kind, data, objective, loose.x,
                                               loose.fun, bounds)
-    used = loose.n_evals + evals
+    used += evals
     if information is not None:
         return x, f, used, True, information
     # the polish failed: the tight simplex runs from the warm start instead
@@ -403,11 +574,18 @@ def _default_warm_start(kind, data, bounds, seed, max_evals, polish):
                 start, source = np.array(cfa(data).as_vector()), "CFA"
         except DomainError:
             start, source = np.array([1e-3, 1e-3]), "default"
-        # an identified two-time fit starts at the MLE itself when the
-        # closed form applies; the CFA tau seeds its root solve
-        closed = two_time_mle(data, bounds, start[1]) if polish else None
-        if closed is not None:
-            return np.array(closed), "closed-form"
+        # an identified fit starts at the two-time MLE of its first and
+        # last observations when the closed form applies: the MLE itself
+        # for two times.  The CFA tau seeds its root solve.
+        if polish:
+            two_times = len(data.times) == 2
+            ends = data if two_times else Dataset(
+                (data.times[0], data.times[-1]),
+                (data.observations[0], data.observations[-1]))
+            closed = two_time_mle(ends, bounds, start[1])
+            if closed is not None:
+                return np.array(closed), ("closed-form" if two_times
+                                          else "closed-form-first-last")
         return start, source
     # gendered warm start: symmetric split of the non-gendered fit, which
     # polishes only when the gendered fit does
@@ -430,23 +608,28 @@ def _default_warm_start(kind, data, bounds, seed, max_evals, polish):
 def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
             bounds=None, seed=0, levels=(0.95,), max_evals=DEFAULT_MAX_EVALS,
             uncertainty=True) -> FitResult:
-    """Maximize the model log-likelihood with jittered simplex restarts.
+    """Maximize the model log-likelihood over the rate box ``bounds``.
 
-    The warm start defaults to the closed-form MLE of an identified
-    two-time non-gendered design, else the CFA (non-gendered) or a
-    symmetric split of the non-gendered fit (gendered); explicit warm
-    starts are clipped into the bounds.  Deterministic for a fixed seed.  ``uncertainty=False``
+    The warm start of an identified non-gendered fit is the closed-form
+    two-time MLE of the first and last observations where it applies
+    (``warm_start_source`` ``"closed-form"`` for two times,
+    ``"closed-form-first-last"`` for more), else the CFA (two times) or the
+    fixed point (1e-3, 1e-3) (``"default"``).  A gendered fit starts at the
+    symmetric split of the marginal non-gendered fit
+    (``"symmetric-nongender"``).  Explicit warm starts are clipped into the
+    bounds.  Deterministic for a fixed seed.
+
+    Identified designs with three or more times run Fisher scoring from
+    the warm start and its corners, then a Newton polish; with two times a
+    loose simplex, stopped at the saturated bound, then the polish.  Where
+    scoring or the polish fails, the loose simplex, the polish and the
+    tight simplex run as for two times.  Over-parameterised designs (more
+    rates than the data's free dimensions) run the tight simplex alone,
+    since their maximum is a ridge with no Newton step.  ``iterations``
+    counts the likelihood evaluations of the optimizer, one per derivative
+    evaluation of scoring and the polish included.  ``uncertainty=False``
     skips the covariance stage (used by bulk recovery sweeps, which record
     point estimates only).
-
-    Identified designs stop the simplex at a loose tolerance, or at the
-    first point on the saturated bound, and finish with a projected Newton
-    polish; if the polish fails, the tight simplex runs from the warm
-    start.  Over-parameterised designs (more rates than
-    the data's free dimensions) run the tight simplex alone, since their
-    maximum is a ridge with no Newton step.  ``iterations`` counts the
-    likelihood evaluations of the optimizer, one per score-and-information
-    evaluation of the polish included.
     """
     spec = model_spec(kind)
     if data.kind != kind:

@@ -909,6 +909,10 @@ def run_manifest(manifest, out_dir) -> tuple:
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ConfigError(f"manifest level {level} outside (0, 1)")
+    keys = [_interval_key(level) for level in levels]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"manifest levels {list(levels)} repeat an interval "
+                          f"key: levels must differ in 6 significant digits")
     max_evals = to_count(manifest.get("max_evals", DEFAULT_MAX_EVALS),
                          "manifest max_evals")
     runs = [_run_settings(run)

@@ -14,7 +14,9 @@ Grids and slices are one batched evaluation: :func:`likelihood_surface` and
 value of :func:`log_likelihood`.  Point evaluations (optimizer steps and
 line searches) stay on the scalar path, which is cheaper for a single rate
 vector.  :func:`score_and_information` gives the exact gradient and
-observed information that the Newton polish and the standard errors use.
+observed information that the Newton polish and the standard errors use;
+:func:`score_observed_expected` adds the expected information, on which
+Fisher scoring steps where the observed one is not positive definite.
 """
 
 from __future__ import annotations
@@ -70,6 +72,33 @@ def log_likelihood(kind, params, data: Dataset) -> float:
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
+def _count_derivatives_at_later_times(kind, data: Dataset, rates):
+    """``(counts, p, grad, hess)`` at the non-conditioning times, or None.
+
+    None where an observed state has no positive expected count: the
+    log-likelihood is -inf there and has no derivatives.
+    """
+    p, grad, hess = count_derivatives(kind, data.initial, rates,
+                                      data.elapsed()[1:])
+    counts = np.array(data.counts[1:], dtype=float)
+    if not np.all(p[counts > 0] > 0.0):
+        return None
+    return counts, p, grad, hess
+
+
+def _score_and_observed(counts, p, grad, hess):
+    # dP/P and d2P/P first: squaring 1/P alone overflows for P below
+    # ~1e-154, and n/P for a subnormal P
+    safe_p = np.where(counts > 0, p, 1.0)
+    relative = grad / safe_p[:, :, None]
+    score = np.einsum("ts,tsj->j", counts, relative)
+    information = (np.einsum("ts,tsj,tsk->jk", counts, relative, relative)
+                   - np.einsum("ts,tsjk->jk", counts,
+                               hess / safe_p[:, :, None, None]))
+    # halves first: the sum overflows for entries above ~9e307
+    return score, 0.5 * information + 0.5 * information.T
+
+
 def score_and_information(kind, data: Dataset, rates):
     """Score and observed information of the log-likelihood at ``rates``.
 
@@ -80,22 +109,31 @@ def score_and_information(kind, data: Dataset, rates):
     Returns None where an observed state has no positive expected count:
     the log-likelihood is -inf there and has no derivatives.
     """
-    p, grad, hess = count_derivatives(kind, data.initial, rates,
-                                      data.elapsed()[1:])
-    counts = np.array(data.counts[1:], dtype=float)
-    seen = counts > 0
-    if not np.all(p[seen] > 0.0):
+    terms = _count_derivatives_at_later_times(kind, data, rates)
+    return None if terms is None else _score_and_observed(*terms)
+
+
+def score_observed_expected(kind, data: Dataset, rates):
+    """The score with the observed and the expected information.
+
+    The expected (Fisher) information is sum_s dP_s dP_s^T / P_s, N times
+    that of one pair's multinomial, summed over the non-conditioning times
+    and the states with a positive expected count.  It is positive
+    semi-definite at every rate vector, where the observed information of
+    :func:`score_and_information` need not be.  Returns ``(score,
+    observed, expected)``, or None as :func:`score_and_information` does.
+    """
+    terms = _count_derivatives_at_later_times(kind, data, rates)
+    if terms is None:
         return None
-    # dP/P and d2P/P first: squaring 1/P alone overflows for P below
-    # ~1e-154, and n/P for a subnormal P
-    safe_p = np.where(seen, p, 1.0)
-    relative = grad / safe_p[:, :, None]
-    score = np.einsum("ts,tsj->j", counts, relative)
-    information = (np.einsum("ts,tsj,tsk->jk", counts, relative, relative)
-                   - np.einsum("ts,tsjk->jk", counts,
-                               hess / safe_p[:, :, None, None]))
-    # halves first: the sum overflows for entries above ~9e307
-    return score, 0.5 * information + 0.5 * information.T
+    _, p, grad, _ = terms
+    # dP/sqrt(P) first: (dP/P)^2 overflows as in score_and_information
+    positive = p > 0.0
+    root = np.where(positive[:, :, None],
+                    grad / np.sqrt(np.where(positive, p, 1.0))[:, :, None],
+                    0.0)
+    return (*_score_and_observed(*terms),
+            np.einsum("tsj,tsk->jk", root, root))
 
 
 def log_likelihood_batch(kind, data: Dataset, rates) -> np.ndarray:

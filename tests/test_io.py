@@ -209,7 +209,7 @@ def test_cli_infeasible_fit_stops_early(tmp_path, monkeypatch):
 
 
 def _three_time_cohort(path):
-    # three times: no closed-form start, so 20 evaluations cannot converge
+    # three times: scoring needs 6 evaluations, so 3 cannot converge
     path.write_text("time,SS,SI,II\n0,1500,250,52\n1.5,1460,268,74\n"
                     "4,1400,281,121\n")
     return path
@@ -219,7 +219,7 @@ def test_cli_nonconvergence_exit_4(tmp_path):
     cohort = _three_time_cohort(tmp_path / "three_times.csv")
     out = tmp_path / "shortrun"
     code = main(["fit", "--model", "nongender", "--input", str(cohort),
-                 "--out", str(out), "--max-evals", "20", "--seed", "1"])
+                 "--out", str(out), "--max-evals", "3", "--seed", "1"])
     assert code == 4
     summary = json.loads((out / "summary.json").read_text())
     assert summary["models"]["nongender"]["mle"]["converged"] is False
@@ -285,6 +285,21 @@ def test_cli_surface_and_profile(tmp_path):
     prof = (out2 / "profile_nongender_tau.csv").read_text().splitlines()
     assert prof[0] == "tau,loglik"
     assert len(prof) == 32
+
+
+def test_cli_gender_surface_defaults_to_the_report_all_surfaces(tmp_path):
+    # without --grid the gendered surface once exited 1 with "a surface
+    # needs exactly two axes, got 0"
+    seed = str(pairinfer.io.DEFAULT_SEED)
+    assert main(["surface", "--model", "gender", "--seed", seed,
+                 "--out", str(tmp_path / "surf")]) == 0
+    assert main(["report-all", "--out", str(tmp_path / "all")]) == 0
+    written = sorted(p.name for p in (tmp_path / "surf").glob("surface_*"))
+    assert len(written) == 6  # each pair of the four rates
+    for name in written:
+        assert name.startswith("surface_gender_")
+        assert ((tmp_path / "surf" / name).read_bytes()
+                == (tmp_path / "all" / name).read_bytes())
 
 
 def test_cli_report_all_deterministic(tmp_path):
@@ -427,6 +442,8 @@ _VALIDATE = ["validate", "--model", "nongender", "--grid", "lambda:0.002:0.004:2
     _VALIDATE + ["--times", "0,x"],
     ["fit", "--model", "nongender", "--levels", "x"],
     ["fit", "--model", "nongender", "--levels", "0.5,1.5"],
+    # one interval key, "0.95", for both: one interval was silently dropped
+    ["fit", "--model", "nongender", "--levels", "0.95,0.9500001"],
     ["surface", "--model", "nongender", "--grid", "lambda:a:1:3",
      "--grid", "tau:0.01:0.2:4"],
     ["surface", "--model", "nongender", "--grid", "lambda:0:1:x",
@@ -435,7 +452,7 @@ _VALIDATE = ["validate", "--model", "nongender", "--grid", "lambda:0.002:0.004:2
      "--grid", "tau:0.01:0.2:4"],
 ], ids=["init-text", "init-short", "times-text", "rates-text", "simulate-reps-0",
         "validate-reps-0", "validate-times-text", "levels-text", "levels-range",
-        "grid-bound-text",
+        "levels-same-key", "grid-bound-text",
         "grid-count-text", "grid-bound-inf"])
 def test_cli_bad_option_values_are_config_errors(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -551,8 +568,9 @@ def test_manifest_zero_replicates_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scalars", [
-    {"seed": "x"}, {"levels": ["x"]}, {"max_evals": "x"}, {"max_evals": 0},
-], ids=["seed", "levels", "max-evals", "max-evals-0"])
+    {"seed": "x"}, {"levels": ["x"]}, {"levels": [0.95, 0.95]},
+    {"max_evals": "x"}, {"max_evals": 0},
+], ids=["seed", "levels", "levels-repeated", "max-evals", "max-evals-0"])
 def test_manifest_bad_scalars_are_config_errors(scalars, tmp_path, capsys):
     # an evaluation budget below 1 used to end in exit 3, blaming the data
     path = tmp_path / "manifest.json"
@@ -621,11 +639,11 @@ def test_every_analysis_command_exits_4_on_nonconvergence(argv, tmp_path,
     monkeypatch.chdir(tmp_path)
     _three_time_cohort(tmp_path / "three_times.csv")
     (tmp_path / "manifest.json").write_text(json.dumps({
-        "seed": 1, "max_evals": 20,
+        "seed": 1, "max_evals": 3,
         "runs": [{"model": "nongender", "input": "three_times.csv",
                   "profiles": {"points": 11}}]}))
     if argv[0] != "report-all":
-        argv = argv + ["--input", "three_times.csv", "--max-evals", "20",
+        argv = argv + ["--input", "three_times.csv", "--max-evals", "3",
                        "--seed", "1"]
     assert main(argv + ["--out", "out"]) == 4
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())

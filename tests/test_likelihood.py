@@ -16,7 +16,7 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        log_likelihood_batch, log_likelihood_gender,
                        log_likelihood_nongender, nongender_dataset,
                        saturated_log_likelihood, slice_profile)
-from pairinfer.likelihood import score_and_information
+from pairinfer.likelihood import score_and_information, score_observed_expected
 from pairinfer.model import EPS_SINGULAR, count_derivatives, params_from_vector
 
 from oracles import loglik_derivatives_mp
@@ -482,3 +482,32 @@ def test_information_at_a_subnormal_proportion_is_finite():
     assert score == pytest.approx(exact_score, rel=1e-12)
     assert abs(information[0, 0] - exact_information[0, 0]) <= 1e-8 * 71.0**2
     assert information[1] == pytest.approx(exact_information[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, truth, initial", [
+    (NONGENDER, (0.004, 0.07), (1742, 43, 17)),
+    (GENDER, (0.004, 0.002, 0.047, 0.068), (1742, 22, 21, 17)),
+])
+def test_expected_information_is_the_observed_one_at_an_exact_fit(
+        kind, truth, initial):
+    # counts equal to their expectations: the score vanishes and the
+    # observed information loses its sum_s n_s d2P_s / P_s = sum_s d2P_s,
+    # which is 0 (the counts sum to N), leaving the expected one
+    times = (0.0, 1.0, 2.5, 4.0)
+    p, _, _ = count_derivatives(kind, pairinfer.model.model_spec(kind)
+                                .counts_type(*initial), truth, times[1:])
+    build = nongender_dataset if kind == NONGENDER else gender_dataset
+    data = build(times, [initial] + [tuple(row) for row in p])
+    score, observed, expected = score_observed_expected(kind, data, truth)
+    assert np.abs(score).max() <= 1e-9 * np.abs(expected).max()
+    assert observed == pytest.approx(expected, rel=1e-8)
+    # away from it, the score and observed information are those of
+    # score_and_information, and the expected one stays positive definite
+    # where the observed one need not be
+    rates = [10.0 * r for r in truth]
+    score, observed, expected = score_observed_expected(kind, data, rates)
+    reference = score_and_information(kind, data, rates)
+    assert np.array_equal(score, reference[0])
+    assert np.array_equal(observed, reference[1])
+    assert np.array_equal(expected, expected.T)
+    assert np.linalg.eigvalsh(expected).min() > 0.0
