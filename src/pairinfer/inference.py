@@ -1,7 +1,7 @@
 """Numeric maximum-likelihood refinement and uncertainty quantification.
 
 An identified fit (no more rates than the data's free dimensions) climbs
-in up to four stages:
+in three stages:
 
 1. **Closed form.**  With two observation times the non-gendered MLE
    attains the saturated multinomial bound and has a closed form
@@ -9,26 +9,26 @@ in up to four stages:
    or more times the closed form of the first and last observations is the
    start.  A gendered fit starts at the symmetric split of the marginal
    non-gendered fit, which takes these same stages.
-2. **Fisher scoring** (three or more times).  Projected Newton steps on the
-   expected information (Osborne 1992), which is positive semi-definite
-   wherever the likelihood is finite, or on the observed information where
-   that is positive definite.  Each step backtracks on the value-path
-   objective.  Scoring runs from the warm start and from each of its
-   corners (one rate on its lower bound), since sparse or depleted cohorts
-   can have several local maxima, and the best converged point goes on.
-3. **Newton polish.**  Projected Newton on the exact score and observed
-   information of :func:`likelihood.score_and_information` (Bertsekas
-   1982); its last information gives the standard errors.
-4. **Simplex.**  A box-constrained Nelder-Mead simplex with jittered
-   restarts.  It is the path of two-time designs: it stops at a loose
-   tolerance (diameter 1e-5, spread 1e-6), or at the first point within
-   rounding noise of the saturated bound, which the closed-form start
-   meets in one evaluation, and the polish finishes.  With three or more
-   times it is the fallback when scoring or the polish fails (a non-finite
-   value, no descent, a singular information).  If the polish after it
-   fails too, the tight simplex runs from the warm start.
+2. **Newton climb.**  Projected Newton steps on the exact score and
+   observed information of :func:`likelihood.score_and_information`
+   (Bertsekas 1982), or on the expected information where the observed
+   one is not positive definite on the free coordinates (Fisher scoring,
+   Osborne 1992); each step backtracks on the value-path objective.  With
+   three or more times the climb runs from the warm start and from each of
+   its corners (one rate on its lower bound), since sparse or depleted
+   cohorts can have several local maxima, and the best converged point
+   climbs on to a tight tolerance.  With two times a box-constrained
+   Nelder-Mead simplex first runs to a loose tolerance (diameter 1e-5,
+   spread 1e-6), or to the first point within rounding noise of the
+   saturated bound, which the closed-form start meets in one evaluation,
+   and the climb runs from its point.  The last climb's observed
+   information gives the standard errors.
+3. **Simplex.**  Where the climb fails (a non-finite value, no descent, no
+   positive definite information) the tight simplex, with jittered
+   restarts, runs from the warm start.
 
-Over-parameterised designs run the tight simplex alone.  The covariance of
+Over-parameterised designs run the tight simplex alone.  All stages draw on
+one evaluation budget, which no fit passes.  The covariance of
 the estimates is the inverse of the observed information (Efron & Hinkley
 1978), the Hessian of the negative log-likelihood at the estimates; it
 needs no step into the box's exterior, so estimates on a bound keep their
@@ -58,7 +58,7 @@ from .dataset import Dataset
 from .errors import DomainError, InfeasibleDataError, SingularStencilError
 from .estimators import cfa, two_time_mle
 from .likelihood import (log_likelihood, saturated_log_likelihood,
-                         score_and_information, score_observed_expected)
+                         score_and_information)
 from .model import (NONGENDER, PARAM_NAMES, PairCounts, model_of, model_spec,
                     params_from_vector)
 from .neldermead import DEFAULT_MAX_EVALS, minimize_simplex, on_boundary
@@ -69,26 +69,25 @@ CONDITION_WARN_THRESHOLD = 1e10
 _SATURATION_TOL = 1e-6
 _HESS_SHRINK = 0.5
 _HESS_MAX_SHRINK = 3
-# Identified fits stop the simplex at these looser tolerances (the
-# simplex's own are 1e-10 and 1e-12) and finish with a Newton polish.
+# Two-time identified fits stop the simplex at these looser tolerances
+# (the simplex's own are 1e-10 and 1e-12) and finish with a Newton climb.
 _LOOSE_DIAMETER = 1e-5
 _LOOSE_SPREAD = 1e-6
-_POLISH_ITERATIONS = 8
-_POLISH_HALVINGS = 20
-# The polish stops when the Newton decrement g^T H^-1 g, twice the gain it
-# predicts, is below _POLISH_DECREMENT * (1 + |f|).  A step is accepted
-# while the objective rises by no more than _POLISH_NOISE * (1 + |f|), the
-# rounding noise of a sum of terms n*log(p): the last steps' gains are
-# below it, but the exact score still resolves them.
+# A Newton climb takes at most _NEWTON_ITERATIONS steps and halves each at
+# most _NEWTON_HALVINGS times: far from the maximum a step can overshoot by
+# orders of magnitude.  A step is accepted while the objective rises by no
+# more than _NOISE * (1 + |f|), the rounding noise of a sum of terms
+# n*log(p): the last steps' gains are below it, but the exact score still
+# resolves them.
+_NEWTON_ITERATIONS = 50
+_NEWTON_HALVINGS = 30
+_NOISE = 1e-14
+# A climb stops when the Newton decrement g^T H^-1 g, twice the gain it
+# predicts, is below a tolerance times (1 + |f|): _HANDOVER_DECREMENT for
+# the climbs from the starts, _POLISH_DECREMENT for the last climb, which
+# gives the standard errors.
+_HANDOVER_DECREMENT = 1e-10
 _POLISH_DECREMENT = 1e-20
-_POLISH_NOISE = 1e-14
-# Fisher scoring, the stage before the polish for identified designs with
-# three or more times, hands its point over once its decrement is below
-# _SCORING_DECREMENT * (1 + |f|).  Far from the maximum a scoring step can
-# overshoot by orders of magnitude, hence the many halvings.
-_SCORING_ITERATIONS = 50
-_SCORING_HALVINGS = 30
-_SCORING_DECREMENT = 1e-10
 
 
 def hessian_fd(objective, point, rel_step=1e-4, min_step=1e-6) -> np.ndarray:
@@ -372,52 +371,61 @@ def _step_into_box(x, gradient, information, lo, hi, to_lo, to_hi, newton):
             return newton
 
 
-def _projected_newton(derivatives, kind, data, objective, x, f, bounds, *,
-                      max_evals, iterations, halvings, decrement_tol, noise):
-    """Projected Newton iterations on the box from the point (x, f).
+def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals):
+    """Projected Newton climb on the box from the point (x, f).
 
-    ``derivatives(kind, data, x)`` gives the score and an information
-    matrix at x.  Each iteration takes the Newton step, bent into the box
-    by :func:`_step_into_box`, clips it into the box and halves it until
-    the value-path objective rises by no more than ``noise * (1 + |f|)``.
-    A coordinate near a bound whose optimum lies inside the box stays
-    free.  Returns ``(x, f, information, evaluations)``: ``information``
-    is the last one, at x, once the decrement is below
-    ``decrement_tol * (1 + |f|)``, and None when the information was not
-    positive definite on the free coordinates, no halving was accepted,
-    the iterations ran out or ``max_evals`` evaluations (one per
-    derivative evaluation, one per objective value) were spent.
+    Each iteration takes the Newton step on the coordinates not held on a
+    bound, solved on the observed information where that is positive
+    definite on them, else on the expected information, which is positive
+    semi-definite wherever the likelihood is finite.  Where the two differ,
+    as along a weakly identified direction, steps on the expected one
+    alone converge only linearly.  The step is bent into the box by
+    :func:`_step_into_box`, clipped into it and halved until the objective
+    rises by no more than its rounding noise.  Returns ``(x, f,
+    information, evaluations)``: ``information`` is the observed
+    information at x once the decrement is below ``decrement_tol * (1 +
+    |f|)``, whichever information the last step solved on, and None when
+    neither information was positive definite on the free coordinates, no
+    halving was accepted, the iterations ran out or ``max_evals``
+    evaluations (one per derivative evaluation, one per objective value)
+    were spent.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     evals = 0
-    for _ in range(iterations):
+    for _ in range(_NEWTON_ITERATIONS):
         if evals >= max_evals:
             break
-        result = derivatives(kind, data, x)
+        derivatives = score_and_information(kind, data, x)
         evals += 1
-        if result is None:
+        if derivatives is None:
             break
-        gradient, information = -result[0], result[1]
+        score, observed, expected = derivatives
+        gradient = -score
         # a coordinate on a bound with its gradient pointing out is held;
         # the decrement of the Newton step on the rest vanishes only where
         # x is stationary on the box
         to_lo = (x <= lo) & (gradient > 0)
         to_hi = (x >= hi) & (gradient < 0)
+        information = observed
         step = _newton_step(x, gradient, information, lo, hi, to_lo, to_hi)
         if step is None:
-            break
+            information = expected()
+            step = _newton_step(x, gradient, information, lo, hi, to_lo,
+                                to_hi)
+            if step is None:
+                break
         # twice the gain the quadratic model predicts for the step
         decrement = -float(2.0 * gradient @ step + step @ information @ step)
         if not math.isfinite(decrement):
             break
         if decrement <= decrement_tol * (1.0 + abs(f)):
-            return x, f, information, evals
+            return x, f, observed, evals
         step = _step_into_box(x, gradient, information, lo, hi, to_lo, to_hi,
                               step)
-        allowed = noise * (1.0 + abs(f))
+        allowed = _NOISE * (1.0 + abs(f))
         scale = 1.0
-        for _ in range(halvings):
+        for _ in range(_NEWTON_HALVINGS):
             if evals >= max_evals:
                 return x, f, None, evals
             trial = np.clip(x + scale * step, lo, hi)
@@ -432,64 +440,17 @@ def _projected_newton(derivatives, kind, data, objective, x, f, bounds, *,
     return x, f, None, evals
 
 
-def _newton_polish(kind, data, objective, x, f, bounds):
-    """Newton iterations on the exact score and observed information.
-
-    Steps are accepted within the objective's rounding noise, which the
-    exact score still resolves.  Returns ``(x, f, information,
-    evaluations)``; ``information`` is the observed information at x once
-    the Newton decrement is negligible, else None (the polish failed).
-    """
-    return _projected_newton(score_and_information, kind, data, objective,
-                             x, f, bounds, max_evals=math.inf,
-                             iterations=_POLISH_ITERATIONS,
-                             halvings=_POLISH_HALVINGS,
-                             decrement_tol=_POLISH_DECREMENT,
-                             noise=_POLISH_NOISE)
-
-
-def _scoring_derivatives(kind, data, rates):
-    """The score with the observed information where that is positive
-    definite, else with the expected information."""
-    derivatives = score_observed_expected(kind, data, rates)
-    if derivatives is None:
-        return None
-    score, observed, expected = derivatives
-    try:
-        np.linalg.cholesky(observed)
-    except np.linalg.LinAlgError:
-        return score, expected
-    return score, observed
-
-
-def _fisher_scoring(kind, data, objective, x, f, bounds, max_evals):
-    """Fisher scoring: Newton steps on the expected information.
-
-    That information is positive semi-definite wherever the likelihood is
-    finite, so steps descend from starts where the observed information is
-    indefinite (Osborne 1992).  Where the observed information is positive
-    definite the step takes it instead: scoring converges only linearly
-    where the two differ, as they do along a weakly identified direction.
-    Each step must lower the objective.  Returns ``(x, f, information,
-    evaluations)`` as :func:`_newton_polish` does.
-    """
-    return _projected_newton(_scoring_derivatives, kind, data,
-                             objective, x, f, bounds, max_evals=max_evals,
-                             iterations=_SCORING_ITERATIONS,
-                             halvings=_SCORING_HALVINGS,
-                             decrement_tol=_SCORING_DECREMENT, noise=0.0)
-
-
-def _score_from_starts(kind, data, objective, warm_start, bounds, max_evals):
-    """Fisher scoring from the warm start and from each of its corners.
+def _climb_from_starts(kind, data, objective, warm_start, bounds, max_evals):
+    """Newton climbs from the warm start and from each of its corners.
 
     A corner is the warm start with one rate on its lower bound.  Sparse or
     depleted cohorts can have several local maxima, each with another rate
-    on its bound, and scoring climbs the one whose basin holds its start;
-    the corners reach the others.  Returns ``(best, reached, evaluations)``:
-    ``best`` is the ``(x, f)`` of the lowest objective among the runs that
-    converged, or None, and ``reached`` that among all runs, the warm start
-    with +inf if no start had a finite objective.
+    on its bound, and a climb reaches the one whose basin holds its start;
+    the corners reach the others.  Each climb stops at the hand-over
+    tolerance.  Returns ``(best, reached, evaluations)``: ``best`` is the
+    ``(x, f)`` of the lowest objective among the climbs that converged, or
+    None, and ``reached`` that among all climbs, the warm start with +inf
+    if no start had a finite objective.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     starts = [warm_start] + [np.where(np.arange(lo.size) == i, lo, warm_start)
@@ -502,70 +463,69 @@ def _score_from_starts(kind, data, objective, warm_start, bounds, max_evals):
         used += 1
         if not math.isfinite(f):
             continue
-        x, f, fisher, evals = _fisher_scoring(kind, data, objective, start, f,
-                                              bounds, max_evals - used)
+        x, f, information, evals = _newton(kind, data, objective, start, f,
+                                           bounds, _HANDOVER_DECREMENT,
+                                           max_evals - used)
         used += evals
         if f < reached[1]:
             reached = (x, f)
-        if fisher is not None and (best is None or f < best[1]):
+        if information is not None and (best is None or f < best[1]):
             best = (x, f)
     return best, reached, used
 
 
-def _maximize(kind, data, warm_start, bounds, seed, max_evals, polish):
+def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
     """The optimizer stage of :func:`fit_mle`.
 
     Returns ``(x, fun, evaluations, converged, information)``;
-    ``information`` is the polish's last one, at ``x``, or None.  An
-    identified design with three or more times runs Fisher scoring from
-    the warm start and its corners, then the polish; if either fails, or
-    an identified design has two times, the loose simplex and the polish
-    run, and the tight simplex if the polish fails.  That simplex stops at
-    the first point within rounding noise of the saturated bound, which no
-    point can beat.  The budget ``max_evals`` bounds scoring and the
-    simplex; the polish, at most eight iterations, may pass it.
+    ``information`` is the last climb's observed information, at ``x``, or
+    None.  An identified design with three or more times climbs from the
+    warm start and its corners, and the best converged point climbs on; with
+    two times the loose simplex, which stops at the first point within
+    rounding noise of the saturated bound (no point can beat it), runs
+    first and the climb goes on from its point.  Where the climb fails,
+    and for over-parameterised designs, the tight simplex runs from the
+    warm start.  Every stage draws on the one budget ``max_evals``; when it
+    is spent, the best point reached returns unconverged.
     """
     objective = _objective(kind, data)
-    if not polish:
-        result = minimize_simplex(objective, warm_start, bounds, seed=seed,
-                                  max_evals=max_evals)
-        return result.x, result.fun, result.n_evals, result.converged, None
-    used = 0
-    if len(data.times) > 2:
-        best, reached, used = _score_from_starts(kind, data, objective,
-                                                 warm_start, bounds, max_evals)
+    used, reached = 0, (warm_start, math.inf)
+    if identified:
+        if len(data.times) == 2:
+            saturated = saturated_log_likelihood(data)
+            loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
+                                     max_evals=max_evals,
+                                     diameter_tol=_LOOSE_DIAMETER,
+                                     spread_tol=_LOOSE_SPREAD,
+                                     floor=-saturated + _NOISE
+                                     * (1.0 + abs(saturated)))
+            used, reached = loose.n_evals, (loose.x, loose.fun)
+            if not (loose.converged and math.isfinite(loose.fun)):
+                return *reached, used, loose.converged, None
+            best = reached
+        else:
+            best, reached, used = _climb_from_starts(kind, data, objective,
+                                                     warm_start, bounds,
+                                                     max_evals)
         if best is not None:
-            x, f, information, evals = _newton_polish(kind, data, objective,
-                                                      *best, bounds)
+            x, f, information, evals = _newton(kind, data, objective, *best,
+                                               bounds, _POLISH_DECREMENT,
+                                               max_evals - used)
             used += evals
             if information is not None:
                 return x, f, used, True, information
-        if used >= max_evals:  # the budget ran out first
-            return *reached, used, False, None
-    saturated = saturated_log_likelihood(data)
-    loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
-                             max_evals=max_evals - used,
-                             diameter_tol=_LOOSE_DIAMETER,
-                             spread_tol=_LOOSE_SPREAD,
-                             floor=-saturated + _POLISH_NOISE
-                             * (1.0 + abs(saturated)))
-    used += loose.n_evals
-    if not (loose.converged and math.isfinite(loose.fun)):
-        return loose.x, loose.fun, used, loose.converged, None
-    x, f, information, evals = _newton_polish(kind, data, objective, loose.x,
-                                              loose.fun, bounds)
-    used += evals
-    if information is not None:
-        return x, f, used, True, information
-    # the polish failed: the tight simplex runs from the warm start instead
-    tight = minimize_simplex(objective, warm_start, bounds, seed=seed,
-                             max_evals=max_evals - used)
-    if not tight.fun <= loose.fun:  # the budget ran out first
-        return loose.x, loose.fun, used + tight.n_evals, False, None
-    return tight.x, tight.fun, used + tight.n_evals, tight.converged, None
+            if f < reached[1]:
+                reached = (x, f)
+    if used < max_evals:
+        tight = minimize_simplex(objective, warm_start, bounds, seed=seed,
+                                 max_evals=max_evals - used)
+        used += tight.n_evals
+        if tight.fun <= reached[1]:
+            return tight.x, tight.fun, used, tight.converged, None
+    return *reached, used, False, None
 
 
-def _default_warm_start(kind, data, bounds, seed, max_evals, polish):
+def _default_warm_start(kind, data, bounds, seed, max_evals, identified):
     if kind == NONGENDER:
         try:
             # clamping negative CFA rates is routine here, not user-visible
@@ -577,7 +537,7 @@ def _default_warm_start(kind, data, bounds, seed, max_evals, polish):
         # an identified fit starts at the two-time MLE of its first and
         # last observations when the closed form applies: the MLE itself
         # for two times.  The CFA tau seeds its root solve.
-        if polish:
+        if identified:
             two_times = len(data.times) == 2
             ends = data if two_times else Dataset(
                 (data.times[0], data.times[-1]),
@@ -588,17 +548,17 @@ def _default_warm_start(kind, data, bounds, seed, max_evals, polish):
                                           else "closed-form-first-last")
         return start, source
     # gendered warm start: symmetric split of the non-gendered fit, which
-    # polishes only when the gendered fit does
+    # climbs only when the gendered fit does
     marginal = Dataset(
         data.times,
         tuple(PairCounts(o.ss, o.is_ + o.si, o.ii) for o in data.observations),
     )
     marginal_bounds = (DEFAULT_BOUNDS, DEFAULT_BOUNDS)
     start, _ = _default_warm_start(NONGENDER, marginal, marginal_bounds, seed,
-                                   max_evals, polish)
-    (lam, tau), fun = _maximize(NONGENDER, marginal,
-                                np.clip(start, *DEFAULT_BOUNDS),
-                                marginal_bounds, seed, max_evals, polish)[:2]
+                                   max_evals, identified)
+    (lam, tau), fun = _maximize(
+        NONGENDER, marginal, np.clip(start, *DEFAULT_BOUNDS), marginal_bounds,
+        seed, max_evals, identified)[:2]
     if not math.isfinite(fun):
         raise InfeasibleDataError(
             "every optimizer start produced impossible data (-inf likelihood)")
@@ -619,16 +579,17 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     (``"symmetric-nongender"``).  Explicit warm starts are clipped into the
     bounds.  Deterministic for a fixed seed.
 
-    Identified designs with three or more times run Fisher scoring from
-    the warm start and its corners, then a Newton polish; with two times a
-    loose simplex, stopped at the saturated bound, then the polish.  Where
-    scoring or the polish fails, the loose simplex, the polish and the
-    tight simplex run as for two times.  Over-parameterised designs (more
-    rates than the data's free dimensions) run the tight simplex alone,
-    since their maximum is a ridge with no Newton step.  ``iterations``
-    counts the likelihood evaluations of the optimizer, one per derivative
-    evaluation of scoring and the polish included.  ``uncertainty=False``
-    skips the covariance stage (used by bulk recovery sweeps, which record
+    Identified designs with three or more times run a Newton climb from
+    the warm start and its corners, and the best converged point climbs on;
+    with two times a loose simplex, stopped at the saturated bound, then
+    the climb.  Where the climb fails, the tight simplex runs from the warm
+    start.  Over-parameterised designs (more rates than the data's free
+    dimensions) run the tight simplex alone, since their maximum is a ridge
+    with no Newton step.  ``iterations`` counts the likelihood evaluations
+    of the optimizer, one per derivative evaluation of the climb included,
+    and never exceeds ``max_evals``: a fit whose budget runs out returns the
+    best point reached, unconverged.  ``uncertainty=False`` skips the
+    covariance stage (used by bulk recovery sweeps, which record
     point estimates only).
     """
     spec = model_spec(kind)

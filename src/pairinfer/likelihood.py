@@ -14,9 +14,9 @@ Grids and slices are one batched evaluation: :func:`likelihood_surface` and
 value of :func:`log_likelihood`.  Point evaluations (optimizer steps and
 line searches) stay on the scalar path, which is cheaper for a single rate
 vector.  :func:`score_and_information` gives the exact gradient and
-observed information that the Newton polish and the standard errors use;
-:func:`score_observed_expected` adds the expected information, on which
-Fisher scoring steps where the observed one is not positive definite.
+observed information, on which the optimizer's Newton climb steps and from
+which the standard errors come, and the expected information, on which the
+climb steps where the observed one is not positive definite.
 """
 
 from __future__ import annotations
@@ -72,10 +72,20 @@ def log_likelihood(kind, params, data: Dataset) -> float:
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _count_derivatives_at_later_times(kind, data: Dataset, rates):
-    """``(counts, p, grad, hess)`` at the non-conditioning times, or None.
+def score_and_information(kind, data: Dataset, rates):
+    """Score, observed information and expected information at ``rates``.
 
-    None where an observed state has no positive expected count: the
+    The score is the gradient sum_s n_s dP_s/P_s and the observed
+    information is minus the Hessian,
+    sum_s n_s (dP_s dP_s^T / P_s^2 - d2P_s / P_s), both summed over the
+    non-conditioning times (the proportion's 1/N drops out of both).  The
+    expected (Fisher) information is sum_s dP_s dP_s^T / P_s over the states
+    with a positive expected count, N times that of one pair's multinomial.
+    It is positive semi-definite at every rate vector, where the observed
+    one need not be.  Returns ``(score, observed, expected)``, where
+    ``expected`` is a function of no arguments that forms the expected
+    information from the same count derivatives when it is called, or None
+    where an observed state has no positive expected count: the
     log-likelihood is -inf there and has no derivatives.
     """
     p, grad, hess = count_derivatives(kind, data.initial, rates,
@@ -83,57 +93,25 @@ def _count_derivatives_at_later_times(kind, data: Dataset, rates):
     counts = np.array(data.counts[1:], dtype=float)
     if not np.all(p[counts > 0] > 0.0):
         return None
-    return counts, p, grad, hess
-
-
-def _score_and_observed(counts, p, grad, hess):
     # dP/P and d2P/P first: squaring 1/P alone overflows for P below
     # ~1e-154, and n/P for a subnormal P
     safe_p = np.where(counts > 0, p, 1.0)
     relative = grad / safe_p[:, :, None]
     score = np.einsum("ts,tsj->j", counts, relative)
-    information = (np.einsum("ts,tsj,tsk->jk", counts, relative, relative)
-                   - np.einsum("ts,tsjk->jk", counts,
-                               hess / safe_p[:, :, None, None]))
+    observed = (np.einsum("ts,tsj,tsk->jk", counts, relative, relative)
+                - np.einsum("ts,tsjk->jk", counts,
+                            hess / safe_p[:, :, None, None]))
+
+    def expected():
+        # dP/sqrt(P) first, for the same reason
+        positive = p > 0.0
+        root = np.where(positive[:, :, None],
+                        grad / np.sqrt(np.where(positive, p, 1.0))[:, :, None],
+                        0.0)
+        return np.einsum("tsj,tsk->jk", root, root)
+
     # halves first: the sum overflows for entries above ~9e307
-    return score, 0.5 * information + 0.5 * information.T
-
-
-def score_and_information(kind, data: Dataset, rates):
-    """Score and observed information of the log-likelihood at ``rates``.
-
-    The score is the gradient sum_s n_s dP_s/P_s and the observed
-    information is minus the Hessian,
-    sum_s n_s (dP_s dP_s^T / P_s^2 - d2P_s / P_s), both summed over the
-    non-conditioning times (the proportion's 1/N drops out of both).
-    Returns None where an observed state has no positive expected count:
-    the log-likelihood is -inf there and has no derivatives.
-    """
-    terms = _count_derivatives_at_later_times(kind, data, rates)
-    return None if terms is None else _score_and_observed(*terms)
-
-
-def score_observed_expected(kind, data: Dataset, rates):
-    """The score with the observed and the expected information.
-
-    The expected (Fisher) information is sum_s dP_s dP_s^T / P_s, N times
-    that of one pair's multinomial, summed over the non-conditioning times
-    and the states with a positive expected count.  It is positive
-    semi-definite at every rate vector, where the observed information of
-    :func:`score_and_information` need not be.  Returns ``(score,
-    observed, expected)``, or None as :func:`score_and_information` does.
-    """
-    terms = _count_derivatives_at_later_times(kind, data, rates)
-    if terms is None:
-        return None
-    _, p, grad, _ = terms
-    # dP/sqrt(P) first: (dP/P)^2 overflows as in score_and_information
-    positive = p > 0.0
-    root = np.where(positive[:, :, None],
-                    grad / np.sqrt(np.where(positive, p, 1.0))[:, :, None],
-                    0.0)
-    return (*_score_and_observed(*terms),
-            np.einsum("tsj,tsk->jk", root, root))
+    return score, 0.5 * observed + 0.5 * observed.T, expected
 
 
 def log_likelihood_batch(kind, data: Dataset, rates) -> np.ndarray:

@@ -322,7 +322,7 @@ def test_fit_infeasible_data_error():
         fit_mle("nongender", data, seed=0)
 
 
-# Non-gendered, three times: Fisher scoring from the two-time MLE of the
+# Non-gendered, three times: the Newton climb from the two-time MLE of the
 # first and last observations converges after 6 evaluations.
 THREE_TIME_COHORT = nongender_dataset((0.0, 1.5, 4.0), [
     (1500, 250, 52), (1460, 268, 74), (1400, 281, 121)])
@@ -372,6 +372,61 @@ def _tight_simplex(kind, data, fit):
 
 
 @pytest.mark.parametrize("kind, data", [
+    ("nongender", THREE_TIME_COHORT),
+    ("gender", BOUNDARY_COHORT),
+    ("nongender", None),
+    ("gender", None),
+], ids=["nongender-3-times", "gender-boundary", "bundled", "bundled-gender"])
+def test_budget_is_a_hard_cap(kind, data, mwanza, mwanza_gender):
+    if data is None:
+        data = mwanza if kind == "nongender" else mwanza_gender
+    full = fit_mle(kind, data, seed=0)
+    for budget in [*range(1, 13), full.iterations]:
+        # a spent budget returns the best point reached, never an error
+        fit = fit_mle(kind, data, seed=0, max_evals=budget)
+        assert fit.iterations <= budget
+        if fit.converged:  # the fit finished within the budget
+            assert np.array_equal(fit.estimates, full.estimates)
+    assert fit.converged and fit.iterations == full.iterations
+
+
+# Non-gendered, times 0/3/7: no SS pair is lost and every SI pair is gone by
+# the second time, so lambda goes to 0 and tau to its upper bound, where
+# the information is singular.
+SINGULAR_COHORT = nongender_dataset((0.0, 3.0, 7.0), [
+    (2044, 281, 23), (2044, 0, 304), (2044, 0, 304)])
+
+
+def test_singular_information_fit_ends_on_the_climb():
+    # the climb converges there on the expected information; when it ran
+    # the simplex fallback instead, the fit took 1,687 evaluations
+    fit = fit_mle("nongender", SINGULAR_COHORT, seed=0)
+    assert fit.converged
+    assert fit.identifiability == "singular-hessian"
+    assert fit.iterations < 300
+    tight = _tight_simplex("nongender", SINGULAR_COHORT, fit)
+    assert abs(fit.loglik_at_max + tight.fun) <= 1e-9 * (1.0 + abs(tight.fun))
+
+
+def test_climb_returns_the_observed_information():
+    # gendered, times 0/4/5, the MF pairs all gone by the second time: the
+    # climb from the warm start converges along a flat direction on a step
+    # solved on the expected information, and returns the observed one
+    data = gender_dataset((0.0, 4.0, 5.0), [
+        (12278, 1993, 1993, 164), (12278, 0, 5, 4145), (12278, 0, 1, 4149)])
+    fit = fit_mle("gender", data, seed=0)
+    assert fit.converged and fit.identifiability == "singular-hessian"
+    objective = inference._objective("gender", data)
+    start = fit.warm_start
+    x, _, information, _ = inference._newton(
+        "gender", data, objective, start, objective(start), fit.bounds,
+        inference._HANDOVER_DECREMENT, 1_000)
+    observed = score_and_information("gender", data, x)[1]
+    assert np.array_equal(information, observed)
+    assert np.linalg.eigvalsh(observed).min() < 0.0
+
+
+@pytest.mark.parametrize("kind, data", [
     ("nongender", None),
     ("nongender", THREE_TIME_COHORT),
     ("gender", BOUNDARY_COHORT),
@@ -389,17 +444,21 @@ def test_polished_fit_is_stationary_and_never_worse(kind, data, mwanza):
     assert fit.iterations < tight.n_evals
     assert fit.loglik_at_max >= -tight.fun - 1e-12 * (1.0 + abs(tight.fun))
     # the projected Newton step left at the estimates is negligible
-    score, information = score_and_information(kind, data, fit.estimates)
+    score, information, _ = score_and_information(kind, data, fit.estimates)
     free = ~((fit.estimates == 0.0) & (score < 0.0))
     step = np.linalg.solve(information[np.ix_(free, free)], score[free])
     assert np.abs(step).max() <= 1e-8 * np.abs(fit.estimates).max()
 
 
-def test_failed_polish_falls_back_to_the_tight_simplex(mwanza, monkeypatch):
-    def failing_polish(kind, data, objective, x, f, bounds):
-        return x, f, None, 7
+def _failing_climb(evaluations):
+    """A Newton climb that fails after ``evaluations`` evaluations."""
+    def climb(kind, data, objective, x, f, bounds, decrement_tol, max_evals):
+        return x, f, None, evaluations
+    return climb
 
-    monkeypatch.setattr(inference, "_newton_polish", failing_polish)
+
+def test_failed_polish_falls_back_to_the_tight_simplex(mwanza, monkeypatch):
+    monkeypatch.setattr(inference, "_newton", _failing_climb(7))
     fit = fit_mle("nongender", mwanza, seed=0)
     objective = inference._objective("nongender", mwanza)
     # the closed-form start meets the saturated bound at once
@@ -407,7 +466,7 @@ def test_failed_polish_falls_back_to_the_tight_simplex(mwanza, monkeypatch):
     loose = minimize_simplex(objective, fit.warm_start, fit.bounds, seed=0,
                              diameter_tol=inference._LOOSE_DIAMETER,
                              spread_tol=inference._LOOSE_SPREAD,
-                             floor=-saturated + inference._POLISH_NOISE
+                             floor=-saturated + inference._NOISE
                              * (1.0 + abs(saturated)))
     assert loose.n_evals == 1
     tight = _tight_simplex("nongender", mwanza, fit)
@@ -434,14 +493,16 @@ def test_over_parameterised_fit_keeps_the_tight_simplex(mwanza_gender):
 
 def _path_without_floor(data, start):
     """The identified optimizer stage as it ran before the saturated floor:
-    the loose simplex, the polish and, if that fails, the tight simplex."""
+    the loose simplex, the Newton climb and, if that fails, the tight
+    simplex."""
     bounds = (inference.DEFAULT_BOUNDS, inference.DEFAULT_BOUNDS)
     objective = inference._objective("nongender", data)
     loose = minimize_simplex(objective, start, bounds, seed=0,
                              diameter_tol=inference._LOOSE_DIAMETER,
                              spread_tol=inference._LOOSE_SPREAD)
-    x, f, information, evals = inference._newton_polish(
-        "nongender", data, objective, loose.x, loose.fun, bounds)
+    x, f, information, evals = inference._newton(
+        "nongender", data, objective, loose.x, loose.fun, bounds,
+        inference._POLISH_DECREMENT, 50_000 - loose.n_evals)
     used = loose.n_evals + evals
     if information is not None:
         return x, used
@@ -500,7 +561,7 @@ def two_time_cohorts(draw):
 
 
 def _tight_polished(data, fit):
-    """A tight simplex from the CFA start, then the Newton polish."""
+    """A tight simplex from the CFA start, then the Newton climb."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -509,8 +570,9 @@ def _tight_polished(data, fit):
         start = np.array([1e-3, 1e-3])
     objective = inference._objective("nongender", data)
     tight = minimize_simplex(objective, start, fit.bounds, seed=0)
-    x, f, information, _ = inference._newton_polish(
-        "nongender", data, objective, tight.x, tight.fun, fit.bounds)
+    x, f, information, _ = inference._newton(
+        "nongender", data, objective, tight.x, tight.fun, fit.bounds,
+        inference._POLISH_DECREMENT, 50_000 - tight.n_evals)
     return (x, f) if information is not None else (tight.x, tight.fun)
 
 
@@ -524,7 +586,7 @@ def test_closed_form_fit_attains_the_saturated_bound(data):
     # rounding noise of the value path: each term n*log(p/N) carries a few
     # ulps of n, and P_II = N - P_SS - P_SI a few ulps of N
     eta = 1e-15 * (abs(saturated) + 3.0 * data.n)
-    noise = inference._POLISH_NOISE * (1.0 + abs(saturated))
+    noise = inference._NOISE * (1.0 + abs(saturated))
     assert fit.loglik_at_max >= saturated - max(noise, eta)
     # the MLE reproduces every count at T
     state = solve_nongender(NonGenderParams(*fit.estimates), data.initial,
@@ -536,8 +598,8 @@ def test_closed_form_fit_attains_the_saturated_bound(data):
     # 1e-6 relative, or what the value path resolves where that is more:
     # noise eta hides a move d with |g|*d + I*d^2/2 below it (score g,
     # information I), so d under min(sqrt(2*eta/I), eta/|g|)
-    score, information = score_and_information("nongender", data,
-                                               fit.estimates)
+    score, information, _ = score_and_information("nongender", data,
+                                                  fit.estimates)
     with np.errstate(divide="ignore", invalid="ignore"):
         resolution = np.fmin(np.sqrt(2.0 * eta / np.diag(information)),
                              eta / np.abs(score))
@@ -575,46 +637,21 @@ def test_stationary_zero_rates_fit():
     assert fit.std_errors is None
 
 
-def _simplex_path(kind, data, start, bounds, used):
-    """The identified optimizer stage before Fisher scoring: the loose
-    simplex stopped at the saturated floor, the polish and, if that fails,
-    the tight simplex; ``used`` evaluations are spent before it."""
-    objective = inference._objective(kind, data)
-    saturated = saturated_log_likelihood(data)
-    loose = minimize_simplex(objective, start, bounds, seed=0,
-                             max_evals=50_000 - used,
-                             diameter_tol=inference._LOOSE_DIAMETER,
-                             spread_tol=inference._LOOSE_SPREAD,
-                             floor=-saturated + inference._POLISH_NOISE
-                             * (1.0 + abs(saturated)))
-    used += loose.n_evals
-    x, f, information, evals = inference._newton_polish(
-        kind, data, objective, loose.x, loose.fun, bounds)
-    used += evals
-    if information is not None:
-        return x, used
-    tight = minimize_simplex(objective, start, bounds, seed=0,
-                             max_evals=50_000 - used)
-    return tight.x, used + tight.n_evals
-
-
 @pytest.mark.parametrize("kind, data", [
     ("nongender", THREE_TIME_COHORT),
     ("gender", BOUNDARY_COHORT),
 ], ids=["nongender", "gender"])
 def test_failed_scoring_falls_back_to_the_simplex_path(kind, data,
                                                        monkeypatch):
-    def failing_scoring(kind, data, objective, x, f, bounds, max_evals):
-        return x, f, None, 5
-
-    monkeypatch.setattr(inference, "_fisher_scoring", failing_scoring)
+    monkeypatch.setattr(inference, "_newton", _failing_climb(5))
     fit = fit_mle(kind, data, seed=0)
-    # the warm start and each of its corners: one value, five evaluations
-    starts = 1 + np.count_nonzero(fit.warm_start > 0.0)
-    x, evaluations = _simplex_path(kind, data, fit.warm_start, fit.bounds,
-                                   6 * starts)
-    assert np.array_equal(fit.estimates, x)
-    assert fit.iterations == evaluations
+    # the warm start and each of its corners: one value, five evaluations;
+    # then the tight simplex from the warm start on the budget left
+    used = 6 * (1 + np.count_nonzero(fit.warm_start > 0.0))
+    tight = minimize_simplex(inference._objective(kind, data), fit.warm_start,
+                             fit.bounds, seed=0, max_evals=50_000 - used)
+    assert np.array_equal(fit.estimates, tight.x)
+    assert fit.iterations == used + tight.n_evals
     assert fit.converged
 
 
@@ -653,9 +690,10 @@ def test_polish_reaches_an_interior_optimum_near_a_bound():
     # where a loose simplex once stopped: the polish held tau for lying
     # within 1e-5 of its bound and reported convergence there
     start = np.array([2.04e-4, 7.81e-6])
-    x, f, information, _ = inference._newton_polish(
+    x, f, information, _ = inference._newton(
         "nongender", data, objective, start, objective(start),
-        (inference.DEFAULT_BOUNDS, inference.DEFAULT_BOUNDS))
+        (inference.DEFAULT_BOUNDS, inference.DEFAULT_BOUNDS),
+        inference._POLISH_DECREMENT, 50_000)
     assert information is not None
     assert x == pytest.approx(TRUTH_NEAR_BOUND.as_vector(), rel=1e-5)
     assert -f >= saturated - 1e-12 * (1.0 + abs(saturated))
@@ -671,8 +709,8 @@ def test_polish_reaches_an_interior_optimum_near_a_bound():
 
 
 def test_corner_starts_reach_the_higher_maximum():
-    # N = 200 with one discordant pair per class: scoring from the
-    # symmetric start climbs to a maximum with tau_fm = 0, 0.0033 below
+    # N = 200 with one discordant pair per class: the climb from the
+    # symmetric start reaches a maximum with tau_fm = 0, 0.0033 below
     # the one with lambda_m = 0 that the corner start reaches
     data = gender_dataset((0.0, 5.0, 8.05258154227635, 11.795497776281028), [
         (196, 1, 1, 2), (194, 1, 1, 4), (191, 1, 2, 6), (189, 0, 3, 8)])
@@ -683,9 +721,9 @@ def test_corner_starts_reach_the_higher_maximum():
     assert fit.estimates[0] == 0.0 and fit.estimates[3] > 0.0
     objective = inference._objective("gender", data)
     start = fit.warm_start
-    x, f, _, _ = inference._fisher_scoring("gender", data, objective, start,
-                                           objective(start), fit.bounds,
-                                           1_000)
+    x, f, _, _ = inference._newton("gender", data, objective, start,
+                                   objective(start), fit.bounds,
+                                   inference._HANDOVER_DECREMENT, 1_000)
     assert -f < fit.loglik_at_max - 1e-3 and x[3] == 0.0
 
 
@@ -746,6 +784,6 @@ def test_scoring_fits_reach_the_tight_simplex(case):
     assert fit.loglik_at_max >= -tight.fun - 1e-9 * (1.0 + abs(tight.fun))
     # where the information at the maximum is singular (nothing changed,
     # or a state emptied and the rate out of it went to the box edge) the
-    # derivative stages fail and the simplex path runs
+    # climb can fail and the tight simplex run
     if fit.identifiability == "ok":
         assert fit.iterations < 150

@@ -16,7 +16,7 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        log_likelihood_batch, log_likelihood_gender,
                        log_likelihood_nongender, nongender_dataset,
                        saturated_log_likelihood, slice_profile)
-from pairinfer.likelihood import score_and_information, score_observed_expected
+from pairinfer.likelihood import score_and_information
 from pairinfer.model import EPS_SINGULAR, count_derivatives, params_from_vector
 
 from oracles import loglik_derivatives_mp
@@ -442,7 +442,7 @@ def test_score_and_information_match_mpmath_property(case):
     counts = np.array([o.as_tuple() for o in data.observations[1:]], float)
     if p.min() / data.n < 1e-100:
         return
-    score, information = derivatives
+    score, information, _ = derivatives
     exact_score, exact_information = loglik_derivatives_mp(kind, rates, data)
     if not np.isfinite(information).all():
         # only where the exact information leaves the float64 range
@@ -475,7 +475,8 @@ def test_information_at_a_subnormal_proportion_is_finite():
     entry cancels from terms of 71^2 = 5041 to ~7e-167, so it is held to
     the terms' size; the others to their own."""
     data = nongender_dataset((0.0, 35.5), [(1, 0, 999), (1, 0, 999)])
-    score, information = score_and_information(NONGENDER, data, [10.0, 1.0])
+    score, information, _ = score_and_information(NONGENDER, data,
+                                                  [10.0, 1.0])
     exact_score, exact_information = loglik_derivatives_mp(
         NONGENDER, [10.0, 1.0], data)
     assert np.isfinite(information).all()
@@ -498,16 +499,17 @@ def test_expected_information_is_the_observed_one_at_an_exact_fit(
                                 .counts_type(*initial), truth, times[1:])
     build = nongender_dataset if kind == NONGENDER else gender_dataset
     data = build(times, [initial] + [tuple(row) for row in p])
-    score, observed, expected = score_observed_expected(kind, data, truth)
+    score, observed, expected = score_and_information(kind, data, truth)
+    expected = expected()
     assert np.abs(score).max() <= 1e-9 * np.abs(expected).max()
     assert observed == pytest.approx(expected, rel=1e-8)
-    # away from it, the score and observed information are those of
-    # score_and_information, and the expected one stays positive definite
-    # where the observed one need not be
+    # away from it, the expected one is sum_s dP_s dP_s^T / P_s of the same
+    # count derivatives, and stays positive definite where the observed one
+    # need not be
     rates = [10.0 * r for r in truth]
-    score, observed, expected = score_observed_expected(kind, data, rates)
-    reference = score_and_information(kind, data, rates)
-    assert np.array_equal(score, reference[0])
-    assert np.array_equal(observed, reference[1])
+    expected = score_and_information(kind, data, rates)[2]()
+    p, grad, _ = count_derivatives(kind, data.initial, rates, times[1:])
+    reference = np.einsum("tsj,tsk,ts->jk", grad, grad, 1.0 / p)
+    assert expected == pytest.approx(reference, rel=1e-12)
     assert np.array_equal(expected, expected.T)
     assert np.linalg.eigvalsh(expected).min() > 0.0
