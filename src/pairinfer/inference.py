@@ -17,15 +17,18 @@ in three stages:
    three or more times the climb runs from the warm start and from each of
    its corners (one rate on its lower bound), since sparse or depleted
    cohorts can have several local maxima, and the best converged point
-   climbs on to a tight tolerance.  With two times a box-constrained
-   Nelder-Mead simplex first runs to a loose tolerance (diameter 1e-5,
-   spread 1e-6), or to the first point within rounding noise of the
-   saturated bound, which the closed-form start meets in one evaluation,
-   and the climb runs from its point.  The last climb's observed
-   information gives the standard errors.
+   climbs on to a tight tolerance from the derivatives its climb ended
+   with.  With two times a box-constrained Nelder-Mead simplex first runs
+   to a loose tolerance (diameter 1e-5, spread 1e-6), or to the first
+   point within rounding noise of the saturated bound, which the
+   closed-form start meets in one evaluation, and the climb runs from its
+   point.  The last climb's observed information gives the standard
+   errors.
 3. **Simplex.**  Where the climb fails (a non-finite value, no descent, no
    positive definite information) the tight simplex, with jittered
-   restarts, runs from the warm start.
+   restarts, runs from the warm start.  Its restarts end once a run ends
+   on the saturated bound: none could replace that run's result, so the
+   result is the one every restart would give.
 
 Over-parameterised designs run the tight simplex alone.  All stages draw on
 one evaluation budget, which no fit passes.  The covariance of
@@ -371,7 +374,8 @@ def _step_into_box(x, gradient, information, lo, hi, to_lo, to_hi, newton):
             return newton
 
 
-def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals):
+def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
+            derivatives=None):
     """Projected Newton climb on the box from the point (x, f).
 
     Each iteration takes the Newton step on the coordinates not held on a
@@ -381,10 +385,12 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals):
     as along a weakly identified direction, steps on the expected one
     alone converge only linearly.  The step is bent into the box by
     :func:`_step_into_box`, clipped into it and halved until the objective
-    rises by no more than its rounding noise.  Returns ``(x, f,
-    information, evaluations)``: ``information`` is the observed
-    information at x once the decrement is below ``decrement_tol * (1 +
-    |f|)``, whichever information the last step solved on, and None when
+    rises by no more than its rounding noise.  ``derivatives``, the
+    :func:`likelihood.score_and_information` of x if the caller has it,
+    spares its evaluation.  Returns ``(x, f, derivatives, evaluations)``.
+    ``derivatives`` are those of x once the decrement is below
+    ``decrement_tol * (1 + |f|)``, so their observed information is the one
+    at x whichever information the last step solved on.  They are None when
     neither information was positive definite on the free coordinates, no
     halving was accepted, the iterations ran out or ``max_evals``
     evaluations (one per derivative evaluation, one per objective value)
@@ -394,12 +400,13 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals):
     hi = np.array([b[1] for b in bounds], dtype=float)
     evals = 0
     for _ in range(_NEWTON_ITERATIONS):
-        if evals >= max_evals:
-            break
-        derivatives = score_and_information(kind, data, x)
-        evals += 1
         if derivatives is None:
-            break
+            if evals >= max_evals:
+                break
+            derivatives = score_and_information(kind, data, x)
+            evals += 1
+            if derivatives is None:
+                break
         score, observed, expected = derivatives
         gradient = -score
         # a coordinate on a bound with its gradient pointing out is held;
@@ -420,7 +427,7 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals):
         if not math.isfinite(decrement):
             break
         if decrement <= decrement_tol * (1.0 + abs(f)):
-            return x, f, observed, evals
+            return x, f, derivatives, evals
         step = _step_into_box(x, gradient, information, lo, hi, to_lo, to_hi,
                               step)
         allowed = _NOISE * (1.0 + abs(f))
@@ -436,7 +443,7 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals):
             scale *= 0.5
         else:
             break
-        x, f = trial, f_trial
+        x, f, derivatives = trial, f_trial, None
     return x, f, None, evals
 
 
@@ -448,9 +455,9 @@ def _climb_from_starts(kind, data, objective, warm_start, bounds, max_evals):
     on its bound, and a climb reaches the one whose basin holds its start;
     the corners reach the others.  Each climb stops at the hand-over
     tolerance.  Returns ``(best, reached, evaluations)``: ``best`` is the
-    ``(x, f)`` of the lowest objective among the climbs that converged, or
-    None, and ``reached`` that among all climbs, the warm start with +inf
-    if no start had a finite objective.
+    ``(x, f, derivatives)`` of the lowest objective among the climbs that
+    converged, or None, and ``reached`` the ``(x, f)`` of that among all
+    climbs, the warm start with +inf if no start had a finite objective.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     starts = [warm_start] + [np.where(np.arange(lo.size) == i, lo, warm_start)
@@ -463,14 +470,14 @@ def _climb_from_starts(kind, data, objective, warm_start, bounds, max_evals):
         used += 1
         if not math.isfinite(f):
             continue
-        x, f, information, evals = _newton(kind, data, objective, start, f,
+        x, f, derivatives, evals = _newton(kind, data, objective, start, f,
                                            bounds, _HANDOVER_DECREMENT,
                                            max_evals - used)
         used += evals
         if f < reached[1]:
             reached = (x, f)
-        if information is not None and (best is None or f < best[1]):
-            best = (x, f)
+        if derivatives is not None and (best is None or f < best[1]):
+            best = (x, f, derivatives)
     return best, reached, used
 
 
@@ -480,19 +487,22 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
     Returns ``(x, fun, evaluations, converged, information)``;
     ``information`` is the last climb's observed information, at ``x``, or
     None.  An identified design with three or more times climbs from the
-    warm start and its corners, and the best converged point climbs on; with
-    two times the loose simplex, which stops at the first point within
-    rounding noise of the saturated bound (no point can beat it), runs
-    first and the climb goes on from its point.  Where the climb fails,
-    and for over-parameterised designs, the tight simplex runs from the
-    warm start.  Every stage draws on the one budget ``max_evals``; when it
-    is spent, the best point reached returns unconverged.
+    warm start and its corners, and the best converged point climbs on from
+    the derivatives its climb ended with; with two times the loose simplex,
+    which stops at the first point within rounding noise of the saturated
+    bound (no point can beat it), runs first and the climb goes on from its
+    point.  Where the climb fails, and for over-parameterised designs, the
+    tight simplex runs from the warm start; it starts no further jittered
+    run once one ends within 5e-10 of the saturated bound, since no run
+    could then replace it, so the result is that of every start in fewer
+    evaluations.  Every stage draws on the one budget ``max_evals``;
+    when it is spent, the best point reached returns unconverged.
     """
     objective = _objective(kind, data)
+    saturated = saturated_log_likelihood(data)
     used, reached = 0, (warm_start, math.inf)
     if identified:
         if len(data.times) == 2:
-            saturated = saturated_log_likelihood(data)
             loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
                                      max_evals=max_evals,
                                      diameter_tol=_LOOSE_DIAMETER,
@@ -502,23 +512,25 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
             used, reached = loose.n_evals, (loose.x, loose.fun)
             if not (loose.converged and math.isfinite(loose.fun)):
                 return *reached, used, loose.converged, None
-            best = reached
+            best = (*reached, None)
         else:
             best, reached, used = _climb_from_starts(kind, data, objective,
                                                      warm_start, bounds,
                                                      max_evals)
         if best is not None:
-            x, f, information, evals = _newton(kind, data, objective, *best,
+            x, f, derivatives = best
+            x, f, derivatives, evals = _newton(kind, data, objective, x, f,
                                                bounds, _POLISH_DECREMENT,
-                                               max_evals - used)
+                                               max_evals - used, derivatives)
             used += evals
-            if information is not None:
-                return x, f, used, True, information
+            if derivatives is not None:
+                return x, f, used, True, derivatives[1]
             if f < reached[1]:
                 reached = (x, f)
     if used < max_evals:
         tight = minimize_simplex(objective, warm_start, bounds, seed=seed,
-                                 max_evals=max_evals - used)
+                                 max_evals=max_evals - used,
+                                 infimum=-saturated)
         used += tight.n_evals
         if tight.fun <= reached[1]:
             return tight.x, tight.fun, used, tight.converged, None
@@ -585,7 +597,10 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     the climb.  Where the climb fails, the tight simplex runs from the warm
     start.  Over-parameterised designs (more rates than the data's free
     dimensions) run the tight simplex alone, since their maximum is a ridge
-    with no Newton step.  ``iterations`` counts the likelihood evaluations
+    with no Newton step.  The tight simplex runs its jittered restarts only
+    while no run has ended on the saturated bound, which no restart could
+    beat, so the bundled gendered fit takes one start, not three, and the
+    same estimates.  ``iterations`` counts the likelihood evaluations
     of the optimizer, one per derivative evaluation of the climb included,
     and never exceeds ``max_evals``: a fit whose budget runs out returns the
     best point reached, unconverged.  ``uncertainty=False`` skips the

@@ -292,7 +292,8 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
 
     ``fn`` may return +inf for infeasible points.  Returns the best point
     seen across all evaluations, so the result never regresses below the
-    starting point.
+    starting point.  A run tests convergence before the budget, and
+    ``n_starts`` counts the starts that ran.
     """
     x0 = np.asarray(x0, dtype=float)
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -325,10 +326,12 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
     incumbent_f = np.inf
     incumbent_x = starts[0].copy()
     incumbent_converged = False
+    n_ran = 0
 
     for start in starts:
         if n_evals >= max_evals:
             break
+        n_ran += 1
         vertices = _initial_simplex(start, lo, hi)
         fs = []
         for v in vertices:
@@ -342,11 +345,13 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         fs = [fs[k] for k in order]
         run_converged = False
 
-        while n_evals + 2 <= max_evals:
+        while True:
             diameter = max(np.max(np.abs(v - vertices[0])) for v in vertices[1:])
             spread = 0.0 if fs[-1] == fs[0] else fs[-1] - fs[0]
             if diameter < diameter_tol and spread < spread_tol:
                 run_converged = True
+                break
+            if n_evals + 2 > max_evals:
                 break
 
             centroid = np.mean(vertices[:-1], axis=0)
@@ -401,7 +406,7 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         n_evals=n_evals,
         converged=incumbent_converged,
         on_boundary=at_bound,
-        n_starts=len(starts),
+        n_starts=n_ran,
     )
 
 
