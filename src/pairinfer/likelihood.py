@@ -9,14 +9,18 @@ the feasible region; zero counts contribute nothing even at zero predicted
 probability.
 
 Grids and slices are one batched evaluation: :func:`likelihood_surface` and
-:func:`slice_profile` stack their rate vectors into one array and call
-:func:`log_likelihood_batch`, which returns, row for row, the bit-identical
-value of :func:`log_likelihood`.  Point evaluations (optimizer steps and
-line searches) stay on the scalar path, which is cheaper for a single rate
-vector.  :func:`score_and_information` gives the exact gradient and
-observed information, on which the optimizer's Newton climb steps and from
-which the standard errors come, and the expected information, on which the
-climb steps where the observed one is not positive definite.
+:func:`slice_profile` pass one broadcasting array per rate (an axis as a
+column or a row, a fixed rate as a scalar) to
+:func:`log_likelihood_columns`, which returns, cell for cell, the
+bit-identical value of :func:`log_likelihood` and takes each log once per
+element of its state's own shape.  :func:`log_likelihood_batch` is the same
+evaluation on the columns of a (k, dim) array of rate vectors.  Point
+evaluations (optimizer steps and line searches) stay on the scalar path,
+which is cheaper for a single rate vector.  :func:`score_and_information`
+gives the exact gradient and observed information, on which the optimizer's
+Newton climb steps and from which the standard errors come, and the
+expected information, on which the climb steps where the observed one is
+not positive definite.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DomainError
 from .model import (GENDER, NONGENDER, PARAM_NAMES, apply_libm,
-                    count_derivatives, model_spec, solve_batch, solve_gender,
-                    solve_nongender)
+                    count_derivatives, model_spec, rate_rows,
+                    solve_columns, solve_gender, solve_nongender)
 
 
 def _log_likelihood(solve, kind, params, data: Dataset) -> float:
@@ -117,33 +121,44 @@ def score_and_information(kind, data: Dataset, rates):
 def log_likelihood_batch(kind, data: Dataset, rates) -> np.ndarray:
     """:func:`log_likelihood` at every row of a (k, dim) rate array.
 
-    Rows are rate vectors in ``PARAM_NAMES[kind]`` order.  Each result is
-    bit-identical to the scalar value, -inf sentinel included; a negative or
-    non-finite rate raises :class:`DomainError`.
+    Rows are rate vectors in ``PARAM_NAMES[kind]`` order:
+    :func:`log_likelihood_columns` on the columns of ``rates``.
+    """
+    return log_likelihood_columns(kind, data, tuple(rate_rows(kind, rates).T))
+
+
+def log_likelihood_columns(kind, data: Dataset, columns) -> np.ndarray:
+    """:func:`log_likelihood` at every cell of broadcasting rate columns.
+
+    ``columns`` are as for :func:`~pairinfer.model.solve_columns`.  Returns
+    an array of the shape they broadcast to.  Each element is bit-identical
+    to the scalar value at that cell's rates, -inf sentinel included; a
+    negative or non-finite rate raises the scalar path's
+    :class:`DomainError`.  Each log is taken once per element of its
+    state's own shape.
     """
     model_spec(kind)  # an unknown kind is a ConfigError, not a data mismatch
     if data.kind != kind:
         raise DomainError(f"{kind} likelihood requires {kind} data")
-    rates = np.asarray(rates, dtype=float)
     n = data.n
-    ll = np.zeros(len(rates))
-    impossible = np.zeros(len(rates), dtype=bool)
-    for t, obs in zip(data.elapsed()[1:], data.counts[1:]):
-        counts = np.array(obs, dtype=float)
-        # zero counts contribute nothing, even against p = 0
-        observed = counts > 0
-        p = solve_batch(kind, data.initial, rates, t)[observed] / n
-        bad = p <= 0.0
-        impossible |= bad.any(axis=0)
-        terms = counts[observed, None] * apply_libm(math.log,
-                                                    np.where(bad, 1.0, p))
-        # added row by row, in the scalar path's order, not by terms.sum()
-        term = np.zeros(len(rates))
-        for row in terms:
-            term += row
-        ll += term
-    ll[impossible] = -math.inf
-    return ll
+    ll = 0.0
+    impossible = False
+    for t, counts in zip(data.elapsed()[1:], data.counts[1:]):
+        # added state by state, in the scalar path's order
+        term = 0.0
+        for n_obs, pred in zip(counts, solve_columns(kind, data.initial,
+                                                     columns, t)):
+            # zero counts contribute nothing, even against p = 0
+            if n_obs > 0:
+                p = pred / n
+                bad = p <= 0.0
+                impossible = impossible | bad
+                term = term + n_obs * apply_libm(math.log,
+                                                 np.where(bad, 1.0, p))
+        ll = ll + term
+    out = np.empty(np.broadcast(*columns).shape)
+    out[...] = np.where(impossible, -math.inf, ll)
+    return out
 
 
 def saturated_log_likelihood(data: Dataset) -> float:
@@ -251,25 +266,21 @@ def likelihood_surface(kind, data: Dataset, grid: GridSpec, fixed=None) -> Surfa
     ax0, ax1 = grid.axes
     v0 = ax0.values()
     v1 = ax1.values()
-    rates = np.empty((len(v0), len(v1), len(names)))
-    for col, name in enumerate(names):
-        if name == ax0.name:
-            rates[:, :, col] = v0[:, None]
-        elif name == ax1.name:
-            rates[:, :, col] = v1[None, :]
-        else:
-            rates[:, :, col] = fixed[name]
-    out = log_likelihood_batch(kind, data, rates.reshape(-1, len(names)))
-    out = out.reshape(len(v0), len(v1))
+    axes = {ax0.name: v0[:, None], ax1.name: v1[None, :]}
+    out = log_likelihood_columns(
+        kind, data, tuple(axes[name] if name in axes else fixed[name]
+                          for name in names))
     finite = np.isfinite(out)
     if finite.any():
         max_ll = float(out[finite].max())
         flat = np.where(finite, out, -np.inf).argmax()
         argmax = np.unravel_index(flat, out.shape)
+        normalized = np.where(finite, out - max_ll, out)
     else:
+        # -inf - -inf would be nan, with a RuntimeWarning
         max_ll = -math.inf
         argmax = (0, 0)
-    normalized = np.where(finite, out - max_ll, out)
+        normalized = out.copy()
     return SurfaceResult(
         axis_names=(ax0.name, ax1.name),
         axis_values=(v0, v1),
@@ -301,8 +312,7 @@ def slice_profile(kind, data: Dataset, vary: str, axis: GridAxis, anchor) -> Pro
     if axis.name != vary:
         raise ConfigError(f"axis name {axis.name!r} does not match vary={vary!r}")
     xs = axis.values()
-    rates = np.empty((len(xs), len(names)))
-    rates[:] = list(anchor.as_vector())
-    rates[:, names.index(vary)] = xs
+    columns = list(anchor.as_vector())
+    columns[names.index(vary)] = xs
     return ProfileCurve(name=vary, values=xs,
-                        loglik=log_likelihood_batch(kind, data, rates))
+                        loglik=log_likelihood_columns(kind, data, columns))

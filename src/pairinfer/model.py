@@ -25,8 +25,8 @@ which stays finite at any horizon.  The gendered model has the same shape
 per discordant class.  :data:`MODELS` holds that shape once per model: the
 SS hazard and, per discordant class, its start count, inflow from SS, x and
 exit rate, with the names, types and infection routes.  Every path serving
-both models reads it: :func:`solve_batch` evaluates the classes for many
-rate vectors in one block, :func:`count_derivatives` differentiates every
+both models reads it: :func:`solve_columns` evaluates the classes over
+broadcasting rate columns, :func:`count_derivatives` differentiates every
 count from one routine over them (near x = 0 through the Taylor series of
 expm1(x*t)/x, whose closed-form derivatives cancel there), and the
 simulator, infections table, parsers and CLI read it too.  The scalar
@@ -35,6 +35,19 @@ table-driven one, though bit-identical, took 1.31 against 1.00 us per
 non-gendered solve and 1.74 against 1.34 us per gendered one (2-CPU shared
 host, Python 3.11).  Everything here is a pure function of its arguments;
 all value types are frozen and safe to share across threads.
+
+Grids keep the scalar solvers' bits: :func:`apply_libm` sends each exp,
+expm1 and log through :mod:`math`.  numpy's vectorised functions differ
+from the C library's in 4.6% of exp values, by at most 1 ulp; with them the
+101x101 surface took 1.5 against 10.4 ms, but five bit-identity tests
+failed.  So the contract stays, and :func:`solve_columns` cuts the cost
+instead: it takes one broadcasting array per rate and evaluates each
+expression on the shape it varies over, so the SS decay of a lambda x tau
+surface is one exp per lambda.  That took the transcendentals of the
+default report's surfaces and profiles from 156,828 to 82,588, the 101x101
+surface from 7.0 to 4.4 ms and its six gendered 41x41 surfaces from 10.3
+to 5.4 ms (one pinned CPU of a 2-CPU shared host, median of 20 interleaved
+rounds).
 """
 
 from __future__ import annotations
@@ -452,20 +465,24 @@ def apply_libm(fn, values):
     """``fn`` from :mod:`math` applied to each element of an array.
 
     numpy's vectorised exp/expm1/log may differ from the C library's by an
-    ulp; going through :mod:`math` keeps :func:`solve_batch` bit-identical
-    to the scalar solvers.
+    ulp; going through :mod:`math` keeps :func:`solve_columns` bit-identical
+    to the scalar solvers.  numpy's own functions took the 101x101 surface
+    from 10.4 to 1.5 ms but broke five bit-identity tests.  So the contract
+    stays, and the cost is cut by calling this on arrays of the shape each
+    expression varies over (the module docstring gives both measurements).
     """
     flat = np.fromiter(map(fn, values.ravel().tolist()), float, values.size)
     return flat.reshape(values.shape)
 
 
 def _discordant_batch(c0, inflow, x, rate, decay, t):
-    """One discordant class of the scalar solvers, over arrays.
+    """One discordant class of the scalar solvers, over broadcasting arrays.
 
     Both branches (x <= -EPS_SINGULAR, and the general form with its
     singular limit) are evaluated everywhere and then selected.  Each
     element takes one exp and one expm1, with the arguments of its own
-    branch, so the branch it does not use cannot overflow.
+    branch, so the branch it does not use cannot overflow.  The expm1
+    argument varies with x alone, the exp argument with x and the exit rate.
     """
     below = x <= -EPS_SINGULAR
     singular = np.abs(x) < EPS_SINGULAR
@@ -478,46 +495,85 @@ def _discordant_batch(c0, inflow, x, rate, decay, t):
     return np.where(below, ce + inflow * ratio * e, above_value)
 
 
-def solve_batch(kind, init, rates, t):
-    """Expected pair counts at elapsed time t for each row of ``rates``.
+def _checked_columns(names, columns):
+    """``columns`` as float arrays, one per name, that broadcast together.
 
-    ``rates`` is a (k, dim) array of rate vectors in ``PARAM_NAMES[kind]``
-    order.  Returns a (states, k) array, one row per pair state in
-    ``as_tuple`` order.  Column i is bit-identical to
-    :func:`solve_nongender` / :func:`solve_gender` at
-    ``params_from_vector(kind, rates[i])``: the arithmetic is the same
-    sequence of IEEE operations, and transcendentals go through :mod:`math`.
+    A bad rate raises the scalar path's :class:`DomainError`: that of the
+    first bad rate of the first cell, in row-major cell order, that holds
+    one.
+    """
+    if len(columns) != len(names):
+        raise ConfigError(f"{len(names)} rate columns needed, got {len(columns)}")
+    columns = tuple(np.asarray(c, dtype=float) for c in columns)
+    try:
+        shape = np.broadcast(*columns).shape
+    except ValueError:
+        raise ConfigError("rate columns do not broadcast: "
+                          f"{[c.shape for c in columns]}") from None
+    flat = np.concatenate([c.ravel() for c in columns])
+    # NaN fails both comparisons
+    if not ((flat >= 0.0) & (flat < math.inf)).all():
+        good = [(c >= 0.0) & (c < math.inf) for c in columns]
+        cell = np.unravel_index(np.argmin(np.logical_and.reduce(
+            np.broadcast_arrays(*good))), shape)
+        for name, c in zip(names, columns):
+            _check_nonnegative(name, float(np.broadcast_to(c, shape)[cell]))
+    return columns
+
+
+def solve_columns(kind, init, columns, t):
+    """Expected pair counts at elapsed time t over broadcasting rate columns.
+
+    ``columns`` holds one array or scalar per rate in ``PARAM_NAMES[kind]``
+    order, which broadcast against each other: a surface passes its axes as
+    a column and a row and its fixed rates as scalars.  Returns one array
+    per pair state, in ``as_tuple`` order, each of the shape its expression
+    varies over: on a lambda x tau surface the SS count and the exp of its
+    decay are one column.  Broadcast to the columns' shape, each element is
+    bit-identical to :func:`solve_nongender` / :func:`solve_gender` at that
+    cell's rates: the arithmetic is the same sequence of IEEE operations on
+    the same values, and transcendentals go through :mod:`math`.
     """
     spec = model_spec(kind)
-    names = spec.param_names
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 2 or rates.shape[1] != len(names):
-        raise ConfigError(f"rates for model {kind!r} must have shape "
-                          f"(k, {len(names)}), got {rates.shape}")
-    bad = ~(np.isfinite(rates) & (rates >= 0))
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        _check_nonnegative(names[col], float(rates[row, col]))
+    r = _checked_columns(spec.param_names, columns)
     _check_time(t)
     n = init.total
     if n <= 0:
         raise DomainError("initial counts must sum to a positive total")
     counts = init.as_tuple()
-    r = rates.T
     decay = apply_libm(math.exp, -spec.hazard(r) * t)
-    # every discordant class in one (classes, k) evaluation
-    starts, inflows, xs, exits = zip(*spec.classes(r))
-    out = np.empty((len(counts), len(rates)))
-    out[0] = counts[0] * decay
-    out[list(starts)] = _discordant_batch(
-        np.array([[counts[s]] for s in starts], dtype=float),
-        counts[0] * np.array(inflows), np.array(xs), np.array(exits),
-        decay, t)
-    rest = n - out[0]
-    for row in out[1:-1]:
-        rest -= row
-    out[-1] = np.maximum(rest, 0.0)
-    return out
+    states = [counts[0] * decay]
+    # one class at a time: the classes of a surface vary over different axes
+    for start, inflow, x, rate in spec.classes(r):
+        states.append(_discordant_batch(counts[start], counts[0] * inflow,
+                                        x, rate, decay, t))
+    rest = n - states[0]
+    for value in states[1:]:
+        rest = rest - value
+    states.append(np.maximum(rest, 0.0))
+    return states
+
+
+def solve_batch(kind, init, rates, t):
+    """Expected pair counts at elapsed time t for each row of ``rates``.
+
+    ``rates`` is a (k, dim) array of rate vectors in ``PARAM_NAMES[kind]``
+    order.  Returns a (states, k) array, one row per pair state in
+    ``as_tuple`` order: :func:`solve_columns` on the columns of ``rates``.
+    """
+    rates = rate_rows(kind, rates)
+    return np.stack(np.broadcast_arrays(
+        *solve_columns(kind, init, tuple(rates.T), t)))
+
+
+def rate_rows(kind, rates):
+    """``rates`` as a float (k, dim) array; another shape is a ConfigError."""
+    dim = len(model_spec(kind).param_names)
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 2 or rates.shape[1] != dim:
+        raise ConfigError(f"rates for model {kind!r} must have shape "
+                          f"(k, {dim}), got {rates.shape}")
+    return rates
 
 
 def params_from_vector(kind, vector):

@@ -1,5 +1,6 @@
 """Likelihood values, sentinels, grids and slices."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        log_likelihood_batch, log_likelihood_gender,
                        log_likelihood_nongender, nongender_dataset,
                        saturated_log_likelihood, slice_profile)
-from pairinfer.likelihood import score_and_information
+from pairinfer.io import default_manifest, run_manifest
+from pairinfer.likelihood import log_likelihood_columns, score_and_information
 from pairinfer.model import EPS_SINGULAR, count_derivatives, params_from_vector
 
 from oracles import loglik_derivatives_mp
@@ -178,6 +180,11 @@ def test_surface_sentinels_recorded_not_raised():
     assert np.isfinite(surface2.loglik[0, 0])
     assert surface2.loglik[1, 0] == -math.inf
     assert surface2.normalized[0, 0] == 0.0
+    # every cell impossible: no finite maximum to normalise by
+    none = likelihood_surface("nongender", data, GridSpec(
+        (GridAxis("lambda", 0.0, 0.0, 1), GridAxis("tau", 0.05, 0.05, 1))))
+    assert none.max_loglik == -math.inf and none.argmax == (0, 0)
+    assert none.normalized.tobytes() == none.loglik.tobytes()
 
 
 def test_log_spaced_axis():
@@ -323,6 +330,51 @@ def test_grids_never_evaluate_cell_by_cell(monkeypatch, mwanza_gender):
                           GridAxis("tau_mf", 0.0, 0.2, 9),
                           GenderParams(0.004, 0.002, 0.047, 0.068))
     assert np.isfinite(curve.loglik).all()
+
+
+def test_surface_rejects_bad_fixed_rates_like_scalar(mwanza_gender):
+    """A fixed rate is one scalar column and is checked like a grid row."""
+    grid = GridSpec((GridAxis("lambda_m", 0.001, 0.01, 4),
+                     GridAxis("tau_mf", 0.01, 0.2, 5)))
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError) as surface_exc:
+            likelihood_surface(GENDER, mwanza_gender, grid,
+                               {"lambda_f": bad, "tau_fm": 0.068})
+        with pytest.raises(DomainError) as scalar_exc:
+            GenderParams(0.001, bad, 0.01, 0.068)
+        assert str(surface_exc.value) == str(scalar_exc.value)
+
+
+def test_columns_report_the_first_bad_cell_in_row_major_order(mwanza):
+    """Cell (0, 1) has a bad tau and cell (1, 0) a bad lambda: the scalar
+    path, cell by cell, meets the tau first."""
+    columns = (np.array([[0.003], [math.nan]]), np.array([[0.05, -1.0]]))
+    with pytest.raises(DomainError) as batch_exc:
+        log_likelihood_columns(NONGENDER, mwanza, columns)
+    with pytest.raises(DomainError) as scalar_exc:
+        _scalar(NONGENDER, mwanza, np.stack(
+            np.broadcast_arrays(*columns), axis=-1).reshape(-1, 2))
+    assert str(batch_exc.value) == str(scalar_exc.value)
+    assert "tau" in str(batch_exc.value)
+
+
+def test_default_grids_evaluate_each_transcendental_once_per_argument(
+        monkeypatch, tmp_path):
+    """Machine-independent cost of the default report's seven surfaces
+    (20,287 cells) and six profiles: the elements sent through
+    ``apply_libm``.  Evaluating every cell of the materialised grids took
+    156,828; each expression on the shape it varies over takes 82,588."""
+    evaluated = []
+    counted = pairinfer.model.apply_libm
+
+    def counting(fn, values):
+        evaluated.append(np.size(values))
+        return counted(fn, values)
+
+    monkeypatch.setattr(pairinfer.model, "apply_libm", counting)
+    monkeypatch.setattr(pairinfer.likelihood, "apply_libm", counting)
+    run_manifest(default_manifest(), tmp_path)
+    assert sum(evaluated) == 82_588
 
 
 def _counts(draw, total, states):
@@ -513,3 +565,68 @@ def test_expected_information_is_the_observed_one_at_an_exact_fit(
     assert expected == pytest.approx(reference, rel=1e-12)
     assert np.array_equal(expected, expected.T)
     assert np.linalg.eigvalsh(expected).min() > 0.0
+
+
+@st.composite
+def grid_axes(draw, name):
+    """A linear, log-spaced or single-point axis over rates 0-10."""
+    n = draw(st.sampled_from((1, 2, 3, 5)))
+    log = n > 1 and draw(st.booleans())
+    lo = draw(st.floats(1e-6, 9.0) if log
+              else st.one_of(st.just(0.0), st.floats(0.0, 9.0)))
+    hi = lo if n == 1 else draw(st.floats(lo, 10.0, exclude_min=True))
+    return GridAxis(name, lo, hi, n, log)
+
+
+def _class_rates(draw, regime):
+    """A (lambda, tau) pair, rates 0-10, with x = tau - lambda below the
+    singular band, in it or above it."""
+    if regime == "below":
+        lam = draw(st.floats(1e-6, 10.0))
+        return lam, lam * draw(st.floats(0.0, 0.99))
+    if regime == "band":
+        lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+        return lam, max(lam + draw(st.floats(-EPS_SINGULAR, EPS_SINGULAR)), 0.0)
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 9.0)))
+    return lam, draw(st.floats(lam + 1e-6, 10.0))
+
+
+@st.composite
+def grid_cases(draw):
+    """A random dataset (2-4 times, N to 5,000, -inf cells included), rates
+    whose classes have x < 0, x in the singular band or x > 0, and one axis
+    per rate."""
+    kind, data, _ = draw(likelihood_cases())
+    regimes = st.sampled_from(("below", "band", "above"))
+    if kind == NONGENDER:
+        rates = _class_rates(draw, draw(regimes))
+    else:
+        (lam_m, tau_mf), (lam_f, tau_fm) = (_class_rates(draw, draw(regimes))
+                                            for _ in range(2))
+        rates = (lam_m, lam_f, tau_mf, tau_fm)
+    axes = [draw(grid_axes(name)) for name in PARAM_NAMES[kind]]
+    return kind, data, rates, axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grid_cases())
+def test_surfaces_and_profiles_match_scalar_property(case):
+    """Every axis pair of the model, with the other rates fixed, and a
+    profile of every rate: each cell bit for bit the scalar value."""
+    kind, data, rates, axes = case
+    names = PARAM_NAMES[kind]
+    for (i, ax0), (j, ax1) in itertools.combinations(enumerate(axes), 2):
+        fixed = {n: v for n, v in zip(names, rates)
+                 if n not in (ax0.name, ax1.name)}
+        surface = likelihood_surface(kind, data, GridSpec((ax0, ax1)), fixed)
+        cells = np.tile(rates, (ax0.n, ax1.n, 1))
+        cells[:, :, i] = ax0.values()[:, None]
+        cells[:, :, j] = ax1.values()[None, :]
+        scalar = _scalar(kind, data, cells.reshape(-1, len(names)))
+        assert surface.loglik.tobytes() == scalar.tobytes()
+    anchor = params_from_vector(kind, rates)
+    for k, axis in enumerate(axes):
+        curve = slice_profile(kind, data, axis.name, axis, anchor)
+        cells = np.tile(rates, (axis.n, 1))
+        cells[:, k] = axis.values()
+        assert curve.loglik.tobytes() == _scalar(kind, data, cells).tobytes()
