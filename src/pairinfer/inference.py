@@ -23,7 +23,11 @@ in three stages:
    point within rounding noise of the saturated bound, which the
    closed-form start meets in one evaluation, and the climb runs from its
    point.  The last climb's observed information gives the standard
-   errors.
+   errors.  A step solves a system of at most four rows, so it runs on
+   Python floats (a Cholesky factor and two substitutions), where numpy's
+   call overhead outweighed the arithmetic: 8.5 against 31.7 us per step
+   on a gendered information, 4.5 against 30.6 us on a non-gendered one
+   (timeit on one pinned CPU).
 3. **Simplex.**  Where the climb fails (a non-finite value, no descent, no
    positive definite information) the tight simplex, with jittered
    restarts, runs from the warm start.  Its restarts end once a run ends
@@ -331,19 +335,47 @@ def _newton_step(x, gradient, information, lo, hi, to_lo, to_hi):
     onto those bounds and the system solved on the rest given that move.
 
     Returns None where the information is not positive definite on the
-    rest.
+    rest.  The blocks have at most four rows, so the solve runs on Python
+    floats: the Cholesky factor of the free block, whose pivots test its
+    positive definiteness, then two triangular substitutions.
     """
-    held = to_lo | to_hi
-    free = ~held
-    step = np.where(to_lo, lo - x, np.where(to_hi, hi - x, 0.0))
-    rhs = gradient[free] + information[np.ix_(free, held)] @ step[held]
-    if rhs.any():
-        try:
-            chol = np.linalg.cholesky(information[np.ix_(free, free)])
-        except np.linalg.LinAlgError:
-            return None
-        step[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    return step
+    down, up = to_lo.tolist(), to_hi.tolist()
+    rows = information.tolist()
+    rhs = gradient.tolist()
+    step = [0.0] * len(rhs)
+    free = [i for i in range(len(rhs)) if not (down[i] or up[i])]
+    if len(free) < len(rhs):
+        held = [j for j in range(len(rhs)) if down[j] or up[j]]
+        for j in held:
+            step[j] = float(lo[j] - x[j] if down[j] else hi[j] - x[j])
+        rhs = [rhs[i] + sum([rows[i][j] * step[j] for j in held])
+               for i in free]
+    if any(rhs):
+        # L L^T = the free block, row by row; a pivot that is not positive
+        # (or is nan) means the block is not positive definite
+        chol = []
+        for a, i in enumerate(free):
+            row = [rows[i][j] for j in free[:a + 1]]
+            for b, above in enumerate(chol):
+                for m in range(b):
+                    row[b] -= row[m] * above[m]
+                row[b] /= above[b]
+                row[a] -= row[b] * row[b]
+            if not row[a] > 0.0:
+                return None
+            row[a] = math.sqrt(row[a])
+            chol.append(row)
+        # L y = rhs, then L^T z = y in place; the step is -z
+        for a, row in enumerate(chol):
+            for m in range(a):
+                rhs[a] -= row[m] * rhs[m]
+            rhs[a] /= row[a]
+        for a in reversed(range(len(free))):
+            for m in range(a + 1, len(free)):
+                rhs[a] -= chol[m][a] * rhs[m]
+            rhs[a] /= chol[a][a]
+            step[free[a]] = -rhs[a]
+    return np.array(step)
 
 
 def _step_into_box(x, gradient, information, lo, hi, to_lo, to_hi, newton):

@@ -21,6 +21,7 @@ replays the run.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _io
 import itertools
 import json
@@ -246,8 +247,17 @@ def write_dataset(data: Dataset, path, description=None):
 
 
 def load_bundled(kind) -> Dataset:
-    """Load the bundled Mwanza cohort dataset for the given model kind."""
+    """Load the bundled Mwanza cohort dataset for the given model kind.
+
+    Each is read and parsed once per process, and the one frozen Dataset
+    is shared: every fit compares its data with it.
+    """
     model_spec(kind)  # an unknown kind is a ConfigError
+    return _read_bundled(kind)
+
+
+@functools.lru_cache(maxsize=None)
+def _read_bundled(kind) -> Dataset:
     name = f"mwanza_{kind}.json"
     text = resources.files("pairinfer.data").joinpath(name).read_text()
     return _parse_json_dataset(text, f"bundled:{name}")

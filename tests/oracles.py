@@ -7,7 +7,10 @@ differences, the simplex trajectory from its numpy formulation, and
 simulated counts from a one-shot sampler of the closed-form law.  The
 per-model rate algebra that the program now derives from its model table
 is kept here as it was written out per model: the linear form, the
-Gillespie channel tables and the batch solver.
+Gillespie channel tables and the batch solver.  So is the Newton kernel as
+it was written on numpy arrays before it moved to one chain product and to
+Python floats: the count derivatives, the score and information, and the
+Newton step.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        NonGenderParams, PairCounts, PairinferError,
                        SimplexResult, nongender_dataset, solve_gender,
                        solve_nongender)
-from pairinfer.model import (EPS_SINGULAR, _check_nonnegative, _check_time,
-                             apply_libm)
+from pairinfer.model import (_CLASS_JACOBIAN, EPS_SINGULAR, _check_nonnegative,
+                             _check_time, _inflow_moments, apply_libm,
+                             model_spec)
 from pairinfer.simulate import _rng
 
 
@@ -552,3 +556,100 @@ def solve_batch(kind, init, rates, t):
         tau - lam, tau + lam[::-1], decay, t)
     out[3] = np.maximum(n - out[0] - out[1] - out[2], 0.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Newton kernel on numpy arrays, as written before it moved to one
+# chain product (count derivatives and information) and to Python floats
+# (the step)
+
+def count_derivatives(kind, init, rates, times, magnitudes=False):
+    """Expected counts with their rate gradients and Hessians, chained
+    class by class: ``(p, grad, hess)`` of shapes (T, states),
+    (T, states, dim) and (T, states, dim, dim).
+
+    With ``magnitudes`` every term, and every chain coefficient, enters by
+    its absolute value, and II adds the other states' entries: each entry
+    is then the sum of its terms' magnitudes, the scale of its rounding.
+    """
+    spec = model_spec(kind)
+    jac = _CLASS_JACOBIAN[kind]
+    r = [float(v) for v in rates]
+    counts = init.as_tuple()
+    ss0 = counts[0]
+    h = spec.hazard(r)
+    terms = [(ss0, 0.0, 0.0)] + [(counts[start], inflow, x)
+                                 for start, inflow, x, _ in spec.classes(r)]
+    values, firsts, seconds = [], [], []
+    for t in times:
+        for c0, rate_in, x in terms:
+            a = ss0 * rate_in
+            e, r0, r1, r2 = _inflow_moments(x, h, t)
+            value = c0 * e + a * r0
+            values.append(value)
+            firsts.append((ss0 * r0, a * r1, -t * value))
+            seconds.append(((0.0, ss0 * r1, -t * ss0 * r0),
+                            (ss0 * r1, a * r2, -t * a * r1),
+                            (-t * ss0 * r0, -t * a * r1, t * t * value)))
+    values, firsts, seconds = (np.array(values), np.array(firsts),
+                               np.array(seconds))
+    sign = -1.0
+    if magnitudes:
+        values, firsts, seconds, jac = map(np.abs, (values, firsts, seconds,
+                                                    jac))
+        sign = 1.0
+    n_times, n_classes = len(times), len(terms)
+    p = np.empty((n_times, n_classes + 1))
+    grad = np.empty((n_times, n_classes + 1, len(r)))
+    hess = np.empty((n_times, n_classes + 1, len(r), len(r)))
+    p[:, :-1] = values.reshape(n_times, n_classes)
+    grad[:, :-1] = (firsts.reshape(n_times, n_classes, 1, 3) @ jac)[:, :, 0]
+    hess[:, :-1] = (jac.transpose(0, 2, 1)
+                    @ seconds.reshape(n_times, n_classes, 3, 3) @ jac)
+    p[:, -1] = init.total + sign * p[:, :-1].sum(axis=1)
+    grad[:, -1] = sign * grad[:, :-1].sum(axis=1)
+    hess[:, -1] = sign * hess[:, :-1].sum(axis=1)
+    return p, grad, hess
+
+
+def score_and_information(kind, data, rates):
+    """Score, observed information and expected information (a function
+    of no arguments) at ``rates``, or None where an observed state has no
+    positive expected count."""
+    p, grad, hess = count_derivatives(kind, data.initial, rates,
+                                      data.elapsed()[1:])
+    counts = np.array(data.counts[1:], dtype=float)
+    if not np.all(p[counts > 0] > 0.0):
+        return None
+    safe_p = np.where(counts > 0, p, 1.0)
+    relative = grad / safe_p[:, :, None]
+    score = np.einsum("ts,tsj->j", counts, relative)
+    observed = (np.einsum("ts,tsj,tsk->jk", counts, relative, relative)
+                - np.einsum("ts,tsjk->jk", counts,
+                            hess / safe_p[:, :, None, None]))
+
+    def expected():
+        positive = p > 0.0
+        root = np.where(positive[:, :, None],
+                        grad / np.sqrt(np.where(positive, p, 1.0))[:, :, None],
+                        0.0)
+        return np.einsum("tsj,tsk->jk", root, root)
+
+    return score, 0.5 * observed + 0.5 * observed.T, expected
+
+
+def newton_step(x, gradient, information, lo, hi, to_lo, to_hi):
+    """The Newton step with the ``to_lo`` and ``to_hi`` coordinates moved
+    onto those bounds and the rest solved by numpy's Cholesky; None where
+    the information is not positive definite on the rest."""
+    held = to_lo | to_hi
+    free = ~held
+    step = np.where(to_lo, lo - x, np.where(to_hi, hi - x, 0.0))
+    rhs = gradient[free] + information[np.ix_(free, held)] @ step[held]
+    if rhs.any():
+        try:
+            chol = np.linalg.cholesky(information[np.ix_(free, free)])
+        except np.linalg.LinAlgError:
+            return None
+        step[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    return step

@@ -5,13 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pairinfer.inference as inference
 from pairinfer import (Dataset, DomainError, EllipseSpec, GenderPairCounts,
                        GenderParams, InfeasibleDataError, NonGenderParams,
-                       PairCounts, SingularStencilError, cfa,
+                       PARAM_NAMES, PairCounts, SingularStencilError, cfa,
                        chi2_quantile_2dof, covariance_from_hessian,
                        curvature_std_errors, ellipse_points, fit_mle,
                        gender_dataset, hessian_fd, infections_per_year,
@@ -21,6 +21,7 @@ from pairinfer import (Dataset, DomainError, EllipseSpec, GenderPairCounts,
 from pairinfer.estimators import two_time_mle
 from pairinfer.likelihood import score_and_information
 
+import oracles
 from oracles import exact_sample, richardson_hessian
 
 
@@ -851,3 +852,83 @@ def test_scoring_fits_reach_the_tight_simplex(case):
     # climb can fail and the tight simplex run
     if fit.identifiability == "ok":
         assert fit.iterations < 150
+
+
+@st.composite
+def newton_systems(draw):
+    """Newton systems of both models at 2-4 observation times.
+
+    The score and the observed or expected information of a sampled cohort
+    at rates on and off the box's bounds, with the coordinates the climb
+    holds (on a bound, the gradient pointing out) and others moved onto a
+    bound, as bending the step into the box moves them.
+    """
+    kind = draw(st.sampled_from(["nongender", "gender"]))
+    n = draw(st.integers(50, 200_000))
+    gaps = draw(st.lists(st.floats(0.25, 5.0), min_size=1, max_size=3))
+    ii = max(1, n // 100)
+    if kind == "nongender":
+        truth = NonGenderParams(0.004, 0.07)
+        si = max(1, n // 20)
+        state = PairCounts(n - si - ii, si, ii)
+    else:
+        truth = GenderParams(0.004, 0.002, 0.047, 0.068)
+        each = max(1, n // 40)
+        state = GenderPairCounts(n - 2 * each - ii, each, each, ii)
+    seed = draw(st.integers(0, 2**31))
+    states = [state]
+    for k, gap in enumerate(gaps):
+        states.append(exact_sample(truth, states[-1], gap, seed + k))
+    data = Dataset(tuple(float(t) for t in np.cumsum([0.0] + gaps)),
+                   tuple(states))
+    rate = st.one_of(st.just(0.0), st.just(10.0), st.floats(0.0, 0.2),
+                     st.floats(0.0, 10.0))
+    x = np.array([draw(rate) for _ in PARAM_NAMES[kind]])
+    derivatives = oracles.score_and_information(kind, data, x)
+    assume(derivatives is not None and np.isfinite(derivatives[1]).all())
+    score, observed, expected = derivatives
+    information = observed if draw(st.booleans()) else expected()
+    lo, hi = np.zeros(x.size), np.full(x.size, 10.0)
+    gradient = -score
+    to_lo = (x <= lo) & (gradient > 0)
+    to_hi = (x >= hi) & (gradient < 0)
+    for i in range(x.size):
+        if not (to_lo[i] or to_hi[i]) and draw(st.integers(0, 3)) == 0:
+            bound = to_lo if draw(st.booleans()) else to_hi
+            bound[i] = True
+    return x, gradient, information, lo, hi, to_lo, to_hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=newton_systems())
+def test_newton_step_matches_the_numpy_cholesky_property(system):
+    """The step solved on Python floats against numpy's Cholesky factor and
+    solves.  Held coordinates move exactly onto their bounds.  Each free
+    entry is within 1e-12 of its scale: the condition number of the free
+    block times the step's size, plus the inverse block's magnitudes times
+    those of the right-hand side's terms.  None exactly where the
+    reference gives none, wherever the free block is clearly (by 1e-8 of
+    its largest eigenvalue) positive definite or indefinite."""
+    x, gradient, information, lo, hi, to_lo, to_hi = system
+    ours = inference._newton_step(x, gradient, information, lo, hi, to_lo,
+                                  to_hi)
+    reference = oracles.newton_step(x, gradient, information, lo, hi,
+                                    to_lo.copy(), to_hi.copy())
+    free = ~(to_lo | to_hi)
+    held = ~free
+    block = information[np.ix_(free, free)]
+    if free.any():
+        eigenvalues = np.linalg.eigvalsh(block)
+        margin = 1e-8 * np.abs(eigenvalues).max()
+        if abs(eigenvalues.min()) <= margin:
+            return
+    assert (ours is None) == (reference is None)
+    if ours is None:
+        return
+    assert np.array_equal(ours[held], reference[held])
+    if free.any():
+        rhs_scale = (np.abs(gradient[free]) + np.abs(
+            information[np.ix_(free, held)]) @ np.abs(reference[held]))
+        scale = (np.linalg.cond(block) * np.abs(reference[free]).max()
+                 + np.abs(np.linalg.inv(block)) @ rhs_scale)
+        assert np.all(np.abs(ours[free] - reference[free]) <= 1e-12 * scale)

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import pairinfer.cli
 import pairinfer.io
-from pairinfer import (Dataset, DomainError, GridAxis, GridSpec, ParseError,
-                       analyze, emit_report, fit_mle, likelihood_surface,
-                       load_bundled, nongender_dataset, parse_dataset,
-                       write_dataset)
+from pairinfer import (ConfigError, Dataset, DomainError, GridAxis, GridSpec,
+                       ParseError, analyze, emit_report, fit_mle,
+                       likelihood_surface, load_bundled, nongender_dataset,
+                       parse_dataset, write_dataset)
 from pairinfer.cli import main
 from pairinfer.io import fmt
 
@@ -30,6 +30,31 @@ def test_bundled_gender_counts(mwanza_gender):
     assert mwanza_gender.observations[0].as_tuple() == (1742, 22, 21, 17)
     assert mwanza_gender.observations[1].as_tuple() == (1721, 33, 25, 23)
     assert mwanza_gender.n == 1802
+
+
+def test_bundled_dataset_is_read_once(monkeypatch):
+    """Every fit compares its data with the bundled dataset, so a second
+    load must read no resource; an unknown or unhashable kind is still a
+    ConfigError."""
+    reads = []
+    files = pairinfer.io.resources.files
+
+    def counting(package):
+        reads.append(package)
+        return files(package)
+
+    monkeypatch.setattr(pairinfer.io.resources, "files", counting)
+    pairinfer.io._read_bundled.cache_clear()
+    first = load_bundled("gender")
+    assert len(reads) == 1
+    assert load_bundled("gender") is first
+    assert len(reads) == 1
+    assert first == parse_dataset(pairinfer.io.Path(pairinfer.io.__file__)
+                                  .parent / "data" / "mwanza_gender.json")
+    for kind in ("sir", ["gender"], {"kind": "gender"}, None):
+        with pytest.raises(ConfigError):
+            load_bundled(kind)
+    assert len(reads) == 1
 
 
 def test_json_round_trip(tmp_path, mwanza):

@@ -21,6 +21,7 @@ from pairinfer.io import default_manifest, run_manifest
 from pairinfer.likelihood import log_likelihood_columns, score_and_information
 from pairinfer.model import EPS_SINGULAR, count_derivatives, params_from_vector
 
+import oracles
 from oracles import loglik_derivatives_mp
 
 
@@ -377,6 +378,29 @@ def test_default_grids_evaluate_each_transcendental_once_per_argument(
     assert sum(evaluated) == 82_588
 
 
+def test_a_grid_over_four_times_checks_its_columns_once(monkeypatch):
+    """The three later times of a four-time dataset share one column check
+    and one set of each class's x, exit rate and branch masks, and every
+    cell stays bit for bit the scalar value."""
+    calls = {"_checked_columns": 0, "_discordant_columns": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(pairinfer.model,
+                                                          name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(pairinfer.model, name, counting)
+    data = gender_dataset((0.0, 1.0, 2.5, 4.0),
+                          [(1742, 22, 21, 17), (1730, 28, 23, 21),
+                           (1715, 36, 27, 24), (1700, 42, 31, 29)])
+    lam_m = np.array([[0.0], [0.002], [0.047]])
+    tau_fm = np.array([[0.0, 0.002, 0.068, 10.0]])
+    columns = (lam_m, 0.002, 0.047, tau_fm)
+    grid = log_likelihood_columns(GENDER, data, columns)
+    assert calls == {"_checked_columns": 1, "_discordant_columns": 2}
+    cells = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 4)
+    assert grid.tobytes() == _scalar(GENDER, data, cells).tobytes()
+
+
 def _counts(draw, total, states):
     cuts = sorted(draw(st.lists(st.integers(0, total), min_size=states - 1,
                                 max_size=states - 1)))
@@ -517,6 +541,54 @@ def test_score_and_information_match_mpmath_property(case):
     assert np.all(np.abs(score - exact_score) <= 1e-8 * score_scale)
     assert np.all(np.abs(information - exact_information) <= 1e-8 * info_scale)
     assert np.array_equal(information, information.T)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=score_cases())
+def test_score_and_information_match_the_numpy_reference_property(case):
+    """The score and both informations against the numpy formulation they
+    replaced: both models, 2-4 observation times, rates 0-10 with exact
+    zeros, horizons to 100 y, the singular band and x < 0.  Each entry
+    within 1e-12 of its scale, the sum of its terms' magnitudes, with each
+    count's derivatives at theirs.  None exactly where the reference has
+    none.  An entry beyond the float64 range overflows in both (with a
+    RuntimeWarning from each, silenced here) and is compared by its
+    finiteness."""
+    kind, data, rates = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        ours = score_and_information(kind, data, rates)
+        reference = oracles.score_and_information(kind, data, rates)
+    if reference is None:
+        assert ours is None
+        return
+    if not np.isfinite(reference[1]).all():
+        assert not np.isfinite(ours[1]).all()
+        return
+    times = data.elapsed()[1:]
+    p, _, _ = oracles.count_derivatives(kind, data.initial, rates, times)
+    _, grad, hess = oracles.count_derivatives(kind, data.initial, rates,
+                                              times, magnitudes=True)
+    counts = np.array(data.counts[1:], dtype=float)
+    seen = counts > 0
+    n, relative = counts[seen], grad[seen] / p[seen][:, None]
+    score_scale = n @ relative
+    info_scale = (np.einsum("s,sj,sk->jk", n, relative, relative)
+                  + np.einsum("s,sjk->jk", n,
+                              hess[seen] / p[seen][:, None, None]))
+    positive = p > 0.0
+    root = grad[positive] / np.sqrt(p[positive])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = ours[2](), reference[2]()
+        expected_scale = root.T @ root
+    compared = [(ours[0], reference[0], score_scale),
+                (ours[1], reference[1], info_scale)]
+    if np.isfinite(expected[1]).all():
+        compared.append((*expected, expected_scale))
+    else:
+        assert not np.isfinite(expected[0]).all()
+    for value, exact, scale in compared:
+        assert np.all(np.abs(value - exact) <= 1e-12 * scale + 1e-300)
+    assert np.array_equal(ours[1], ours[1].T)
 
 
 @pytest.mark.filterwarnings("error")
