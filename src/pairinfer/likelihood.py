@@ -103,13 +103,13 @@ def score_and_information(kind, data: Dataset, rates):
     safe_p = np.where(counts > 0, p, 1.0)
     if not (safe_p > 0.0).all():
         return None
-    # dP/P and d2P/P first: squaring 1/P alone overflows for P below
-    # ~1e-154, and n/P for a subnormal P
-    relative = (grad / safe_p[:, :, None]).reshape(-1, dim)
-    second = (hess / safe_p[:, :, None, None]).reshape(-1, dim * dim)
     n = counts.ravel()
     # an entry beyond the float64 range is inf, as the exact one is
     with np.errstate(over="ignore"):
+        # dP/P and d2P/P first: squaring 1/P alone overflows for P below
+        # ~1e-154, and n/P for a subnormal P
+        relative = (grad / safe_p[:, :, None]).reshape(-1, dim)
+        second = (hess / safe_p[:, :, None, None]).reshape(-1, dim * dim)
         score = n @ relative
         observed = ((relative.T * n) @ relative
                     - (n @ second).reshape(dim, dim))

@@ -412,16 +412,17 @@ def _series_moments(y):
     """The integrals of s^k * exp(y*s) over [0, 1], k = 0, 1, 2, for |y| < 1.
 
     Sums y^j/j! / (j+k+1) until a term falls below 1e-17; the tail is then
-    below 3e-17, against integrals of at least 0.12.
+    below 3e-17, against integrals of at least 0.12.  The counter is a
+    float, so no division converts an int.
     """
     s0 = s1 = s2 = 0.0
     term = 1.0
-    j = 0
+    j = 0.0
     while abs(term) >= 1e-17:
-        s0 += term / (j + 1)
-        s1 += term / (j + 2)
-        s2 += term / (j + 3)
-        j += 1
+        s0 += term / (j + 1.0)
+        s1 += term / (j + 2.0)
+        s2 += term / (j + 3.0)
+        j += 1.0
         term *= y / j
     return s0, s1, s2
 

@@ -4,23 +4,34 @@ Each pair is an independent continuous-time Markov chain: non-gendered pairs
 move SS -> SI at rate 2*lambda and SI -> II at rate lambda + tau; gendered
 pairs leave SS at lambda_m (male infected) or lambda_f (female infected) and
 each discordant class converts to II at internal-plus-external hazard.
-Because pairs are independent, event-driven simulation of the aggregated
-counts (classic direct-method sampling with exponential waiting times) is
-distributionally identical to simulating every pair separately.  The
-test suite checks it against a one-shot sampler that draws each initial
-class's multinomial from the closed-form per-pair state distribution.
 
-The event-driven simulator builds one channel table per run from the
-model's entry in :data:`model.MODELS`: each discordant class gives an
-inflow channel from SS (rate coefficient ``inflow``) and an exit channel
-to II (``rate``), inflows first.  Channel k is ``(coefficient, source,
-destination)``, fires at rate ``coefficient * counts[source]`` and moves
-one pair from ``source`` to ``destination``.
-Per event the rates are summed in table order, the waiting time is an
-exponential(1) draw over the total rate and the channel is picked by a
-cumulative sum against a uniform draw times the total.  Both kinds of
-draw come from the generator in blocks of ``_BLOCK``, not two calls per
-event.
+The simulator builds one channel table per run from the model's entry in
+:data:`model.MODELS`: each discordant class gives an inflow channel from SS
+(rate coefficient ``inflow``) and an exit channel to II (``rate``), inflows
+first.  Channel k is ``(coefficient, source, destination)``, fires at rate
+``coefficient * counts[source]`` and moves one pair from ``source`` to
+``destination``.
+
+Pairs are independent and the graph is acyclic, so Gillespie's
+first-reaction method (J. Comput. Phys. 22:403, 1976) runs per pair and all
+pairs at once, from the rates alone:
+
+- the number of SS pairs that leave by the last time T is
+  Binomial(SS_0, p) with p = -expm1(-h*T), h the summed inflow;
+- each leaver's exit time is drawn from the exponential truncated to T, by
+  inverse CDF: -log1p(-u*p)/h;
+- its class is a categorical draw on the inflow coefficients;
+- every discordant pair, initial or entered, reaches II an exponential wait
+  over its class's exit rate after it entered; a class with zero exit rate
+  never does;
+- the counts at each snapshot are the initial counts plus the moves of the
+  events before it.
+
+A run makes three generator calls whatever the cohort's size, and no array
+grows with SS_0: only with the leavers and the initial discordant pairs.
+The test suite checks the sampler against the event-driven Gillespie loop it
+replaced and against a one-shot sampler of the closed-form law, both kept in
+``tests/oracles.py``.
 
 Randomness comes from numpy's counter-based Philox generator.  Seed
 splitting is explicit: child = splitmix64(master XOR splitmix64(index_1 + 1)
@@ -30,6 +41,7 @@ construction and stable across runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,9 +52,6 @@ from .errors import DomainError, InfeasibleDataError
 from .model import model_of
 
 _MASK64 = (1 << 64) - 1
-
-# Random numbers drawn per generator call in gillespie_simulate.
-_BLOCK = 512
 
 
 def _splitmix64(value):
@@ -99,10 +108,11 @@ def _channels(params, init):
 
 
 def gillespie_simulate(params, init, times, seed):
-    """Event-driven simulation; returns counts at each requested time.
+    """Simulate the cohort; returns the counts at each requested time.
 
-    Counts are snapshotted at the exact requested times (the state is
-    constant between events).  Deterministic for a fixed seed.
+    Counts are snapshotted at the exact requested times from a start at
+    time 0; an event at exactly a snapshot time falls after it.
+    Deterministic for a fixed seed.
     """
     channels, counts_type = _channels(params, init)
     times = [float(t) for t in times]
@@ -115,52 +125,53 @@ def gillespie_simulate(params, init, times, seed):
         if c != int(c):
             raise DomainError("simulation requires integer initial counts")
 
-    rng = _rng(seed)
-    coefs = [c for c, _, _ in channels]
-    sources = [s for _, s, _ in channels]
-    dests = [d for _, _, d in channels]
-    ks = range(len(channels))
-    rates = [0.0] * len(channels)
+    n_classes = len(channels) // 2
     counts = [int(c) for c in init.as_tuple()]
-    waits = choices = ()
-    i = _BLOCK
-    t = 0.0
-    out = []
-    pending = list(times)
-    horizon = times[-1]
-    while True:
-        total = 0.0
-        for k in ks:
-            rate = coefs[k] * counts[sources[k]]
-            rates[k] = rate
-            total += rate
-        if total > 0:
-            if i == _BLOCK:
-                waits = rng.standard_exponential(_BLOCK).tolist()
-                choices = rng.random(_BLOCK).tolist()
-                i = 0
-            t_next = t + waits[i] / total
-        else:
-            t_next = np.inf
-        while pending and pending[0] <= t_next:
-            out.append(counts_type(*counts))
-            pending.pop(0)
-        if not pending or t_next > horizon:
-            break
-        t = t_next
-        u = choices[i] * total
-        i += 1
-        acc = 0.0
-        for k in ks:
-            acc += rates[k]
-            if u < acc:
-                break
-        else:
-            # u rounded up to total: the last channel that can fire
-            k = max(k for k in ks if rates[k] > 0)
-        counts[sources[k]] -= 1
-        counts[dests[k]] += 1
-    return out
+    discordant = [counts[d] for _, _, d in channels[:n_classes]]
+    inflows = [c for c, _, _ in channels[:n_classes]]
+    cumulative = list(itertools.accumulate(inflows))
+    hazard = cumulative[-1]
+    p_leave = -math.expm1(-hazard * times[-1])
+    # the last class with a positive inflow takes every draw above the
+    # classes before it, so a draw u*hazard that rounds up to the hazard
+    # lands in it and none lands in a class without inflow
+    last_open = max((k for k, c in enumerate(inflows) if c > 0.0), default=0)
+    edges = np.array(cumulative[:last_open])
+    # each channel's mean wait, nan for one that never fires: searchsorted
+    # puts nan after every snapshot
+    mean_wait = np.array([1.0 / c if c > 0.0 else math.nan
+                          for c, _, _ in channels])
+
+    rng = _rng(seed)
+    leavers = int(rng.binomial(counts[0], p_leave))
+    uniforms = rng.random(2 * leavers)
+    waits = rng.standard_exponential(sum(discordant) + leavers)
+
+    # the leavers' exit times, from SS's exponential truncated to the horizon
+    entry = np.log1p(uniforms[:leavers] * -p_leave) / -hazard
+    leaver_class = edges.searchsorted(uniforms[leavers:] * hazard, "right")
+    # each event's channel and time: the exits to II of the initial
+    # discordant pairs and of the leavers, then the leavers' inflows
+    fired = np.concatenate((
+        np.arange(n_classes, 2 * n_classes).repeat(discordant),
+        leaver_class + n_classes, leaver_class))
+    with np.errstate(over="ignore"):  # a wait beyond the float64 range
+        waits *= mean_wait.take(fired[:len(waits)])
+    waits[len(waits) - leavers:] += entry
+    at = np.concatenate((waits, entry))
+
+    # an event counts from the first snapshot after it, so one at exactly a
+    # snapshot time falls after that snapshot
+    bins = len(times) + 1
+    snapshot = np.array(times).searchsorted(at, "right")
+    per_bin = np.bincount(fired * bins + snapshot,
+                          minlength=len(channels) * bins)
+    fired_by = per_bin.reshape(len(channels), bins)[:, :-1].cumsum(axis=1)
+    # column k moves one pair from channel k's source to its destination
+    moves = np.array([[(state == d) - (state == s) for _, s, d in channels]
+                      for state in range(len(counts))])
+    table = (moves @ fired_by).T + counts
+    return [counts_type(*row) for row in table.tolist()]
 
 
 def validation_sweep(truth_grid, init, times, n_replicates, master_seed,

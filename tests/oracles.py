@@ -4,10 +4,11 @@ Everything here deliberately avoids the code paths under test: forward
 states come from adaptive ODE integration, quantiles from mpmath at high
 precision, Hessians from Richardson extrapolation of plain central
 differences, the simplex trajectory from its numpy formulation, and
-simulated counts from a one-shot sampler of the closed-form law.  The
-per-model rate algebra that the program now derives from its model table
-is kept here as it was written out per model: the linear form, the
-Gillespie channel tables and the batch solver.  So is the Newton kernel as
+simulated counts from a one-shot sampler of the closed-form law and from
+the event-driven Gillespie loop the simulator used before it sampled each
+pair's first reactions.  The per-model rate algebra that the program now
+derives from its model table is kept here as it was written out per model:
+the linear form, the Gillespie channel tables and the batch solver.  So is the Newton kernel as
 it was written on numpy arrays before it moved to one chain product and to
 Python floats: the count derivatives, the score and information, and the
 Newton step.
@@ -504,6 +505,84 @@ def gillespie_channels(params, init):
         return ((p.lam_m, 0, 1), (p.lam_f, 0, 2), (p.tau_mf + p.lam_f, 1, 3),
                 (p.lam_m + p.tau_fm, 2, 3)), GenderPairCounts
     raise DomainError("params and init must belong to the same model kind")
+
+
+# ---------------------------------------------------------------------------
+# the event-driven simulator
+
+# Random numbers drawn per generator call in gillespie_loop.
+_BLOCK = 512
+
+
+def gillespie_loop(params, init, times, seed):
+    """Event-driven simulation; returns counts at each requested time.
+
+    Gillespie's direct method on the aggregated counts, over the written-out
+    channel tables: per event the rates are summed in table order, the
+    waiting time is an exponential(1) draw over the total rate and the
+    channel is picked by a cumulative sum against a uniform draw times the
+    total.  Both kinds of draw come from the generator in blocks of
+    ``_BLOCK``.  Counts are snapshotted at the exact requested times (the
+    state is constant between events), so an event at exactly a snapshot
+    time falls after it.  Deterministic for a fixed seed.
+    """
+    channels, counts_type = gillespie_channels(params, init)
+    times = [float(t) for t in times]
+    # the chained comparison is False for nan as well as for inf
+    if (not all(0.0 <= t < math.inf for t in times)
+            or any(b <= a for a, b in zip(times, times[1:]))):
+        raise DomainError("snapshot times must be finite, nonnegative and "
+                          "increasing")
+    for c in init.as_tuple():
+        if c != int(c):
+            raise DomainError("simulation requires integer initial counts")
+
+    rng = _rng(seed)
+    coefs = [c for c, _, _ in channels]
+    sources = [s for _, s, _ in channels]
+    dests = [d for _, _, d in channels]
+    ks = range(len(channels))
+    rates = [0.0] * len(channels)
+    counts = [int(c) for c in init.as_tuple()]
+    waits = choices = ()
+    i = _BLOCK
+    t = 0.0
+    out = []
+    pending = list(times)
+    horizon = times[-1]
+    while True:
+        total = 0.0
+        for k in ks:
+            rate = coefs[k] * counts[sources[k]]
+            rates[k] = rate
+            total += rate
+        if total > 0:
+            if i == _BLOCK:
+                waits = rng.standard_exponential(_BLOCK).tolist()
+                choices = rng.random(_BLOCK).tolist()
+                i = 0
+            t_next = t + waits[i] / total
+        else:
+            t_next = np.inf
+        while pending and pending[0] <= t_next:
+            out.append(counts_type(*counts))
+            pending.pop(0)
+        if not pending or t_next > horizon:
+            break
+        t = t_next
+        u = choices[i] * total
+        i += 1
+        acc = 0.0
+        for k in ks:
+            acc += rates[k]
+            if u < acc:
+                break
+        else:
+            # u rounded up to total: the last channel that can fire
+            k = max(k for k in ks if rates[k] > 0)
+        counts[sources[k]] -= 1
+        counts[dests[k]] += 1
+    return out
 
 
 def _discordant_batch(c0, inflow, x, rate, decay, t):

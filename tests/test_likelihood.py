@@ -609,6 +609,17 @@ def test_information_at_a_subnormal_proportion_is_finite():
     assert information[1] == pytest.approx(exact_information[1], rel=1e-12)
 
 
+def test_information_beyond_the_float64_range_raises_no_warning():
+    """At rates (0, 8.5) over 83 y the SI proportion is ~4e-307 and its
+    d2P/P overflows.  The information holds inf there, as the exact one
+    would, without numpy's overflow warning: an error under the suite's
+    ``error::RuntimeWarning`` filter."""
+    data = nongender_dataset((0.0, 83.0), [(1, 1, 2), (0, 1, 3)])
+    score, information, _ = score_and_information(NONGENDER, data, [0.0, 8.5])
+    assert np.isfinite(score).all()
+    assert not np.isfinite(information).all()
+
+
 @pytest.mark.parametrize("kind, truth, initial", [
     (NONGENDER, (0.004, 0.07), (1742, 43, 17)),
     (GENDER, (0.004, 0.002, 0.047, 0.068), (1742, 22, 21, 17)),

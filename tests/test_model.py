@@ -261,6 +261,30 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _series_moments_int_counter(y):
+    """The series moments as written with an int counter, each division
+    converting it."""
+    s0 = s1 = s2 = 0.0
+    term = 1.0
+    j = 0
+    while abs(term) >= 1e-17:
+        s0 += term / (j + 1)
+        s1 += term / (j + 2)
+        s2 += term / (j + 3)
+        j += 1
+        term *= y / j
+    return s0, s1, s2
+
+
+def test_series_moments_match_the_int_counter_bit_for_bit():
+    """Converting an int to a float is exact, so the float counter divides
+    by the same numbers: the same bits on 10,000 draws of |y| < 1."""
+    ys = np.random.default_rng(16).uniform(-1.0, 1.0, 10_000)
+    for y in [0.0, -0.0, *ys.tolist()]:
+        assert (_bits(model._series_moments(y))
+                == _bits(_series_moments_int_counter(y)))
+
+
 def test_class_jacobian_is_the_written_out_linear_form():
     """The coefficients read from the model table at unit vectors."""
     for kind in (NONGENDER, GENDER):
