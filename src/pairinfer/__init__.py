@@ -22,9 +22,8 @@ from .io import (AnalysisBundle, analyze, default_manifest, emit_report,
                  load_bundled, parse_dataset, run_manifest, write_dataset)
 from .likelihood import (GridAxis, GridSpec, ProfileCurve, SurfaceResult,
                          likelihood_surface, log_likelihood,
-                         log_likelihood_batch, log_likelihood_gender,
-                         log_likelihood_nongender, saturated_log_likelihood,
-                         slice_profile)
+                         log_likelihood_gender, log_likelihood_nongender,
+                         saturated_log_likelihood, slice_profile)
 from .model import (GENDER, MODELS, NONGENDER, PARAM_NAMES, GenderPairCounts,
                     GenderPairState, GenderParams, ModelSpec, NonGenderParams,
                     PairCounts, PairState, solve_gender, solve_nongender)

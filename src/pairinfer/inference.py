@@ -8,7 +8,7 @@ in three stages:
    (:func:`estimators.two_time_mle`).  Such a fit starts there; with three
    or more times the closed form of the first and last observations is the
    start.  A gendered fit starts at the symmetric split of the marginal
-   non-gendered fit, which takes these same stages.
+   non-gendered start: of its closed form, where that applies.
 2. **Newton climb.**  Projected Newton steps on the exact score and
    observed information of :func:`likelihood.score_and_information`
    (Bertsekas 1982), or on the expected information where the observed
@@ -30,17 +30,16 @@ in three stages:
    (timeit on one pinned CPU).
 3. **Simplex.**  Where the climb fails (a non-finite value, no descent, no
    positive definite information) the tight simplex, with jittered
-   restarts, runs from the warm start.  Its restarts end once a run ends
-   on the saturated bound: none could replace that run's result, so the
-   result is the one every restart would give.
+   restarts, runs from the warm start.  Like the loose one, it stops at the
+   first point within rounding noise of the saturated bound.
 
-Over-parameterised designs run the tight simplex alone.  All stages draw on
-one evaluation budget, which no fit passes.  The covariance of
-the estimates is the inverse of the observed information (Efron & Hinkley
-1978), the Hessian of the negative log-likelihood at the estimates; it
-needs no step into the box's exterior, so estimates on a bound keep their
-standard errors.  :func:`hessian_fd`, the finite-difference Hessian that
-preceded it, is kept as a test oracle.
+Over-parameterised designs run the tight simplex alone.  A fit runs these
+stages once, and all of them draw on one evaluation budget, which no fit
+passes.  The covariance of the estimates is the inverse of the observed
+information (Efron & Hinkley 1978), the Hessian of the negative
+log-likelihood at the estimates; it needs no step into the box's exterior,
+so estimates on a bound keep their standard errors.  :func:`hessian_fd`,
+the finite-difference Hessian that preceded it, is kept as a test oracle.
 
 One structural caveat drives the interval logic: with k pair states and m
 observation times the data carry (k-1)*(m-1) free dimensions.  When the
@@ -520,27 +519,24 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
     ``information`` is the last climb's observed information, at ``x``, or
     None.  An identified design with three or more times climbs from the
     warm start and its corners, and the best converged point climbs on from
-    the derivatives its climb ended with; with two times the loose simplex,
-    which stops at the first point within rounding noise of the saturated
-    bound (no point can beat it), runs first and the climb goes on from its
-    point.  Where the climb fails, and for over-parameterised designs, the
-    tight simplex runs from the warm start; it starts no further jittered
-    run once one ends within 5e-10 of the saturated bound, since no run
-    could then replace it, so the result is that of every start in fewer
-    evaluations.  Every stage draws on the one budget ``max_evals``;
-    when it is spent, the best point reached returns unconverged.
+    the derivatives its climb ended with; with two times the loose simplex
+    runs first and the climb goes on from its point.  Where the climb
+    fails, and for over-parameterised designs, the tight simplex runs from
+    the warm start.  Both simplexes stop at the first point within rounding
+    noise of the saturated bound, which no point can beat.  Every stage
+    draws on the one budget ``max_evals``; when it is spent, the best point
+    reached returns unconverged.
     """
     objective = _objective(kind, data)
     saturated = saturated_log_likelihood(data)
+    floor = -saturated + _NOISE * (1.0 + abs(saturated))
     used, reached = 0, (warm_start, math.inf)
     if identified:
         if len(data.times) == 2:
             loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
                                      max_evals=max_evals,
                                      diameter_tol=_LOOSE_DIAMETER,
-                                     spread_tol=_LOOSE_SPREAD,
-                                     floor=-saturated + _NOISE
-                                     * (1.0 + abs(saturated)))
+                                     spread_tol=_LOOSE_SPREAD, floor=floor)
             used, reached = loose.n_evals, (loose.x, loose.fun)
             if not (loose.converged and math.isfinite(loose.fun)):
                 return *reached, used, loose.converged, None
@@ -561,15 +557,14 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
                 reached = (x, f)
     if used < max_evals:
         tight = minimize_simplex(objective, warm_start, bounds, seed=seed,
-                                 max_evals=max_evals - used,
-                                 infimum=-saturated)
+                                 max_evals=max_evals - used, floor=floor)
         used += tight.n_evals
         if tight.fun <= reached[1]:
             return tight.x, tight.fun, used, tight.converged, None
     return *reached, used, False, None
 
 
-def _default_warm_start(kind, data, bounds, seed, max_evals, identified):
+def _default_warm_start(kind, data, bounds):
     if kind == NONGENDER:
         try:
             # clamping negative CFA rates is routine here, not user-visible
@@ -578,34 +573,25 @@ def _default_warm_start(kind, data, bounds, seed, max_evals, identified):
                 start, source = np.array(cfa(data).as_vector()), "CFA"
         except DomainError:
             start, source = np.array([1e-3, 1e-3]), "default"
-        # an identified fit starts at the two-time MLE of its first and
-        # last observations when the closed form applies: the MLE itself
-        # for two times.  The CFA tau seeds its root solve.
-        if identified:
-            two_times = len(data.times) == 2
-            ends = data if two_times else Dataset(
-                (data.times[0], data.times[-1]),
-                (data.observations[0], data.observations[-1]))
-            closed = two_time_mle(ends, bounds, start[1])
-            if closed is not None:
-                return np.array(closed), ("closed-form" if two_times
-                                          else "closed-form-first-last")
+        # the two-time MLE of the first and last observations, where the
+        # closed form applies: the MLE itself for two times.  The CFA tau
+        # seeds its root solve.
+        two_times = len(data.times) == 2
+        ends = data if two_times else Dataset(
+            (data.times[0], data.times[-1]),
+            (data.observations[0], data.observations[-1]))
+        closed = two_time_mle(ends, bounds, start[1])
+        if closed is not None:
+            return np.array(closed), ("closed-form" if two_times
+                                      else "closed-form-first-last")
         return start, source
-    # gendered warm start: symmetric split of the non-gendered fit, which
-    # climbs only when the gendered fit does
+    # gendered warm start: symmetric split of the marginal non-gendered one
     marginal = Dataset(
         data.times,
         tuple(PairCounts(o.ss, o.is_ + o.si, o.ii) for o in data.observations),
     )
-    marginal_bounds = (DEFAULT_BOUNDS, DEFAULT_BOUNDS)
-    start, _ = _default_warm_start(NONGENDER, marginal, marginal_bounds, seed,
-                                   max_evals, identified)
-    (lam, tau), fun = _maximize(
-        NONGENDER, marginal, np.clip(start, *DEFAULT_BOUNDS), marginal_bounds,
-        seed, max_evals, identified)[:2]
-    if not math.isfinite(fun):
-        raise InfeasibleDataError(
-            "every optimizer start produced impossible data (-inf likelihood)")
+    lam, tau = _default_warm_start(NONGENDER, marginal,
+                                   (DEFAULT_BOUNDS, DEFAULT_BOUNDS))[0]
     return np.array([lam, lam, tau, tau]), "symmetric-nongender"
 
 
@@ -619,7 +605,7 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     (``warm_start_source`` ``"closed-form"`` for two times,
     ``"closed-form-first-last"`` for more), else the CFA (two times) or the
     fixed point (1e-3, 1e-3) (``"default"``).  A gendered fit starts at the
-    symmetric split of the marginal non-gendered fit
+    symmetric split of the warm start of the marginal non-gendered counts
     (``"symmetric-nongender"``).  Explicit warm starts are clipped into the
     bounds.  Deterministic for a fixed seed.
 
@@ -629,15 +615,13 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     the climb.  Where the climb fails, the tight simplex runs from the warm
     start.  Over-parameterised designs (more rates than the data's free
     dimensions) run the tight simplex alone, since their maximum is a ridge
-    with no Newton step.  The tight simplex runs its jittered restarts only
-    while no run has ended on the saturated bound, which no restart could
-    beat, so the bundled gendered fit takes one start, not three, and the
-    same estimates.  ``iterations`` counts the likelihood evaluations
-    of the optimizer, one per derivative evaluation of the climb included,
-    and never exceeds ``max_evals``: a fit whose budget runs out returns the
-    best point reached, unconverged.  ``uncertainty=False`` skips the
-    covariance stage (used by bulk recovery sweeps, which record
-    point estimates only).
+    with no Newton step.  Both simplexes stop at the first point within
+    rounding noise of the saturated bound, which no point could beat.
+    ``iterations`` counts every likelihood evaluation of the optimizer, one
+    per derivative evaluation of the climb included, and never exceeds
+    ``max_evals``: a fit whose budget runs out returns the best point
+    reached, unconverged.  ``uncertainty=False`` skips the covariance stage
+    (used by bulk recovery sweeps, which record point estimates only).
     """
     spec = model_spec(kind)
     if data.kind != kind:
@@ -648,8 +632,7 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     free_dims = (len(spec.state_labels) - 1) * (len(data.times) - 1)
     identified = dim <= free_dims
     if warm_start is None:
-        warm_start, warm_start_source = _default_warm_start(
-            kind, data, bounds, seed, max_evals, identified)
+        warm_start, warm_start_source = _default_warm_start(kind, data, bounds)
     warm_start = np.clip(np.asarray(warm_start, dtype=float),
                          [b[0] for b in bounds], [b[1] for b in bounds])
 

@@ -13,18 +13,17 @@ Grids and slices are one batched evaluation: :func:`likelihood_surface` and
 column or a row, a fixed rate as a scalar) to
 :func:`log_likelihood_columns`, which returns, cell for cell, the
 bit-identical value of :func:`log_likelihood` and takes each log once per
-element of its state's own shape.  :func:`log_likelihood_batch` is the same
-evaluation on the columns of a (k, dim) array of rate vectors.  Point
-evaluations (optimizer steps and line searches) stay on the scalar path,
-which is cheaper for a single rate vector.  :func:`score_and_information`
-gives the exact gradient and observed information, on which the optimizer's
-Newton climb steps and from which the standard errors come, and the
-expected information, on which the climb steps where the observed one is
-not positive definite.  It forms each over the flattened (time, state)
-rows in a few matrix products, not per-index einsums: with the count
-derivatives, 50.1 against 83.4 us per call on a gendered four-time cohort
-and 40.2 against 67.7 us on a non-gendered one (timeit on one pinned CPU;
-the :mod:`~pairinfer.model` docstring gives the setting).
+element of its state's own shape.  Point evaluations (optimizer steps and
+line searches) stay on the scalar path, which is cheaper for a single rate
+vector.  :func:`score_and_information` gives the exact gradient and
+observed information, on which the optimizer's Newton climb steps and from
+which the standard errors come, and the expected information, on which the
+climb steps where the observed one is not positive definite.  It forms
+each over the flattened (time, state) rows in a few matrix products, not
+per-index einsums: with the count derivatives, 50.1 against 83.4 us per
+call on a gendered four-time cohort and 40.2 against 67.7 us on a
+non-gendered one (timeit on one pinned CPU; the :mod:`~pairinfer.model`
+docstring gives the setting).
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DomainError
 from .model import (GENDER, NONGENDER, PARAM_NAMES, apply_libm,
-                    count_derivatives, model_spec, rate_rows,
-                    solve_columns_at, solve_gender, solve_nongender)
+                    count_derivatives, model_spec, solve_columns_at,
+                    solve_gender, solve_nongender)
 
 
 def _log_likelihood(solve, kind, params, data: Dataset) -> float:
@@ -124,15 +123,6 @@ def score_and_information(kind, data: Dataset, rates):
 
     # halves first: the sum overflows for entries above ~9e307
     return score, 0.5 * observed + 0.5 * observed.T, expected
-
-
-def log_likelihood_batch(kind, data: Dataset, rates) -> np.ndarray:
-    """:func:`log_likelihood` at every row of a (k, dim) rate array.
-
-    Rows are rate vectors in ``PARAM_NAMES[kind]`` order:
-    :func:`log_likelihood_columns` on the columns of ``rates``.
-    """
-    return log_likelihood_columns(kind, data, tuple(rate_rows(kind, rates).T))
 
 
 def log_likelihood_columns(kind, data: Dataset, columns) -> np.ndarray:

@@ -607,28 +607,6 @@ def solve_columns_at(kind, init, columns, times):
     return out
 
 
-def solve_batch(kind, init, rates, t):
-    """Expected pair counts at elapsed time t for each row of ``rates``.
-
-    ``rates`` is a (k, dim) array of rate vectors in ``PARAM_NAMES[kind]``
-    order.  Returns a (states, k) array, one row per pair state in
-    ``as_tuple`` order: :func:`solve_columns` on the columns of ``rates``.
-    """
-    rates = rate_rows(kind, rates)
-    return np.stack(np.broadcast_arrays(
-        *solve_columns(kind, init, tuple(rates.T), t)))
-
-
-def rate_rows(kind, rates):
-    """``rates`` as a float (k, dim) array; another shape is a ConfigError."""
-    dim = len(model_spec(kind).param_names)
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 2 or rates.shape[1] != dim:
-        raise ConfigError(f"rates for model {kind!r} must have shape "
-                          f"(k, {dim}), got {rates.shape}")
-    return rates
-
-
 def params_from_vector(kind, vector):
     """Build a typed parameter object from an ordered rate vector."""
     return model_spec(kind).params_type(*vector)

@@ -15,12 +15,8 @@ All starts share one evaluation budget.  Multiple jittered starts are
 attempted and the best result kept; the jitter stream is a counter-based
 Philox generator, so results are deterministic for a fixed seed.  A later
 start replaces the incumbent only by improving on it by more than
-``_IMPROVEMENT_TOL``.  So once the incumbent lies within ``_SETTLED`` of a
-known lower bound of the objective (``infimum``), no later start can
-replace it: that would take a value ``_IMPROVEMENT_TOL - _SETTLED`` below
-the bound, far beyond the rounding noise of an objective that respects it.
-The search stops starting runs there, and its point, value and convergence
-flag are bit-identical to those of the search that runs every start.
+``_IMPROVEMENT_TOL``.  The first evaluation at or below the caller's
+``floor`` ends the search, converged, at that point.
 
 The simplex arithmetic runs on Python floats, not small numpy arrays, which
 cost microseconds per operation at two to four elements.  It keeps the
@@ -46,11 +42,6 @@ import numpy as np
 # Restart k only replaces the incumbent when it improves the objective by
 # more than this, which keeps tie-breaking deterministic on flat optima.
 _IMPROVEMENT_TOL = 1e-9
-# An incumbent within this of the objective's infimum is final.  The margin
-# left, _IMPROVEMENT_TOL - _SETTLED, exceeds the rounding noise by which a
-# value can fall below its bound: 3.1e-11 for a multinomial log-likelihood
-# at N = 197,000 against its saturated bound.
-_SETTLED = _IMPROVEMENT_TOL / 2
 _SPREAD_ULPS = 4
 
 _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
@@ -129,16 +120,13 @@ def _sorted_by_value(vertices, fs):
 def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
                      diameter_tol=1e-10, spread_tol=1e-12,
                      n_starts=3, jitter=0.25,
-                     floor=-math.inf, infimum=-math.inf) -> SimplexResult:
+                     floor=-math.inf) -> SimplexResult:
     """Minimize ``fn`` over the box ``bounds`` starting near ``x0``.
 
     ``fn`` may return +inf for infeasible points.  Returns the best point
     seen across all evaluations, so the result never regresses below the
     starting point.  An evaluation at or below ``floor`` ends the search
-    there, converged.  ``infimum`` is a lower bound of ``fn`` up to
-    rounding noise: once a run ends within ``_SETTLED`` of it no further
-    start runs, which leaves the result unchanged.  ``n_starts`` counts the
-    starts that ran.
+    there, converged.  ``n_starts`` counts the starts that ran.
     """
     x0 = np.asarray(x0, dtype=float)
     lo_arr = np.array([b[0] for b in bounds], dtype=float)
@@ -187,7 +175,7 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
 
     try:
         for start in starts():
-            if n_evals >= max_evals or incumbent_f < infimum + _SETTLED:
+            if n_evals >= max_evals:
                 break
             n_ran += 1
             vertices = _initial_simplex(start, lo, hi)

@@ -14,9 +14,9 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        DomainError, GenderParams, GridAxis, GridSpec,
                        NonGenderParams, PairinferError, fit_mle,
                        gender_dataset, likelihood_surface, log_likelihood,
-                       log_likelihood_batch, log_likelihood_gender,
-                       log_likelihood_nongender, nongender_dataset,
-                       saturated_log_likelihood, slice_profile)
+                       log_likelihood_gender, log_likelihood_nongender,
+                       nongender_dataset, saturated_log_likelihood,
+                       slice_profile)
 from pairinfer.io import default_manifest, run_manifest
 from pairinfer.likelihood import log_likelihood_columns, score_and_information
 from pairinfer.model import EPS_SINGULAR, count_derivatives, params_from_vector
@@ -301,13 +301,13 @@ def test_slice_profiles_bit_for_bit(kind, anchor, mwanza, mwanza_gender):
 def test_batch_rejects_bad_rates_like_scalar(mwanza):
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError) as batch_exc:
-            log_likelihood_batch(NONGENDER, mwanza,
-                                 [[0.003, 0.05], [0.003, bad]])
+            log_likelihood_columns(NONGENDER, mwanza,
+                                   ([0.003, 0.003], [0.05, bad]))
         with pytest.raises(DomainError) as scalar_exc:
             NonGenderParams(0.003, bad)
         assert str(batch_exc.value) == str(scalar_exc.value)
     with pytest.raises(ConfigError):
-        log_likelihood_batch(NONGENDER, mwanza, [[0.003, 0.05, 0.1]])
+        log_likelihood_columns(NONGENDER, mwanza, ([0.003], [0.05], [0.1]))
 
 
 def test_grids_never_evaluate_cell_by_cell(monkeypatch, mwanza_gender):
@@ -445,7 +445,8 @@ def _outcome(evaluate):
 @given(case=likelihood_cases())
 def test_batch_matches_scalar_property(case):
     kind, data, rates = case
-    batch = _outcome(lambda: log_likelihood_batch(kind, data, rates))
+    batch = _outcome(lambda: log_likelihood_columns(kind, data,
+                                                    tuple(rates.T)))
     scalar = _outcome(lambda: _scalar(kind, data, rates))
     if isinstance(batch, type) or isinstance(scalar, type):
         assert batch == scalar

@@ -316,27 +316,6 @@ def test_table_terms_match_the_written_out_linear_form_property(case):
     assert [_bits(term) for term in ours] == [_bits(term) for term in written]
 
 
-@st.composite
-def batch_cases(draw):
-    kind, _, init, times = draw(derivative_cases())
-    rows = [_rate_vector(draw, kind, times)
-            for _ in range(draw(st.integers(1, 5)))]
-    t = draw(st.sampled_from((0.0, *times)))
-    return kind, np.array(rows, dtype=float), init, t
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=batch_cases())
-def test_batch_kernel_matches_the_written_out_solver_property(case):
-    """One kernel over the table's classes against the per-model batch
-    solver: both models, rates 0-10 with exact zeros, horizons to 100 y,
-    the singular band and x < 0, bit for bit."""
-    kind, rates, init, t = case
-    ours = model.solve_batch(kind, init, rates, t)
-    written = oracles.solve_batch(kind, init, rates, t)
-    assert ours.tobytes() == written.tobytes()
-
-
 # the rate whose difference with a rate gives x: lambda <-> tau per class
 _PARTNER = {NONGENDER: (1, 0), GENDER: (2, 3, 0, 1)}
 
