@@ -1,14 +1,16 @@
 """Numeric maximum-likelihood refinement and uncertainty quantification.
 
-An identified fit (no more rates than the data's free dimensions) climbs
-in three stages:
+A fit climbs in three stages:
 
-1. **Closed form.**  With two observation times the non-gendered MLE
-   attains the saturated multinomial bound and has a closed form
-   (:func:`estimators.two_time_mle`).  Such a fit starts there; with three
-   or more times the closed form of the first and last observations is the
-   start.  A gendered fit starts at the symmetric split of the marginal
-   non-gendered start: of its closed form, where that applies.
+1. **Closed form.**  With two observation times the MLE attains the
+   saturated multinomial bound and has a closed form
+   (:func:`estimators.two_time_mle`).  The non-gendered one is a point,
+   where the fit starts; with three or more times the closed form of the
+   first and last observations is the start.  The gendered one is a
+   segment, the exact ridge of an over-parameterised design, and the fit
+   starts at its lambda_m midpoint.  Other gendered fits start at the
+   symmetric split of the marginal non-gendered start: of its closed form,
+   where that applies.
 2. **Newton climb.**  Projected Newton steps on the exact score and
    observed information of :func:`likelihood.score_and_information`
    (Bertsekas 1982), or on the expected information where the observed
@@ -33,9 +35,17 @@ in three stages:
    restarts, runs from the warm start.  Like the loose one, it stops at the
    first point within rounding noise of the saturated bound.
 
-Over-parameterised designs run the tight simplex alone.  A fit runs these
-stages once, and all of them draw on one evaluation budget, which no fit
-passes.  The covariance of the estimates is the inverse of the observed
+An over-parameterised design (the gendered model with two times) has a
+ridge, not a point, where the bound is reached.  Its first evaluation is
+the tight simplex's, which stops there when the start lies on the floor,
+as the closed-form ridge start does: one evaluation, where the simplex
+search took 189 on the bundled cohort.  Where no rates reproduce the
+counts the maximum lies on a face of the box, with both tau on 0 in every
+case seen, where the free rates are identified, and the fit climbs as one
+with three or more times does: 24-34 evaluations on such cohorts of the
+benchmark, where the simplex took 1,849-2,747.  A fit runs these stages
+once, and all of them draw on one evaluation budget, which no fit passes.
+The covariance of the estimates is the inverse of the observed
 information (Efron & Hinkley 1978), the Hessian of the negative
 log-likelihood at the estimates; it needs no step into the box's exterior,
 so estimates on a bound keep their standard errors.  :func:`hessian_fd`,
@@ -91,9 +101,13 @@ _NOISE = 1e-14
 # A climb stops when the Newton decrement g^T H^-1 g, twice the gain it
 # predicts, is below a tolerance times (1 + |f|): _HANDOVER_DECREMENT for
 # the climbs from the starts, _POLISH_DECREMENT for the last climb, which
-# gives the standard errors.
+# gives the standard errors.  It also stops where the decrement is below
+# _ROUNDING * (1 + |f|), one ulp of f, and the objective rejects the full
+# step: no value can confirm a gain below f's rounding, so halving would
+# only follow the value path's noise.
 _HANDOVER_DECREMENT = 1e-10
 _POLISH_DECREMENT = 1e-20
+_ROUNDING = 2.0 ** -52
 
 
 def hessian_fd(objective, point, rel_step=1e-4, min_step=1e-6) -> np.ndarray:
@@ -310,6 +324,7 @@ class FitResult:
     condition_warning: bool
     on_boundary: bool
     saturated_gap: float
+    ridge_ends: tuple | None = None  # (low, high) of a closed-form ridge
 
     @property
     def param_names(self):
@@ -420,8 +435,9 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
     :func:`likelihood.score_and_information` of x if the caller has it,
     spares its evaluation.  Returns ``(x, f, derivatives, evaluations)``.
     ``derivatives`` are those of x once the decrement is below
-    ``decrement_tol * (1 + |f|)``, so their observed information is the one
-    at x whichever information the last step solved on.  They are None when
+    ``decrement_tol * (1 + |f|)``, or below one ulp of f with the full step
+    rejected, so their observed information is the one at x whichever
+    information the last step solved on.  They are None when
     neither information was positive definite on the free coordinates, no
     halving was accepted, the iterations ran out or ``max_evals``
     evaluations (one per derivative evaluation, one per objective value)
@@ -471,6 +487,8 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
             evals += 1
             if f_trial <= f + allowed:
                 break
+            if scale == 1.0 and decrement <= _ROUNDING * (1.0 + abs(f)):
+                return x, f, derivatives, evals
             scale *= 0.5
         else:
             break
@@ -478,27 +496,34 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
     return x, f, None, evals
 
 
-def _climb_from_starts(kind, data, objective, warm_start, bounds, max_evals):
+def _climb_from_starts(kind, data, objective, warm_start, bounds, max_evals,
+                       warm_value=None):
     """Newton climbs from the warm start and from each of its corners.
 
     A corner is the warm start with one rate on its lower bound.  Sparse or
     depleted cohorts can have several local maxima, each with another rate
     on its bound, and a climb reaches the one whose basin holds its start;
     the corners reach the others.  Each climb stops at the hand-over
-    tolerance.  Returns ``(best, reached, evaluations)``: ``best`` is the
-    ``(x, f, derivatives)`` of the lowest objective among the climbs that
-    converged, or None, and ``reached`` the ``(x, f)`` of that among all
-    climbs, the warm start with +inf if no start had a finite objective.
+    tolerance.  ``warm_value``, the objective at the warm start if the
+    caller has it, spares its evaluation.  Returns ``(best, reached,
+    evaluations)``: ``best`` is the ``(x, f, derivatives)`` of the lowest
+    objective among the climbs that converged, or None, and ``reached`` the
+    ``(x, f)`` of that among all climbs, the warm start with +inf if no
+    start had a finite objective.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     starts = [warm_start] + [np.where(np.arange(lo.size) == i, lo, warm_start)
                              for i in range(lo.size) if warm_start[i] > lo[i]]
-    best, reached, used = None, (warm_start, math.inf), 0
-    for start in starts:
+    best, used = None, 0
+    reached = (warm_start, math.inf if warm_value is None else warm_value)
+    for k, start in enumerate(starts):
         if used >= max_evals:
             break
-        f = objective(start)
-        used += 1
+        if k or warm_value is None:
+            f = objective(start)
+            used += 1
+        else:
+            f = warm_value
         if not math.isfinite(f):
             continue
         x, f, derivatives, evals = _newton(kind, data, objective, start, f,
@@ -517,44 +542,60 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
 
     Returns ``(x, fun, evaluations, converged, information)``;
     ``information`` is the last climb's observed information, at ``x``, or
-    None.  An identified design with three or more times climbs from the
-    warm start and its corners, and the best converged point climbs on from
-    the derivatives its climb ended with; with two times the loose simplex
-    runs first and the climb goes on from its point.  Where the climb
-    fails, and for over-parameterised designs, the tight simplex runs from
-    the warm start.  Both simplexes stop at the first point within rounding
-    noise of the saturated bound, which no point can beat.  Every stage
-    draws on the one budget ``max_evals``; when it is spent, the best point
-    reached returns unconverged.
+    None.  An identified design with two times runs the loose simplex and
+    the climb goes on from its point.  An over-parameterised design first
+    evaluates its warm start by the tight simplex, which ends the fit there
+    if that lies on the saturated bound's floor, as the closed-form ridge
+    start does; else its maximum lies on a face of the box where the free
+    rates are identified.  That design and those with three or more times
+    climb from the warm start and its corners, and the best converged point
+    climbs on from the derivatives its climb ended with.  Where the climb
+    fails the tight simplex runs from the warm start, unless an
+    over-parameterised climb ended on the floor.  Both simplexes stop at
+    the first point within rounding noise of the saturated bound, which no
+    point can beat.  Every stage draws on the one budget ``max_evals``;
+    when it is spent, the best point reached returns unconverged.
     """
     objective = _objective(kind, data)
     saturated = saturated_log_likelihood(data)
     floor = -saturated + _NOISE * (1.0 + abs(saturated))
     used, reached = 0, (warm_start, math.inf)
-    if identified:
-        if len(data.times) == 2:
-            loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
-                                     max_evals=max_evals,
-                                     diameter_tol=_LOOSE_DIAMETER,
-                                     spread_tol=_LOOSE_SPREAD, floor=floor)
-            used, reached = loose.n_evals, (loose.x, loose.fun)
-            if not (loose.converged and math.isfinite(loose.fun)):
-                return *reached, used, loose.converged, None
-            best = (*reached, None)
-        else:
-            best, reached, used = _climb_from_starts(kind, data, objective,
-                                                     warm_start, bounds,
-                                                     max_evals)
-        if best is not None:
-            x, f, derivatives = best
-            x, f, derivatives, evals = _newton(kind, data, objective, x, f,
-                                               bounds, _POLISH_DECREMENT,
-                                               max_evals - used, derivatives)
-            used += evals
-            if derivatives is not None:
-                return x, f, used, True, derivatives[1]
-            if f < reached[1]:
-                reached = (x, f)
+    if identified and len(data.times) == 2:
+        loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
+                                 max_evals=max_evals,
+                                 diameter_tol=_LOOSE_DIAMETER,
+                                 spread_tol=_LOOSE_SPREAD, floor=floor)
+        used, reached = loose.n_evals, (loose.x, loose.fun)
+        if not (loose.converged and math.isfinite(loose.fun)):
+            return *reached, used, loose.converged, None
+        best = (*reached, None)
+    else:
+        warm_value = None
+        if not identified:
+            first = minimize_simplex(objective, warm_start, bounds, seed=seed,
+                                     max_evals=1, floor=floor)
+            if first.converged:
+                return first.x, first.fun, first.n_evals, True, None
+            used, warm_value = first.n_evals, first.fun
+        best, reached, evals = _climb_from_starts(
+            kind, data, objective, warm_start, bounds, max_evals - used,
+            warm_value)
+        used += evals
+    if best is not None:
+        x, f, derivatives = best
+        x, f, derivatives, evals = _newton(kind, data, objective, x, f,
+                                           bounds, _POLISH_DECREMENT,
+                                           max_evals - used, derivatives)
+        used += evals
+        if derivatives is not None:
+            return x, f, used, True, derivatives[1]
+        if f < reached[1]:
+            reached = (x, f)
+    if not identified and reached[1] <= floor:
+        # an over-parameterised climb that ends within rounding noise of the
+        # saturated bound has reached the maximum, on a ridge whose
+        # information is singular, so no Newton stop can confirm it
+        return *reached, used, True, None
     if used < max_evals:
         tight = minimize_simplex(objective, warm_start, bounds, seed=seed,
                                  max_evals=max_evals - used, floor=floor)
@@ -565,6 +606,11 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
 
 
 def _default_warm_start(kind, data, bounds):
+    """``(start, source, ridge)`` of a fit given no warm start.
+
+    ``ridge`` is the ``(low, high)`` ends of the closed-form ridge of a
+    gendered two-time design, whose midpoint is then the start, else None.
+    """
     if kind == NONGENDER:
         try:
             # clamping negative CFA rates is routine here, not user-visible
@@ -582,17 +628,22 @@ def _default_warm_start(kind, data, bounds):
             (data.observations[0], data.observations[-1]))
         closed = two_time_mle(ends, bounds, start[1])
         if closed is not None:
-            return np.array(closed), ("closed-form" if two_times
-                                      else "closed-form-first-last")
-        return start, source
-    # gendered warm start: symmetric split of the marginal non-gendered one
+            return np.array(closed[1]), ("closed-form" if two_times
+                                         else "closed-form-first-last"), None
+        return start, source, None
+    if len(data.times) == 2:
+        ridge = two_time_mle(data, bounds, 0.0)
+        if ridge is not None:
+            low, point, high = ridge
+            return np.array(point), "closed-form-ridge", (low, high)
+    # else the symmetric split of the marginal non-gendered start
     marginal = Dataset(
         data.times,
         tuple(PairCounts(o.ss, o.is_ + o.si, o.ii) for o in data.observations),
     )
     lam, tau = _default_warm_start(NONGENDER, marginal,
                                    (DEFAULT_BOUNDS, DEFAULT_BOUNDS))[0]
-    return np.array([lam, lam, tau, tau]), "symmetric-nongender"
+    return np.array([lam, lam, tau, tau]), "symmetric-nongender", None
 
 
 def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
@@ -604,19 +655,24 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     two-time MLE of the first and last observations where it applies
     (``warm_start_source`` ``"closed-form"`` for two times,
     ``"closed-form-first-last"`` for more), else the CFA (two times) or the
-    fixed point (1e-3, 1e-3) (``"default"``).  A gendered fit starts at the
-    symmetric split of the warm start of the marginal non-gendered counts
-    (``"symmetric-nongender"``).  Explicit warm starts are clipped into the
-    bounds.  Deterministic for a fixed seed.
+    fixed point (1e-3, 1e-3) (``"default"``).  A gendered two-time fit
+    starts at the lambda_m midpoint of its closed-form ridge
+    (``"closed-form-ridge"``) where one exists, and every other gendered
+    fit at the symmetric split of the warm start of the marginal
+    non-gendered counts (``"symmetric-nongender"``).  Explicit warm starts
+    are clipped into the bounds.  Deterministic for a fixed seed.
 
     Identified designs with three or more times run a Newton climb from
     the warm start and its corners, and the best converged point climbs on;
     with two times a loose simplex, stopped at the saturated bound, then
-    the climb.  Where the climb fails, the tight simplex runs from the warm
-    start.  Over-parameterised designs (more rates than the data's free
-    dimensions) run the tight simplex alone, since their maximum is a ridge
-    with no Newton step.  Both simplexes stop at the first point within
-    rounding noise of the saturated bound, which no point could beat.
+    the climb.  Over-parameterised designs (more rates than the data's free
+    dimensions) first evaluate the warm start by the tight simplex, which
+    stops there if it lies on the saturated bound's floor, as a ridge start
+    does; else they climb as designs with three or more times do.  Where
+    the climb fails, the tight simplex runs from the warm start.  Both
+    simplexes stop at the first point within rounding noise of the
+    saturated bound, which no point could beat.  ``ridge_ends`` holds the
+    ridge's ends where the fit ended at its midpoint.
     ``iterations`` counts every likelihood evaluation of the optimizer, one
     per derivative evaluation of the climb included, and never exceeds
     ``max_evals``: a fit whose budget runs out returns the best point
@@ -631,8 +687,10 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
         bounds = tuple(DEFAULT_BOUNDS for _ in range(dim))
     free_dims = (len(spec.state_labels) - 1) * (len(data.times) - 1)
     identified = dim <= free_dims
+    ridge_ends = None
     if warm_start is None:
-        warm_start, warm_start_source = _default_warm_start(kind, data, bounds)
+        warm_start, warm_start_source, ridge_ends = _default_warm_start(
+            kind, data, bounds)
     warm_start = np.clip(np.asarray(warm_start, dtype=float),
                          [b[0] for b in bounds], [b[1] for b in bounds])
 
@@ -711,4 +769,6 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
         condition_warning=cov_result.condition_warning,
         on_boundary=on_boundary(estimates, bounds),
         saturated_gap=gap,
+        ridge_ends=(ridge_ends if ridge and np.array_equal(estimates, warm_start)
+                    else None),
     )

@@ -414,6 +414,10 @@ def _bundle_summary(bundle: AnalysisBundle) -> dict:
         },
         "infections": _infections_summary(bundle.infections),
     }
+    if fit.ridge_ends is not None:
+        # the saturated ridge in closed form: its ends in lambda_m
+        summary["mle"]["ridge_ends"] = [dict(zip(names, end))
+                                        for end in fit.ridge_ends]
     if bundle.analytic:
         a = bundle.analytic
         summary["analytical"] = {
@@ -577,6 +581,11 @@ def _report_text(summary) -> str:
                  "than the data has free dimensions; the maximum is a flat")
             push("  ridge, the joint covariance is rank-deficient along it, and "
                  "intervals use conditional (held-fixed) standard errors.")
+            if "ridge_ends" in model["mle"]:
+                low, high = (end["lambda_m"] for end in model["mle"]["ridge_ends"])
+                push(f"  ridge: lambda_m from {fmt(low)} to {fmt(high)}, with "
+                     "lambda_m + lambda_f fixed; the reported point is its "
+                     "lambda_m midpoint.")
         push("")
         push("expected infections per year at the MLE")
         out += _text_table([_INFECTIONS_HEADER,

@@ -637,6 +637,73 @@ def solve_batch(kind, init, rates, t):
     return out
 
 
+def ridge_mp(data, bounds, dps=40, halvings=150):
+    """The closed-form ridge of a gendered two-time design, by bisection
+    on the closed forms in mpmath: ``(low, point, high)``, the rates at the
+    ends and the midpoint of the segment in lambda_m, or None.
+
+    With lambda_f = h - lambda_m, h = log(SS0/SS_T)/T, the segment holds the
+    lambda_m in the box where each discordant class's count at T is at
+    least its observed count at tau's lower bound and at most it at the
+    upper one; at each point each tau is the root of its class's count by
+    bisection.  A comparison within 1e-25 relative counts as met, so a
+    segment of one point stays one point at working precision.
+    """
+    init = data.initial.as_tuple()
+    end = data.observations[1].as_tuple()
+    if not 0 < end[0] <= init[0]:
+        return None
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(data.elapsed()[1])
+        h = mpmath.log(mpmath.mpf(init[0]) / end[0]) / t
+        (m_lo, m_hi), (f_lo, f_hi), *tau_bounds = [
+            [mpmath.mpf(v) for v in pair] for pair in bounds]
+        slack = mpmath.mpf(10) ** -25
+
+        def gap(c, s, tau):
+            rates = [s, h - s] + ([tau, 0] if c == 1 else [0, tau])
+            value = _counts_mp(GENDER, rates, init, t)[c]
+            return value - end[c], slack * max(1, end[c])
+
+        def bisect(holds, a, b):
+            # holds(a) and not holds(b): the last point that holds
+            for _ in range(halvings):
+                mid = (a + b) / 2
+                a, b = (mid, b) if holds(mid) else (a, mid)
+            return a
+
+        lo, hi = max(m_lo, h - f_hi), min(m_hi, h - f_lo)
+        for c, (tau_lo, tau_hi) in zip((1, 2), tau_bounds):
+            for tau, sign in ((tau_lo, 1), (tau_hi, -1)):
+                if lo > hi:
+                    return None
+
+                def holds(s, c=c, tau=tau, sign=sign):
+                    diff, tol = gap(c, s, tau)
+                    return sign * diff >= -tol
+                at_lo, at_hi = holds(lo), holds(hi)
+                if not (at_lo or at_hi):
+                    return None
+                if not at_hi:
+                    hi = bisect(holds, lo, hi)
+                elif not at_lo:
+                    lo = bisect(holds, hi, lo)
+
+        def tau_root(c, s, tau_lo, tau_hi):
+            # the count falls with tau
+            if gap(c, s, tau_lo)[0] <= 0:
+                return tau_lo
+            if gap(c, s, tau_hi)[0] >= 0:
+                return tau_hi
+            return bisect(lambda tau: gap(c, s, tau)[0] > 0, tau_lo, tau_hi)
+
+        def rates(s):
+            return tuple(float(v) for v in (
+                s, h - s, *(tau_root(c, s, *taus)
+                            for c, taus in zip((1, 2), tau_bounds))))
+        return rates(lo), rates((lo + hi) / 2), rates(hi)
+
+
 # ---------------------------------------------------------------------------
 # the Newton kernel on numpy arrays, as written before it moved to one
 # chain product (count derivatives and information) and to Python floats

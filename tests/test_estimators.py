@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pairinfer import (DomainError, ExpansionUndefinedError, GenderParams,
+from pairinfer import (Dataset, DomainError, ExpansionUndefinedError,
+                       GenderPairCounts, GenderParams,
                        NoRootError, NonGenderParams, PairCounts, cfa, fit_mle,
                        gender_dataset, gender_theta_approx,
                        lambda_hat_closed_form, log_likelihood_nongender,
@@ -14,7 +17,8 @@ from pairinfer import (DomainError, ExpansionUndefinedError, GenderParams,
 import pairinfer.estimators as estimators
 from pairinfer.estimators import two_time_mle
 
-from oracles import make_consistent_dataset
+import oracles
+from oracles import exact_sample, make_consistent_dataset
 
 MWANZA_PHI = -7.745390610418912          # printed series formula on Table-1 counts
 MWANZA_TAU_ROOT = 0.055654062074429106   # bisection at lambda_hat, tol 1e-10
@@ -154,7 +158,9 @@ def test_two_time_mle_mwanza(mwanza, monkeypatch, seed):
 
     monkeypatch.setattr(estimators, "_inflow_moments", counting)
     tau_seed = cfa(mwanza).tau if seed is None else seed
-    lam, tau = two_time_mle(mwanza, ((0.0, 10.0), (0.0, 10.0)), tau_seed)
+    low, (lam, tau), high = two_time_mle(mwanza, ((0.0, 10.0), (0.0, 10.0)),
+                                         tau_seed)
+    assert low == high == (lam, tau)  # a segment of one point
     assert lam == math.log(1742 / 1721) / 4.0
     assert tau == pytest.approx(0.056175471620382986, rel=1e-12)
     assert len(calls) <= (6 if seed is None else 8)
@@ -167,10 +173,89 @@ def test_two_time_mle_of_an_unchanged_cohort():
     # nothing moved: the MLE is the corner (0, 0), found from the bracket
     # ends alone whatever the seed
     data = nongender_dataset((0.0, 3.0), [(500, 30, 20)] * 2)
-    assert two_time_mle(data, ((0.0, 10.0), (0.0, 10.0)), 1.0) == (0.0, 0.0)
+    assert two_time_mle(data, ((0.0, 10.0), (0.0, 10.0)), 1.0) == (
+        ((0.0, 0.0),) * 3)
     fit = fit_mle("nongender", data, seed=0)
     assert fit.warm_start_source == "closed-form"
     assert np.array_equal(fit.estimates, [0.0, 0.0])
+
+
+BOX = ((0.0, 10.0),) * 4
+
+
+def _cohort(end, horizon=2.0, start=(485, 6, 5, 4)):
+    return gender_dataset((0.0, horizon), [start, end])
+
+
+@st.composite
+def gender_two_time_cases(draw):
+    """Gendered two-time cohorts, N 50-200,000, sampled from the model at
+    rates 0-10, with the default box."""
+    n = draw(st.integers(50, 200_000))
+    horizon = draw(st.floats(0.25, 5.0))
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 0.3), st.floats(0.0, 10.0))
+    truth = GenderParams(*(draw(rate) for _ in range(4)))
+    each = max(1, int(n * draw(st.floats(0.01, 0.3)) / 2))
+    ii = max(1, n // 100)
+    init = GenderPairCounts(n - 2 * each - ii, each, each, ii)
+    end = exact_sample(truth, init, horizon, draw(st.integers(0, 2**31)))
+    return Dataset((0.0, horizon), (init, end)), BOX
+
+
+@settings(max_examples=60, deadline=None)
+@given(gender_two_time_cases())
+# nothing left SS, so h = 0 and both lambda are 0; SI did not move, so
+# tau_fm's root is its lower bound
+@example((_cohort((485, 5, 5, 5)), BOX))
+# every SS pair lost went to IS and none left it: one point, lambda_f = 0
+@example((_cohort((481, 10, 3, 6)), BOX))
+# SI fell faster than SS: the upper end is lambda_f = 0, both tau inside
+@example((_cohort((479, 9, 4, 8)), BOX))
+# the bundled cohort with tau_mf up to 0.1: the upper end is where tau_mf
+# reaches that bound, not where tau_fm reaches 0
+@example((gender_dataset((0.0, 2.0), [(1742, 22, 21, 17), (1721, 33, 25, 23)]),
+          ((0.0, 10.0), (0.0, 10.0), (0.0, 0.1), (0.0, 10.0))))
+# SS lost 4, IS gained 1 and SI 3, II none: no rates reproduce this
+@example((_cohort((481, 7, 8, 4)), BOX))
+def test_ridge_matches_the_mpmath_oracle(case):
+    data, bounds = case
+    got = two_time_mle(data, bounds, 0.0)
+    want = oracles.ridge_mp(data, bounds)
+    if got is None or want is None:
+        # where the segment is one point, rounding decides whether the
+        # observed counts are reached at all
+        found = got or want
+        assert found is None or found[0] == pytest.approx(found[2], rel=1e-9,
+                                                          abs=1e-12)
+        return
+    for ours, theirs in zip(got, want):
+        assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-12)
+    low, point, high = got
+    assert point[0] == 0.5 * (low[0] + high[0])
+    # every point reproduces the counts at T
+    for rates in got:
+        state = solve_gender(GenderParams(*np.clip(rates, 0.0, None)),
+                             data.initial, data.times[1])
+        assert state.as_tuple() == pytest.approx(
+            data.observations[1].as_tuple(), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("end, ridge", [
+    ((485, 5, 5, 5), True),
+    ((481, 10, 3, 6), True),
+    ((481, 7, 8, 4), False),
+    ((478, 12, 6, 4), False),
+])
+def test_degenerate_ridges(end, ridge):
+    # h = 0, a segment of one point, and two cohorts with no segment: where
+    # a solve returns a point, it is the oracle's, on the saturated bound
+    data = _cohort(end)
+    got = two_time_mle(data, BOX, 0.0)
+    assert (got is not None) == ridge
+    if ridge:
+        assert got[0] == got[1] == got[2]
+        assert got[1] == pytest.approx(oracles.ridge_mp(data, BOX)[1],
+                                       rel=1e-9, abs=1e-12)
 
 
 def test_cfa_mwanza(mwanza):
