@@ -11,40 +11,46 @@ A fit climbs in three stages:
    starts at its lambda_m midpoint.  Other gendered fits start at the
    symmetric split of the marginal non-gendered start: of its closed form,
    where that applies.
-2. **Newton climb.**  Projected Newton steps on the exact score and
-   observed information of :func:`likelihood.score_and_information`
-   (Bertsekas 1982), or on the expected information where the observed
-   one is not positive definite on the free coordinates (Fisher scoring,
-   Osborne 1992); each step backtracks on the value-path objective.  With
-   three or more times the climb runs from the warm start and from each of
-   its corners (one rate on its lower bound), since sparse or depleted
-   cohorts can have several local maxima, and the best converged point
-   climbs on to a tight tolerance from the derivatives its climb ended
-   with.  With two times a box-constrained Nelder-Mead simplex first runs
-   to a loose tolerance (diameter 1e-5, spread 1e-6), or to the first
-   point within rounding noise of the saturated bound, which the
-   closed-form start meets in one evaluation, and the climb runs from its
-   point.  The last climb's observed information gives the standard
-   errors.  A step solves a system of at most four rows, so it runs on
-   Python floats (a Cholesky factor and two substitutions), where numpy's
-   call overhead outweighed the arithmetic: 8.5 against 31.7 us per step
-   on a gendered information, 4.5 against 30.6 us on a non-gendered one
-   (timeit on one pinned CPU).
+2. **Newton climb.**  A fit's first evaluation is its warm start's, and a
+   start within rounding noise of the saturated bound, the floor
+   ``1e-14 * (1 + |bound|)`` above it, ends the fit there: no point can
+   beat it, so no climb need confirm it.  A closed-form two-time start reproduces every
+   count at T, so it meets the floor (all 185 of the benchmark's cohort
+   files of seeds 1, 3 and 7, sets 0-7, did), and its fit takes that one
+   evaluation.  Other starts climb by projected Newton steps on the exact
+   score and observed information of
+   :func:`likelihood.score_and_information` (Bertsekas 1982), or on the
+   expected information where the observed one is not positive definite on
+   the free coordinates (Fisher scoring, Osborne 1992); each step
+   backtracks on the value-path objective.  With three or more times the
+   climb runs from the warm start and from each of its corners (one rate on
+   its lower bound), since sparse or depleted cohorts can have several
+   local maxima, and the best converged point climbs on to a tight
+   tolerance from the derivatives its climb ended with.  With two times a
+   box-constrained Nelder-Mead simplex runs on from the first evaluation to
+   a loose tolerance (diameter 1e-5, spread 1e-6), or to the first point on
+   the floor, and the climb runs from its point.  The last climb's observed
+   information gives the standard errors, and a climb that ends on the
+   floor has reached the maximum.  A step solves a system of at most four
+   rows, so it runs on Python floats (a Cholesky factor and two
+   substitutions), where numpy's call overhead outweighed the arithmetic:
+   8.5 against 31.7 us per step on a gendered information, 4.5 against
+   30.6 us on a non-gendered one (timeit on one pinned CPU).
 3. **Simplex.**  Where the climb fails (a non-finite value, no descent, no
-   positive definite information) the tight simplex, with jittered
-   restarts, runs from the warm start.  Like the loose one, it stops at the
-   first point within rounding noise of the saturated bound.
+   positive definite information) off the floor, the tight simplex, with
+   jittered restarts, runs from the warm start.  Like the loose one, it
+   stops at the first point on the floor.
 
 An over-parameterised design (the gendered model with two times) has a
-ridge, not a point, where the bound is reached.  Its first evaluation is
-the tight simplex's, which stops there when the start lies on the floor,
-as the closed-form ridge start does: one evaluation, where the simplex
-search took 189 on the bundled cohort.  Where no rates reproduce the
-counts the maximum lies on a face of the box, with both tau on 0 in every
-case seen, where the free rates are identified, and the fit climbs as one
-with three or more times does: 24-34 evaluations on such cohorts of the
-benchmark, where the simplex took 1,849-2,747.  A fit runs these stages
-once, and all of them draw on one evaluation budget, which no fit passes.
+ridge, not a point, where the bound is reached.  Its closed-form ridge
+start lies on the floor, so the fit takes one evaluation, where the
+simplex search took 189 on the bundled cohort.  Where no rates reproduce
+the counts the maximum lies on a face of the box, with both tau on 0 in
+every case seen, where the free rates are identified, and the fit climbs
+as one with three or more times does: 24-34 evaluations on such cohorts
+of the benchmark, where the simplex took 1,849-2,747.  A fit runs these
+stages once, and all of them draw on one evaluation budget, which no fit
+passes.
 The covariance of the estimates is the inverse of the observed
 information (Efron & Hinkley 1978), the Hessian of the negative
 log-likelihood at the estimates; it needs no step into the box's exterior,
@@ -344,6 +350,13 @@ def _objective(kind, data):
     return objective
 
 
+def _floor(data):
+    """The objective's floor: the negative saturated bound plus its
+    rounding noise, ``_NOISE * (1 + |bound|)``.  No point lies below it."""
+    saturated = saturated_log_likelihood(data)
+    return -saturated + _NOISE * (1.0 + abs(saturated))
+
+
 def _newton_step(x, gradient, information, lo, hi, to_lo, to_hi):
     """The Newton step with the ``to_lo`` and ``to_hi`` coordinates moved
     onto those bounds and the system solved on the rest given that move.
@@ -496,34 +509,33 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
     return x, f, None, evals
 
 
-def _climb_from_starts(kind, data, objective, warm_start, bounds, max_evals,
-                       warm_value=None):
-    """Newton climbs from the warm start and from each of its corners.
+def _climb_from_starts(kind, data, objective, warm_start, warm_value, bounds,
+                       max_evals):
+    """Newton climbs from the warm start, whose objective is ``warm_value``,
+    and from each of its corners.
 
     A corner is the warm start with one rate on its lower bound.  Sparse or
     depleted cohorts can have several local maxima, each with another rate
     on its bound, and a climb reaches the one whose basin holds its start;
     the corners reach the others.  Each climb stops at the hand-over
-    tolerance.  ``warm_value``, the objective at the warm start if the
-    caller has it, spares its evaluation.  Returns ``(best, reached,
-    evaluations)``: ``best`` is the ``(x, f, derivatives)`` of the lowest
-    objective among the climbs that converged, or None, and ``reached`` the
-    ``(x, f)`` of that among all climbs, the warm start with +inf if no
-    start had a finite objective.
+    tolerance.  Returns ``(best, reached, evaluations)``: ``best`` is the
+    ``(x, f, derivatives)`` of the lowest objective among the climbs that
+    converged, or None, and ``reached`` the ``(x, f)`` of that among all
+    climbs, the warm start with +inf if no start had a finite objective.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     starts = [warm_start] + [np.where(np.arange(lo.size) == i, lo, warm_start)
                              for i in range(lo.size) if warm_start[i] > lo[i]]
     best, used = None, 0
-    reached = (warm_start, math.inf if warm_value is None else warm_value)
+    reached = (warm_start, math.inf)
     for k, start in enumerate(starts):
-        if used >= max_evals:
-            break
-        if k or warm_value is None:
+        if not k:
+            f = warm_value
+        elif used < max_evals:
             f = objective(start)
             used += 1
         else:
-            f = warm_value
+            break
         if not math.isfinite(f):
             continue
         x, f, derivatives, evals = _newton(kind, data, objective, start, f,
@@ -542,44 +554,42 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
 
     Returns ``(x, fun, evaluations, converged, information)``;
     ``information`` is the last climb's observed information, at ``x``, or
-    None.  An identified design with two times runs the loose simplex and
-    the climb goes on from its point.  An over-parameterised design first
-    evaluates its warm start by the tight simplex, which ends the fit there
-    if that lies on the saturated bound's floor, as the closed-form ridge
-    start does; else its maximum lies on a face of the box where the free
-    rates are identified.  That design and those with three or more times
-    climb from the warm start and its corners, and the best converged point
-    climbs on from the derivatives its climb ended with.  Where the climb
-    fails the tight simplex runs from the warm start, unless an
-    over-parameterised climb ended on the floor.  Both simplexes stop at
-    the first point within rounding noise of the saturated bound, which no
-    point can beat.  Every stage draws on the one budget ``max_evals``;
-    when it is spent, the best point reached returns unconverged.
+    None.  Every design's first evaluation is the warm start's, and a
+    warm start on the saturated bound's floor ends the fit there,
+    converged, as the closed-form starts of two-time designs do.  An
+    identified design with two times makes that evaluation by the loose
+    simplex, which runs on from there, and the climb goes on from its
+    point.  Designs with three or more times and the over-parameterised
+    one, whose maximum then lies on a face of the box where the free rates
+    are identified, climb from the warm start and its corners, and the
+    best converged point climbs on from the derivatives its climb ended
+    with.  A climb that ends on the floor has reached the maximum; where
+    the climb fails otherwise the tight simplex runs from the warm start.
+    Both simplexes stop at the first point on the floor, which no point
+    can beat.  Every stage draws on the one budget ``max_evals``; when it
+    is spent, the best point reached returns unconverged.
     """
     objective = _objective(kind, data)
-    saturated = saturated_log_likelihood(data)
-    floor = -saturated + _NOISE * (1.0 + abs(saturated))
-    used, reached = 0, (warm_start, math.inf)
+    floor = _floor(data)
     if identified and len(data.times) == 2:
         loose = minimize_simplex(objective, warm_start, bounds, seed=seed,
                                  max_evals=max_evals,
                                  diameter_tol=_LOOSE_DIAMETER,
                                  spread_tol=_LOOSE_SPREAD, floor=floor)
         used, reached = loose.n_evals, (loose.x, loose.fun)
-        if not (loose.converged and math.isfinite(loose.fun)):
+        # a run that stops at its first evaluation met the floor there, or
+        # spent its budget
+        if used == 1 or not (loose.converged and math.isfinite(loose.fun)):
             return *reached, used, loose.converged, None
         best = (*reached, None)
     else:
-        warm_value = None
-        if not identified:
-            first = minimize_simplex(objective, warm_start, bounds, seed=seed,
-                                     max_evals=1, floor=floor)
-            if first.converged:
-                return first.x, first.fun, first.n_evals, True, None
-            used, warm_value = first.n_evals, first.fun
+        warm_value, used = ((objective(warm_start), 1) if max_evals > 0
+                            else (math.inf, 0))
+        if warm_value <= floor:
+            return warm_start.copy(), warm_value, used, True, None
         best, reached, evals = _climb_from_starts(
-            kind, data, objective, warm_start, bounds, max_evals - used,
-            warm_value)
+            kind, data, objective, warm_start, warm_value, bounds,
+            max_evals - used)
         used += evals
     if best is not None:
         x, f, derivatives = best
@@ -591,10 +601,10 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
             return x, f, used, True, derivatives[1]
         if f < reached[1]:
             reached = (x, f)
-    if not identified and reached[1] <= floor:
-        # an over-parameterised climb that ends within rounding noise of the
-        # saturated bound has reached the maximum, on a ridge whose
-        # information is singular, so no Newton stop can confirm it
+    if reached[1] <= floor:
+        # a climb that ends within rounding noise of the saturated bound
+        # has reached the maximum, where no Newton stop need confirm it:
+        # on a ridge, or where the information is singular, none can
         return *reached, used, True, None
     if used < max_evals:
         tight = minimize_simplex(objective, warm_start, bounds, seed=seed,
@@ -662,22 +672,25 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     non-gendered counts (``"symmetric-nongender"``).  Explicit warm starts
     are clipped into the bounds.  Deterministic for a fixed seed.
 
-    Identified designs with three or more times run a Newton climb from
-    the warm start and its corners, and the best converged point climbs on;
-    with two times a loose simplex, stopped at the saturated bound, then
-    the climb.  Over-parameterised designs (more rates than the data's free
-    dimensions) first evaluate the warm start by the tight simplex, which
-    stops there if it lies on the saturated bound's floor, as a ridge start
-    does; else they climb as designs with three or more times do.  Where
-    the climb fails, the tight simplex runs from the warm start.  Both
-    simplexes stop at the first point within rounding noise of the
-    saturated bound, which no point could beat.  ``ridge_ends`` holds the
-    ridge's ends where the fit ended at its midpoint.
+    The fit's first evaluation is its warm start's, and a start on the
+    saturated bound's floor, within rounding noise of the bound, ends the
+    fit there, converged, as the closed-form two-time starts do.  Else
+    designs with three or more times, and over-parameterised ones (more
+    rates than the data's free dimensions), run a Newton climb from the
+    warm start and its corners, and the best converged point climbs on;
+    identified two-time designs run a loose simplex, stopped on the floor,
+    then the climb.  A climb that ends on the floor is converged; where
+    the climb fails otherwise, the tight simplex runs from the warm start.
+    Both simplexes stop at the first point on the floor, which no point
+    could beat.  ``ridge_ends`` holds the ridge's ends where the fit ended
+    at its midpoint.
     ``iterations`` counts every likelihood evaluation of the optimizer, one
     per derivative evaluation of the climb included, and never exceeds
     ``max_evals``: a fit whose budget runs out returns the best point
-    reached, unconverged.  ``uncertainty=False`` skips the covariance stage
-    (used by bulk recovery sweeps, which record point estimates only).
+    reached, unconverged.  The covariance stage takes the last climb's
+    information, or, for a fit that ended without one, as on its warm
+    start, the information at the estimates.  ``uncertainty=False`` skips
+    it (used by bulk recovery sweeps, which record point estimates only).
     """
     spec = model_spec(kind)
     if data.kind != kind:

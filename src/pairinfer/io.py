@@ -571,9 +571,10 @@ def _report_text(summary) -> str:
         out += _text_table(_estimates_rows(kind, model))
         push("")
         push(f"log-likelihood at maximum: {fmt(model['mle']['loglik'])}")
+        evaluations = model["mle"]["iterations"]
         push(f"converged: {str(model['mle']['converged']).lower()} "
-             f"({model['mle']['iterations']} evaluations); warm start: "
-             f"{model['mle']['warm_start_source']}")
+             f"({evaluations} evaluation{'' if evaluations == 1 else 's'}); "
+             f"warm start: {model['mle']['warm_start_source']}")
         push(f"uncertainty method: {model['mle']['se_method']}; "
              f"identifiability: {model['mle']['identifiability']}")
         if model["mle"]["identifiability"] == "saturated-ridge":

@@ -14,7 +14,7 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, GenderPairCounts,
                        fit_mle, gillespie_simulate, solve_gender,
                        solve_nongender, validation_sweep)
 from pairinfer.model import params_from_vector
-from pairinfer.simulate import _channels
+from pairinfer.simulate import _bins, _channels
 
 import oracles
 from oracles import exact_sample
@@ -474,6 +474,23 @@ def test_generator_calls_do_not_grow_with_the_cohort(monkeypatch):
 
 
 rate = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=st.lists(st.one_of(st.floats(0.0, 20.0), st.just(2.5)),
+                     max_size=5, unique=True),
+       keys=st.lists(st.one_of(st.floats(0.0, 20.0), st.just(math.nan),
+                               st.just(math.inf), st.sampled_from([0.0, 2.5])),
+                     max_size=60))
+def test_bins_match_searchsorted_property(edges, keys):
+    # event times are bins by summed comparisons; nan (an exit that never
+    # fires) and inf (a wait beyond the float64 range) fall after every
+    # snapshot, and a key on an edge falls after it
+    edges = sorted(edges)
+    keys = np.array(keys, dtype=float)
+    assert np.array_equal(_bins(keys, edges),
+                          np.array(edges).searchsorted(keys, "right"))
+    assert _bins(keys, edges).dtype == np.intp
 
 
 @settings(max_examples=200, deadline=None)
