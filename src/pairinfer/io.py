@@ -16,6 +16,19 @@ of the CLI is a manifest run by it.  It checks every manifest value (a bad
 one is a ConfigError) and reads every dataset before the first fit, and
 echoes the manifest under ``config`` in ``summary.json``, so the echo
 replays the run.
+
+Every output file, report artifact or dataset, goes through one writer,
+:func:`write_file`, which rewrites a file in place: it opens without
+``O_TRUNC``, writes the new bytes over the old ones and then truncates at
+their end.  Truncating a file that holds data to zero and writing it again
+makes ext4 (``auto_da_alloc``, its default) start writeback at ``close()``:
+rewriting the default report's 21 files (221 kB) that way took about
+1,050 us on the ext4 virtual disk of a 2-CPU KVM host, in place about
+120 us.  Rerunning a command into the same output directory, the usual
+case, rewrites every file.  Neither way is atomic.  A crash while
+rewriting in place can leave a torn file, old bytes behind new ones, where
+the truncating write could leave a truncated one; either way the artifact
+set can be partial.
 """
 
 from __future__ import annotations
@@ -238,11 +251,30 @@ def dataset_to_document(data: Dataset, description=None) -> dict:
     return doc
 
 
+def write_file(path, text):
+    """Write ``text`` as the whole UTF-8 content of ``path``, in place.
+
+    The file is created (mode 0o666 less the umask, as ``Path.write_text``
+    creates it) or overwritten from its start, then truncated at the end of
+    the new bytes; see the module docstring for why it is not truncated
+    first.  Every output file of the package is written here.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_dataset(data: Dataset, path, description=None):
     """Write a dataset as a canonical JSON document (round-trips exactly)."""
     path = Path(path)
     doc = dataset_to_document(data, description)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -632,7 +664,10 @@ def emit_report(out_dir, bundles, surfaces=None, profiles=None, ellipses=None,
     All content is assembled in memory first, so an unusable output
     directory raises before anything (in particular the summary) is
     partially written.  Output is byte-identical across runs with the same
-    inputs and seeds.
+    inputs and seeds.  Each file is rewritten in place by
+    :func:`write_file`, which skips the flush that ext4 starts when a
+    truncated file is closed; a crash part way can leave a torn file and a
+    partial artifact set (see the module docstring).
     """
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or out_dir)
     files = {}
@@ -673,7 +708,7 @@ def emit_report(out_dir, bundles, surfaces=None, profiles=None, ellipses=None,
     written = []
     for name in sorted(files):
         path = out_dir / name
-        path.write_text(files[name])
+        write_file(path, files[name])
         written.append(path)
     return written
 

@@ -25,9 +25,12 @@ oracle), so every vertex is bit-identical to it: a centroid is a sequential
 sum from 0.0 over the kept vertices, divided by the dimension, as
 ``np.mean(axis=0)`` computes it; a reflection folds across ``lo``, then
 across ``hi``, then clips as ``np.clip`` does; vertices are ordered by a
-stable sort on their values.  numpy remains for the once-per-fit work: the
-start jitter, the bounds check, the result array and its boundary test.
-The objective receives a fresh float64 array at every evaluation.
+stable sort on their values.  numpy remains for the start jitter and the
+result array.  The bounds check and the boundary test run on floats too,
+and the initial simplex builds a vertex only when it is evaluated: many
+fits end at their first evaluation, so this fixed cost is most of their
+simplex's.  The objective receives a fresh float64 array at every
+evaluation.
 """
 
 from __future__ import annotations
@@ -83,14 +86,17 @@ def reflect_into_box(x, lo, hi):
 
 def on_boundary(x, bounds):
     """Whether any coordinate of ``x`` lies within 1e-12 (relative) of a bound."""
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    return bool(np.any((x - lo <= 1e-12 * np.maximum(1.0, np.abs(lo)))
-                       | (hi - x <= 1e-12 * np.maximum(1.0, np.abs(hi)))))
+    for v, (lo, hi) in zip(x, bounds):
+        v, lo, hi = float(v), float(lo), float(hi)
+        if (v - lo <= 1e-12 * max(1.0, abs(lo))
+                or hi - v <= 1e-12 * max(1.0, abs(hi))):
+            return True
+    return False
 
 
 def _initial_simplex(x0, lo, hi):
-    vertices = [x0]
+    """Yield the start point, then one vertex per coordinate, as needed."""
+    yield x0
     for i in range(len(x0)):
         v = list(x0)
         step = _NONZERO_STEP * abs(v[i]) if v[i] != 0.0 else _ZERO_STEP
@@ -100,8 +106,7 @@ def _initial_simplex(x0, lo, hi):
             # reflection landed back on the start point (x0 at a bound)
             v[i] = x0[i] - step
             v = reflect_into_box(v, lo, hi)
-        vertices.append(v)
-    return vertices
+        yield v
 
 
 # The evaluation budget of a fit unless its caller sets one.
@@ -129,13 +134,12 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
     there, converged.  ``n_starts`` counts the starts that ran.
     """
     x0 = np.asarray(x0, dtype=float)
-    lo_arr = np.array([b[0] for b in bounds], dtype=float)
-    hi_arr = np.array([b[1] for b in bounds], dtype=float)
-    if lo_arr.shape != x0.shape:
+    lo = [float(b[0]) for b in bounds]
+    hi = [float(b[1]) for b in bounds]
+    if x0.shape != (len(lo),):
         raise ValueError("bounds must give one (lo, hi) pair per coordinate")
-    if np.any(lo_arr > hi_arr):
+    if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("lower bound exceeds upper bound")
-    lo, hi = lo_arr.tolist(), hi_arr.tolist()
     dim = x0.size
 
     n_evals = 0
@@ -178,13 +182,13 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
             if n_evals >= max_evals:
                 break
             n_ran += 1
-            vertices = _initial_simplex(start, lo, hi)
-            fs = []
-            for v in vertices:
+            vertices, fs = [], []
+            for v in _initial_simplex(start, lo, hi):
                 if n_evals >= max_evals:
                     break
+                vertices.append(v)
                 fs.append(evaluate(v))
-            if len(fs) < len(vertices):
+            if len(fs) <= dim:
                 break
             vertices, fs = _sorted_by_value(vertices, fs)
             run_converged = False
@@ -258,6 +262,6 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
         fun=incumbent_f,
         n_evals=n_evals,
         converged=incumbent_converged,
-        on_boundary=on_boundary(x, bounds),
+        on_boundary=on_boundary(incumbent_x, bounds),
         n_starts=n_ran,
     )

@@ -290,6 +290,12 @@ def _initial_simplex(x0, lo, hi):
     return vertices
 
 
+def on_boundary(x, lo, hi):
+    """numpy form of ``neldermead.on_boundary`` on arrays of bounds."""
+    return bool(np.any((x - lo <= 1e-12 * np.maximum(1.0, np.abs(lo)))
+                       | (hi - x <= 1e-12 * np.maximum(1.0, np.abs(hi)))))
+
+
 def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
                      diameter_tol=1e-10, spread_tol=1e-12,
                      n_starts=3, jitter=0.25) -> SimplexResult:
@@ -403,14 +409,12 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         incumbent_x = starts[0]
         incumbent_f = np.inf
 
-    at_bound = bool(np.any((incumbent_x - lo <= 1e-12 * np.maximum(1.0, np.abs(lo)))
-                           | (hi - incumbent_x <= 1e-12 * np.maximum(1.0, np.abs(hi)))))
     return SimplexResult(
         x=incumbent_x,
         fun=incumbent_f,
         n_evals=n_evals,
         converged=incumbent_converged,
-        on_boundary=at_bound,
+        on_boundary=on_boundary(incumbent_x, lo, hi),
         n_starts=n_ran,
     )
 

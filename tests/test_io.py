@@ -1,8 +1,11 @@
 """Dataset files, report emission, CLI behavior and exit codes."""
 
+import ast
 import json
 import math
 import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from pairinfer import (ConfigError, Dataset, DomainError, GridAxis, GridSpec,
                        likelihood_surface, load_bundled, nongender_dataset,
                        parse_dataset, write_dataset)
 from pairinfer.cli import main
-from pairinfer.io import fmt
+from pairinfer.io import fmt, write_file
 
 
 def test_bundled_nongender_counts(mwanza):
@@ -182,6 +185,140 @@ def test_emit_report_output_path_is_a_file(tmp_path, mwanza):
     with pytest.raises(IOError):
         emit_report(blocker, [bundle], config={"seed": 1, "levels": []})
     assert blocker.read_text() == "in the way"  # nothing was written
+
+
+# Text of 0 to 64 k characters: a unit of 1 to 8 characters, repeated.
+_file_text = st.builds(lambda unit, n: (unit * n)[:n],
+                       st.text(min_size=1, max_size=8), st.integers(0, 65536))
+
+
+@settings(max_examples=60, deadline=None)
+@given(old=_file_text, new=_file_text)
+def test_write_file_leaves_exactly_the_new_bytes_property(old, new,
+                                                          tmp_path_factory):
+    path = tmp_path_factory.mktemp("rewrite") / "artifact.txt"
+    path.write_bytes(old.encode("utf-8"))
+    write_file(path, new)
+    assert path.read_bytes() == new.encode("utf-8")
+    write_file(path, old)
+    assert path.read_bytes() == old.encode("utf-8")
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002, 0o000])
+def test_write_file_creates_with_the_mode_write_text_gives(mask, tmp_path):
+    previous = os.umask(mask)
+    try:
+        (tmp_path / "by_write_text").write_text("x")
+        write_file(tmp_path / "by_write_file", "x")
+    finally:
+        os.umask(previous)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("by_write_text", "by_write_file")]
+    assert modes[0] == modes[1] == 0o666 & ~mask
+
+
+def _stale_copy(fresh, stale):
+    """Seed ``stale`` with every file of ``fresh``, each longer than it is."""
+    stale.mkdir()
+    for path in fresh.iterdir():
+        (stale / path.name).write_bytes(path.read_bytes() * 2 + b"stale tail\n")
+
+
+def _same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_report_all_rewrites_stale_artifacts_byte_identically(tmp_path):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert main(["report-all", "--out", str(fresh)]) == 0
+    _stale_copy(fresh, reused)
+    for _ in range(2):
+        assert main(["report-all", "--out", str(reused)]) == 0
+        _same_files(fresh, reused)
+
+
+def test_simulate_rewrites_stale_datasets_byte_identically(tmp_path):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    argv = _SIM + ["--times", "0,1,2", "--reps", "2", "--seed", "8"]
+    assert main(argv + ["--out", str(fresh)]) == 0
+    _stale_copy(fresh, reused)
+    for _ in range(2):
+        assert main(argv + ["--out", str(reused)]) == 0
+        _same_files(fresh, reused)
+
+
+def test_artifact_name_taken_by_a_directory_is_config_error(tmp_path, capsys):
+    (tmp_path / "out" / "summary.json").mkdir(parents=True)
+    argv = ["fit", "--model", "nongender", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output")
+
+
+def _writes_outside(tree, writer):
+    """Calls in ``tree`` that can write a file, outside the function
+    ``writer``: ``write_text``, ``write_bytes``, ``os.open``, ``os.fdopen``,
+    and ``open`` with a write mode or a mode that is not a literal."""
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == writer
+              for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        owner = getattr(getattr(func, "value", None), "id", None)
+        if name in ("write_text", "write_bytes", "fdopen") or (
+                name == "open" and owner == "os"):
+            found.append((name, node.lineno))
+        elif name == "open":
+            # open(file, mode) as a function, path.open(mode) as a method
+            position = 1 if isinstance(func, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[position] if len(node.args) > position
+                        else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                found.append((name, node.lineno))
+    return found
+
+
+def test_only_the_one_writer_writes_files():
+    package = Path(pairinfer.io.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        writer = "write_file" if path.name == "io.py" else None
+        found = _writes_outside(tree, writer)
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+def test_the_writer_scan_finds_every_kind_of_write():
+    source = """
+def write_file(path, text):
+    os.open(path, 0)
+def other(p):
+    p.write_text("a")
+    p.write_bytes(b"a")
+    open(p, "w")
+    open(p, mode="ab")
+    p.open("r+")
+    open(p, some_mode)
+    os.open(p, 1)
+    os.fdopen(3, "w")
+    open(p)
+    open(p, "rb")
+    p.open()
+"""
+    found = _writes_outside(ast.parse(source), "write_file")
+    assert [line for _, line in found] == list(range(5, 13))
 
 
 def test_cli_fit_bundled(tmp_path, capsys):

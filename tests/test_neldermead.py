@@ -11,7 +11,7 @@ from scipy.optimize import minimize as scipy_minimize
 import oracles
 from pairinfer import (NonGenderParams, fit_mle, gender_dataset,
                        log_likelihood_nongender, minimize_simplex)
-from pairinfer.neldermead import reflect_into_box
+from pairinfer.neldermead import on_boundary, reflect_into_box
 
 
 def quadratic(center):
@@ -259,6 +259,27 @@ def test_reflection_matches_numpy_oracle(rows):
     hi = [a + w for a, w in zip(lo, (r[2] for r in rows))]
     ref = oracles.reflect_into_box(np.array(x), np.array(lo), np.array(hi))
     assert _bits(reflect_into_box(x, lo, hi)) == _bits(ref)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3),
+                          st.sampled_from(["lo", "hi"]), st.floats(-2.0, 2.0)),
+                min_size=1, max_size=4))
+@example([(0.0, 10.0, "lo", 1.0)])
+@example([(-5.0, 10.0, "hi", 1.0), (0.5, 0.0, "lo", -1.0)])
+# bounds below -1: the tolerance scales with |bound|, not with the bound
+@example([(-5.0, 2.0, "lo", 0.5)])
+@example([(-5.0, 2.0, "hi", 0.5)])
+def test_on_boundary_matches_numpy_oracle(rows):
+    # each coordinate within a few tolerances, 1e-12 * max(1, |bound|),
+    # of one of its bounds, on either side of the tolerance
+    lo = [r[0] for r in rows]
+    hi = [r[0] + r[1] for r in rows]
+    x = [a + f * 1e-12 * max(1.0, abs(a)) if side == "lo"
+         else b - f * 1e-12 * max(1.0, abs(b))
+         for a, b, (_, _, side, f) in zip(lo, hi, rows)]
+    ref = oracles.on_boundary(np.array(x), np.array(lo), np.array(hi))
+    assert on_boundary(np.array(x), list(zip(lo, hi))) is ref
 
 
 def test_bundled_fit_evaluation_counts(mwanza, mwanza_gender):
