@@ -180,8 +180,8 @@ def covariance_from_hessian(hessian) -> CovarianceResult:
     h = (h + h.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(h)
     if eigvals.min() <= len(eigvals) * np.finfo(float).eps * abs(eigvals).max():
-        cond = math.inf if eigvals.min() == 0 else float(
-            abs(eigvals).max() / abs(eigvals).min())
+        smallest = abs(eigvals).min()
+        cond = math.inf if smallest == 0 else float(abs(eigvals).max() / smallest)
         return CovarianceResult(None, None, False, cond, False)
     cond = float(eigvals.max() / eigvals.min())
     warn = cond > CONDITION_WARN_THRESHOLD

@@ -1,8 +1,7 @@
-"""Dataset ingestion, the analysis pipeline, and report emission.
+"""The analysis pipeline, report emission and dataset writing.
 
-Datasets are accepted in two formats: a JSON document with a schema version,
-the model kind and a list of {time, counts} records, or a delimited table
-(comma or tab) with a ``time,SS,SI,II`` or ``time,SS,IS,SI,II`` header.
+Datasets are read in :mod:`pairinfer.dataset`; ``parse_dataset`` and
+``load_bundled`` are imported here too, so the pipeline reads through them.
 Reports comprise plain delimited artifacts (estimates, infections, surfaces,
 profiles, ellipse point lists, validation records), one human-readable
 ``report.txt`` and one machine-readable ``summary.json``.  Every number in
@@ -33,20 +32,16 @@ set can be partial.
 
 from __future__ import annotations
 
-import csv
-import functools
-import io as _io
 import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, load_bundled, parse_dataset
 from .errors import ConfigError, DomainError, NoRootError, ParseError
 from .estimators import (AnalyticEstimate, analytic_estimates, cfa,
                          gender_theta_approx, lambda_hat_closed_form)
@@ -121,118 +116,7 @@ def _round6(value):
 
 
 # ---------------------------------------------------------------------------
-# dataset parsing and writing
-
-def _parse_json_dataset(text, source):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: invalid JSON at line {exc.lineno}: "
-                         f"{exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{source}: expected a JSON object")
-    version = doc.get("schema_version")
-    if version != 1:
-        raise ParseError(f"{source}: field 'schema_version' must be 1, "
-                         f"got {version!r}")
-    model = doc.get("model")
-    if not (isinstance(model, str) and model in MODELS):
-        raise ParseError(f"{source}: field 'model' must be 'nongender' or "
-                         f"'gender', got {model!r}")
-    spec = MODELS[model]
-    observations = doc.get("observations")
-    if not isinstance(observations, list) or not observations:
-        raise ParseError(f"{source}: field 'observations' must be a "
-                         "non-empty list")
-    times = []
-    counts = []
-    for k, entry in enumerate(observations):
-        where = f"{source}: observations[{k}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected an object")
-        if "time" not in entry:
-            raise ParseError(f"{where}: missing field 'time'")
-        if "counts" not in entry or not isinstance(entry["counts"], dict):
-            raise ParseError(f"{where}: missing or invalid field 'counts'")
-        # bool is a subclass of int: reject true/false before float() reads 1/0
-        if isinstance(entry["time"], bool):
-            raise ParseError(f"{where}: field 'time' must be a number")
-        try:
-            times.append(float(entry["time"]))
-        except (TypeError, ValueError):
-            raise ParseError(f"{where}: field 'time' must be a number") from None
-        for key, val in entry["counts"].items():
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ParseError(f"{where}: counts.{key} must be a number")
-        if set(entry["counts"]) != set(spec.state_labels):
-            raise ParseError(f"{where}: counts of model '{model}' must have "
-                             f"keys {','.join(spec.state_labels)}, got "
-                             f"{sorted(entry['counts'])}")
-        try:
-            counts.append(spec.counts_type(*(entry["counts"][key]
-                                             for key in spec.state_labels)))
-        except DomainError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    try:
-        return Dataset(tuple(times), tuple(counts))
-    except DomainError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-
-
-def _parse_table_dataset(text, source):
-    delimiter = "\t" if "\t" in text.splitlines()[0] else ","
-    reader = csv.reader(_io.StringIO(text), delimiter=delimiter)
-    rows = [(k + 1, [cell.strip() for cell in row])
-            for k, row in enumerate(reader)
-            if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ParseError(f"{source}: empty table")
-    header_line, header = rows[0]
-    header_up = [h.upper() for h in header]
-    for spec in MODELS.values():
-        if header_up == ["TIME", *spec.state_labels]:
-            builder, width = spec.counts_type, len(header_up)
-            break
-    else:
-        raise ParseError(f"{source}: line {header_line}: header must be "
-                         "time,SS,SI,II or time,SS,IS,SI,II")
-    times = []
-    counts = []
-    for line, row in rows[1:]:
-        if len(row) != width:
-            raise ParseError(f"{source}: line {line}: expected {width} "
-                             f"columns, got {len(row)}")
-        values = []
-        for name, cell in zip(header, row):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ParseError(f"{source}: line {line}: field {name!r} is "
-                                 f"not a number: {cell!r}") from None
-        times.append(values[0])
-        try:
-            counts.append(builder(*values[1:]))
-        except DomainError as exc:
-            raise ParseError(f"{source}: line {line}: {exc}") from exc
-    try:
-        return Dataset(tuple(times), tuple(counts))
-    except DomainError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-
-
-def parse_dataset(path) -> Dataset:
-    """Parse a dataset file (JSON document or delimited table)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
-    if not text.strip():
-        raise ParseError(f"{path}: file is empty")
-    if text.lstrip().startswith("{"):
-        return _parse_json_dataset(text, str(path))
-    return _parse_table_dataset(text, str(path))
-
+# dataset writing
 
 def _count_value(x):
     return int(x) if float(x) == int(x) else float(x)
@@ -276,23 +160,6 @@ def write_dataset(data: Dataset, path, description=None):
     doc = dataset_to_document(data, description)
     write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_bundled(kind) -> Dataset:
-    """Load the bundled Mwanza cohort dataset for the given model kind.
-
-    Each is read and parsed once per process, and the one frozen Dataset
-    is shared: every fit compares its data with it.
-    """
-    model_spec(kind)  # an unknown kind is a ConfigError
-    return _read_bundled(kind)
-
-
-@functools.lru_cache(maxsize=None)
-def _read_bundled(kind) -> Dataset:
-    name = f"mwanza_{kind}.json"
-    text = resources.files("pairinfer.data").joinpath(name).read_text()
-    return _parse_json_dataset(text, f"bundled:{name}")
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,15 @@ def test_covariance_singular_to_working_precision():
     assert result.std_errors is None
 
 
+def test_covariance_indefinite_with_a_zero_eigenvalue():
+    # the smallest eigenvalue is negative, but the smallest in magnitude is
+    # an exact zero: the condition number is infinite, with no division
+    result = covariance_from_hessian(np.diag([-1.0, 0.0, 2.0]))
+    assert not result.positive_definite
+    assert result.covariance is None
+    assert result.condition_number == math.inf
+
+
 def test_covariance_condition_warning():
     # scale disparity + correlation 0.999999 pushes the condition number
     # past the 1e10 threshold while staying positive definite
