@@ -25,8 +25,10 @@ A fit climbs in three stages:
    backtracks on the value-path objective.  With three or more times the
    climb runs from the warm start and from each of its corners (one rate on
    its lower bound), since sparse or depleted cohorts can have several
-   local maxima, and the best converged point climbs on to a tight
-   tolerance from the derivatives its climb ended with.  With two times a
+   local maxima.  A corner's climb ends, unconverged, once its Newton
+   step lands on the best maximum already converged, where it could not
+   win; the best converged point climbs on to a tight tolerance from the
+   derivatives its climb ended with.  With two times a
    box-constrained Nelder-Mead simplex runs on from the first evaluation to
    a loose tolerance (diameter 1e-5, spread 1e-6), or to the first point on
    the floor, and the climb runs from its point.  The last climb's observed
@@ -107,13 +109,27 @@ _NOISE = 1e-14
 # A climb stops when the Newton decrement g^T H^-1 g, twice the gain it
 # predicts, is below a tolerance times (1 + |f|): _HANDOVER_DECREMENT for
 # the climbs from the starts, _POLISH_DECREMENT for the last climb, which
-# gives the standard errors.  It also stops where the decrement is below
-# _ROUNDING * (1 + |f|), one ulp of f, and the objective rejects the full
-# step: no value can confirm a gain below f's rounding, so halving would
-# only follow the value path's noise.
+# gives the standard errors.  The decrement is s^T H s for the step s
+# left, so where H is ill-conditioned a small one can leave a long step
+# along its weak direction: on a gendered four-time cohort with condition
+# number 1e6, 1e-20 left a step of 1.6e-8 of the largest estimate, 1e-22
+# one of 1.7e-13.  It also stops where the decrement is below
+# _ROUNDING * (1 + |f| + N), an ulp of f and of the pair total N, and the
+# objective rejects the full step: no value can confirm a gain below the
+# value path's rounding, so halving would only follow its noise.  That
+# noise grows with N, not only with |f|: P_II = N - P_SS - P_SI carries
+# ulps of N, and its count multiplies its log.
 _HANDOVER_DECREMENT = 1e-10
-_POLISH_DECREMENT = 1e-20
+_POLISH_DECREMENT = 1e-22
 _ROUNDING = 2.0 ** -52
+# A corner's climb ends, unconverged, once its log-likelihood is no higher
+# than that of the best maximum found so far, x*, and its step lands within
+# (y - x*)^T I* (y - x*) <= _FOUND_RADIUS of x*, in the metric of the
+# observed information I* there: such a climb is bound for x*, which it
+# cannot beat (Rinnooy Kan & Timmer 1987).  The test is on the step's
+# target, not on the climb's point: a corner that wins can pass within
+# 0.1 of x* on its way.
+_FOUND_RADIUS = 1e-2
 
 
 def hessian_fd(objective, point, rel_step=1e-4, min_step=1e-6) -> np.ndarray:
@@ -434,7 +450,7 @@ def _step_into_box(x, gradient, information, lo, hi, to_lo, to_hi, newton):
 
 
 def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
-            derivatives=None):
+            derivatives=None, found=None):
     """Projected Newton climb on the box from the point (x, f).
 
     Each iteration takes the Newton step on the coordinates not held on a
@@ -446,13 +462,17 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
     :func:`_step_into_box`, clipped into it and halved until the objective
     rises by no more than its rounding noise.  ``derivatives``, the
     :func:`likelihood.score_and_information` of x if the caller has it,
-    spares its evaluation.  Returns ``(x, f, derivatives, evaluations)``.
+    spares its evaluation.  ``found``, the ``(x*, f*, I*)`` of a maximum
+    already found with I* positive definite, ends the climb where its step
+    lands on x* (``_FOUND_RADIUS``) from an objective not below f*.  Returns
+    ``(x, f, derivatives, evaluations)``.
     ``derivatives`` are those of x once the decrement is below
     ``decrement_tol * (1 + |f|)``, or below one ulp of f with the full step
     rejected, so their observed information is the one at x whichever
     information the last step solved on.  They are None when
     neither information was positive definite on the free coordinates, no
-    halving was accepted, the iterations ran out or ``max_evals``
+    halving was accepted, a step landed on ``found``, the iterations ran
+    out or ``max_evals``
     evaluations (one per derivative evaluation, one per objective value)
     were spent.
     """
@@ -490,6 +510,10 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
             return x, f, derivatives, evals
         step = _step_into_box(x, gradient, information, lo, hi, to_lo, to_hi,
                               step)
+        if found is not None and f >= found[1]:
+            offset = np.clip(x + step, lo, hi) - found[0]
+            if offset @ found[2] @ offset <= _FOUND_RADIUS:
+                break
         allowed = _NOISE * (1.0 + abs(f))
         scale = 1.0
         for _ in range(_NEWTON_HALVINGS):
@@ -500,7 +524,8 @@ def _newton(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
             evals += 1
             if f_trial <= f + allowed:
                 break
-            if scale == 1.0 and decrement <= _ROUNDING * (1.0 + abs(f)):
+            if scale == 1.0 and decrement <= _ROUNDING * (1.0 + abs(f)
+                                                          + data.n):
                 return x, f, derivatives, evals
             scale *= 0.5
         else:
@@ -518,15 +543,21 @@ def _climb_from_starts(kind, data, objective, warm_start, warm_value, bounds,
     depleted cohorts can have several local maxima, each with another rate
     on its bound, and a climb reaches the one whose basin holds its start;
     the corners reach the others.  Each climb stops at the hand-over
-    tolerance.  Returns ``(best, reached, evaluations)``: ``best`` is the
-    ``(x, f, derivatives)`` of the lowest objective among the climbs that
+    tolerance, and a climb after one that converged with a positive
+    definite observed information also stops, unconverged, once its
+    Newton step lands on the best such maximum from a value not below it
+    (``_FOUND_RADIUS``): it was bound for a maximum already found.  On the
+    benchmark's cohorts almost every corner climb returns to the warm
+    climb's maximum, and this stop spares most of their evaluations.
+    Returns ``(best, reached, evaluations)``: ``best`` is the ``(x, f,
+    derivatives)`` of the lowest objective among the climbs that
     converged, or None, and ``reached`` the ``(x, f)`` of that among all
     climbs, the warm start with +inf if no start had a finite objective.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     starts = [warm_start] + [np.where(np.arange(lo.size) == i, lo, warm_start)
                              for i in range(lo.size) if warm_start[i] > lo[i]]
-    best, used = None, 0
+    best, found, used = None, None, 0
     reached = (warm_start, math.inf)
     for k, start in enumerate(starts):
         if not k:
@@ -540,12 +571,14 @@ def _climb_from_starts(kind, data, objective, warm_start, warm_value, bounds,
             continue
         x, f, derivatives, evals = _newton(kind, data, objective, start, f,
                                            bounds, _HANDOVER_DECREMENT,
-                                           max_evals - used)
+                                           max_evals - used, found=found)
         used += evals
         if f < reached[1]:
             reached = (x, f)
         if derivatives is not None and (best is None or f < best[1]):
             best = (x, f, derivatives)
+            found = ((x, f, derivatives[1])
+                     if np.linalg.eigvalsh(derivatives[1])[0] > 0.0 else None)
     return best, reached, used
 
 
@@ -563,11 +596,14 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
     one, whose maximum then lies on a face of the box where the free rates
     are identified, climb from the warm start and its corners, and the
     best converged point climbs on from the derivatives its climb ended
-    with.  A climb that ends on the floor has reached the maximum; where
-    the climb fails otherwise the tight simplex runs from the warm start.
-    Both simplexes stop at the first point on the floor, which no point
-    can beat.  Every stage draws on the one budget ``max_evals``; when it
-    is spent, the best point reached returns unconverged.
+    with; a corner's climb ends once its step lands on a maximum already
+    found (:func:`_climb_from_starts`).  A climb that ends on the floor
+    has reached the maximum; where the climb fails otherwise the tight
+    simplex runs from the warm start, and a tight simplex that converges
+    within rounding noise above the best point reached confirms that
+    point.  Both simplexes stop at the first point on the floor, which no
+    point can beat.  Every stage draws on the one budget ``max_evals``;
+    when it is spent, the best point reached returns unconverged.
     """
     objective = _objective(kind, data)
     floor = _floor(data)
@@ -606,13 +642,18 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
         # has reached the maximum, where no Newton stop need confirm it:
         # on a ridge, or where the information is singular, none can
         return *reached, used, True, None
+    converged = False
     if used < max_evals:
         tight = minimize_simplex(objective, warm_start, bounds, seed=seed,
                                  max_evals=max_evals - used, floor=floor)
         used += tight.n_evals
         if tight.fun <= reached[1]:
             return tight.x, tight.fun, used, tight.converged, None
-    return *reached, used, False, None
+        # a simplex that converged within rounding noise above the point
+        # reached confirms that point's value
+        converged = tight.converged and (
+            tight.fun <= reached[1] + _NOISE * (1.0 + abs(reached[1])))
+    return *reached, used, converged, None
 
 
 def _default_warm_start(kind, data, bounds):
@@ -677,10 +718,13 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     fit there, converged, as the closed-form two-time starts do.  Else
     designs with three or more times, and over-parameterised ones (more
     rates than the data's free dimensions), run a Newton climb from the
-    warm start and its corners, and the best converged point climbs on;
-    identified two-time designs run a loose simplex, stopped on the floor,
-    then the climb.  A climb that ends on the floor is converged; where
-    the climb fails otherwise, the tight simplex runs from the warm start.
+    warm start and its corners, a corner's climb ending where its step
+    lands on a maximum already found, and the best converged point climbs
+    on; identified two-time designs run a loose simplex, stopped on the
+    floor, then the climb.  A climb that ends on the floor is converged;
+    where the climb fails otherwise, the tight simplex runs from the warm
+    start, and its convergence within rounding noise of the best point
+    reached confirms that point.
     Both simplexes stop at the first point on the floor, which no point
     could beat.  ``ridge_ends`` holds the ridge's ends where the fit ended
     at its midpoint.

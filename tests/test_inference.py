@@ -502,10 +502,39 @@ def test_polished_fit_is_stationary_and_never_worse(kind, data, mwanza):
     assert np.abs(step).max() <= 1e-8 * np.abs(fit.estimates).max()
 
 
+# Non-gendered, N = 29,296, SS almost empty by the second time and every
+# pair in II from the third: the value path's noise near the maximum,
+# about 3e-12, is set by N, not by |loglik| (11.3)
+DEPLETED_COHORT = nongender_dataset(
+    (0.0, 3.724836505604963, 17.725717789195958, 17.943945857699045),
+    [(2203, 22031, 5062), (0, 1, 29295), (0, 0, 29296), (0, 0, 29296)])
+
+
+def test_polish_stops_at_the_value_paths_noise():
+    # the polish from the warm climb's end: its last full Newton step gains
+    # less than the noise, and the value path rejects it.  When that stop
+    # allowed one ulp of |loglik| alone, the climb chased the noise through
+    # 983 evaluations and returned unconverged
+    data = DEPLETED_COHORT
+    fit = fit_mle("nongender", data, seed=0)
+    assert fit.converged and fit.identifiability == "ok"
+    objective = inference._objective("nongender", data)
+    start = fit.warm_start
+    x, f, derivatives, _ = inference._newton(
+        "nongender", data, objective, start, objective(start), fit.bounds,
+        inference._HANDOVER_DECREMENT, 1_000)
+    assert derivatives is not None
+    x, f, derivatives, evals = inference._newton(
+        "nongender", data, objective, x, f, fit.bounds,
+        inference._POLISH_DECREMENT, 1_000, derivatives)
+    assert derivatives is not None and evals <= 5
+    assert -f >= fit.loglik_at_max - 1e-12 * (1.0 + abs(f))
+
+
 def _failing_climb(evaluations):
     """A Newton climb that fails after ``evaluations`` evaluations."""
     def climb(kind, data, objective, x, f, bounds, decrement_tol, max_evals,
-              derivatives=None):
+              derivatives=None, found=None):
         return x, f, None, evaluations
     return climb
 
@@ -808,6 +837,11 @@ def gender_two_time_cohorts(draw):
 # singular, and that point is the maximum
 @example(Dataset((0.0, 0.296875), (GenderPairCounts(4903, 812, 812, 65),
                                    GenderPairCounts(4899, 816, 810, 67))))
+# no ridge start, and the climb ends on the saturated bound, where the
+# information is singular: without the floor the tight simplex converges
+# 7e-12 above that point, which confirms it
+@example(Dataset((0.0, 3.34375), (GenderPairCounts(1065, 148, 148, 13),
+                                  GenderPairCounts(1058, 155, 147, 14))))
 def test_floor_stop_keeps_the_ridge_fit(data):
     # a ridge start lies on the saturated bound's floor, where the fit
     # ends at its first evaluation; elsewhere the fit climbs.  Without the
@@ -1016,6 +1050,73 @@ def test_nothing_changed_cohort_ends_at_its_warm_start():
     assert np.array_equal(fit.estimates, np.zeros(4))
     assert np.array_equal(fit.estimates, fit.warm_start)
     assert fit.loglik_at_max >= -_floor(NOTHING_CHANGED_COHORT)
+
+
+# Cohorts of the stress sweep (tests/stress_sweep.py) where a corner's
+# climb beats the warm start's converged climb, by 0.63 and 2.12
+# log-likelihood units
+CORNER_WIN_COHORTS = [
+    gender_dataset(
+        (0.0, 3.255286895146323, 3.525331036521991, 14.3091530178141),
+        [(55, 8, 69, 25), (19, 1, 40, 97), (19, 0, 38, 100), (3, 0, 6, 148)]),
+    gender_dataset(
+        (0.0, 5.873170245937022, 11.079536807856098),
+        [(577, 395, 100, 84), (216, 36, 0, 904), (79, 6, 0, 1071)]),
+]
+
+
+@pytest.mark.parametrize("data, margin", zip(CORNER_WIN_COHORTS,
+                                             [0.6297, 2.1235]),
+                         ids=["4-times", "3-times"])
+def test_corner_wins_survive_the_found_stop(data, margin):
+    # the warm climb converges, below the maximum a corner's climb reaches:
+    # the stop must not end that climb on a maximum already found
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ill-conditioned covariances
+        fit = fit_mle("gender", data, seed=0)
+    assert fit.converged
+    objective = inference._objective("gender", data)
+    start = fit.warm_start
+    x, f, derivatives, _ = inference._newton(
+        "gender", data, objective, start, objective(start), fit.bounds,
+        inference._HANDOVER_DECREMENT, 1_000)
+    assert derivatives is not None
+    assert fit.loglik_at_max + f == pytest.approx(margin, abs=1e-4)
+
+
+def test_corner_climbs_stop_on_the_maximum_found():
+    # every corner's climb returns to the warm climb's maximum, and the stop
+    # ends each once its step lands there: fewer evaluations, the same fit
+    data = FOUR_TIME_COHORT
+    fit = fit_mle("gender", data, seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_FOUND_RADIUS", -math.inf)
+        full = fit_mle("gender", data, seed=0)
+    assert fit.converged and full.converged
+    assert fit.iterations < full.iterations
+    assert fit.loglik_at_max >= full.loglik_at_max - 1e-12 * (
+        1.0 + abs(full.loglik_at_max))
+    assert fit.estimates == pytest.approx(full.estimates, rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_time_cohorts())
+@example(("gender", CORNER_WIN_COHORTS[0]))
+@example(("gender", CORNER_WIN_COHORTS[1]))
+@example(("nongender", DEPLETED_COHORT))
+def test_found_stop_keeps_the_best_value(case):
+    # with and without the stop, the fit reaches the same best value and
+    # the stop never costs it its convergence
+    kind, data = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ill-conditioned covariances
+        fit = fit_mle(kind, data, seed=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_FOUND_RADIUS", -math.inf)
+            full = fit_mle(kind, data, seed=0)
+    assert abs(fit.loglik_at_max - full.loglik_at_max) <= 1e-9 * (
+        1.0 + abs(full.loglik_at_max))
+    assert fit.converged or not full.converged
 
 
 @st.composite
