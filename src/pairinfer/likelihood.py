@@ -128,10 +128,10 @@ def score_and_information(kind, data: Dataset, rates):
 def log_likelihood_columns(kind, data: Dataset, columns) -> np.ndarray:
     """:func:`log_likelihood` at every cell of broadcasting rate columns.
 
-    ``columns`` are as for :func:`~pairinfer.model.solve_columns`.  Returns
-    an array of the shape they broadcast to.  Each element is bit-identical
-    to the scalar value at that cell's rates, -inf sentinel included; a
-    negative or non-finite rate raises the scalar path's
+    ``columns`` are as for :func:`~pairinfer.model.solve_columns_at`.
+    Returns an array of the shape they broadcast to.  Each element is
+    bit-identical to the scalar value at that cell's rates, -inf sentinel
+    included; a negative or non-finite rate raises the scalar path's
     :class:`DomainError`.  Each log is taken once per element of its
     state's own shape.
     """

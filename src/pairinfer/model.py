@@ -24,31 +24,34 @@ factor exp(-x*t) grows without bound, so it is folded into the decay:
 which stays finite at any horizon.  The gendered model has the same shape
 per discordant class.  :data:`MODELS` holds that shape once per model: the
 SS hazard and, per discordant class, its start count, inflow from SS, x and
-exit rate, with the names, types and infection routes.  Every path serving
-both models reads it: :func:`solve_columns` evaluates the classes over
-broadcasting rate columns, :func:`count_derivatives` differentiates every
-count from one routine over them (near x = 0 through the Taylor series of
-expm1(x*t)/x, whose closed-form derivatives cancel there), and the
-simulator, infections table, parsers and CLI read it too.  The scalar
-solvers, the optimizer's inner loop, stay written out per model: a
-table-driven one, though bit-identical, took 1.31 against 1.00 us per
-non-gendered solve and 1.74 against 1.34 us per gendered one (2-CPU shared
-host, Python 3.11).  Everything here is a pure function of its arguments;
-all value types are frozen and safe to share across threads.
+exit rate, with the names, types and infection routes.  Every path reads
+it: the scalar solver (:func:`solve_nongender` and :func:`solve_gender` are
+wrappers of one routine) loops over the classes, :func:`solve_columns_at`
+evaluates them over broadcasting rate columns, :func:`count_derivatives`
+differentiates every count from one routine over them (near x = 0 through
+the Taylor series of expm1(x*t)/x, whose closed-form derivatives cancel
+there), and the simulator, infections table, parsers and CLI read it too.
+The scalar solve pays for reading the table: 2.02 against 1.40 us per
+non-gendered solve and 2.53 against 1.87 us per gendered one, for the
+copies written out per model that it replaced (median of 25 interleaved
+rounds on one pinned CPU of a 2-CPU shared host, Python 3.11).  At 21
+solves per fitted cohort file and 5 per simulate-and-refit replicate, that
+is under 1% of either.  Everything here is a pure function of its
+arguments; all value types are frozen and safe to share across threads.
 
-Grids keep the scalar solvers' bits: :func:`apply_libm` sends each exp,
+Grids keep the scalar solver's bits: :func:`apply_libm` sends each exp,
 expm1 and log through :mod:`math`.  numpy's vectorised functions differ
 from the C library's in 4.6% of exp values, by at most 1 ulp; with them the
 101x101 surface took 1.5 against 10.4 ms, but five bit-identity tests
-failed.  So the contract stays, and :func:`solve_columns` cuts the cost
+failed.  So the contract stays, and :func:`solve_columns_at` cuts the cost
 instead: it takes one broadcasting array per rate and evaluates each
 expression on the shape it varies over, so the SS decay of a lambda x tau
 surface is one exp per lambda.  That took the transcendentals of the
 default report's surfaces and profiles from 156,828 to 82,588, the 101x101
 surface from 7.0 to 4.4 ms and its six gendered 41x41 surfaces from 10.3
 to 5.4 ms (one pinned CPU of a 2-CPU shared host, median of 20 interleaved
-rounds).  A grid over several times (:func:`solve_columns_at`) checks its
-columns and forms each class's x, exit rate and branch masks once.
+rounds).  A grid over several times checks its columns and forms each
+class's x, exit rate and branch masks once.
 
 The optimizer's Newton climb calls :func:`count_derivatives` once per
 iteration on 2-4 rates, so its cost is per-call overhead more than
@@ -220,9 +223,8 @@ class ModelSpec:
     its exit rate to II.  Both are linear in ``r``.  Each of ``routes`` is
     ``(label, rate index, weights)``: the route's infections per year are
     the rate times the counts weighted by the susceptibles the route
-    reaches in each state.  Each expression keeps the scalar solvers'
-    operation order, which keeps the paths built on it bit-identical to
-    them.
+    reaches in each state.  Each expression has one operation order, so
+    the scalar solver and the grid kernel built on it agree bit for bit.
     """
 
     kind: str
@@ -286,44 +288,45 @@ def _check_time(t):
         raise DomainError(f"time must be finite and >= 0, got {t!r}")
 
 
-def _decay_integral(x, t):
-    """(1 - exp(-x*t)) / x, with the singular limit t as x -> 0.
+def _solve(spec, state_type, rates, init, t):
+    """Closed-form expected pair counts at elapsed time t, read from ``spec``.
 
-    expm1 keeps the general branch cancellation-free, so the branch switch
-    at EPS_SINGULAR only guards the division.
+    ``rates`` is a rate vector in ``spec.param_names`` order.  SS decays as
+    decay = exp(-hazard*t).  Each discordant class, in state order, with
+    start count c0 and inflow a = SS0 * inflow, counts
+        c0*e + a*(expm1(x*t)/x)*e,  e = exp(-rate*t),  for x <= -EPS_SINGULAR
+    (exp(-x*t) folded into the decay, so no factor overflows), and else
+        (c0*exp(-x*t) + a*D)*decay,  D = -expm1(-x*t)/x,
+    with D = t in the singular band |x| < EPS_SINGULAR, which only guards
+    the division.  II is N minus the others, clamped at 0.
     """
-    if abs(x) < EPS_SINGULAR:
-        return t
-    return -math.expm1(-x * t) / x
-
-
-def _discordant_below(c0, inflow, x, rate, t):
-    """Discordant count for x <= -EPS_SINGULAR: c0*e + inflow*(expm1(x*t)/x)*e.
-
-    e = exp(-rate*t) is exp(-x*t) times the SS decay, combined so that no
-    factor overflows at long horizons.
-    """
-    e = math.exp(-rate * t)
-    return c0 * e + inflow * (math.expm1(x * t) / x) * e
-
-
-def solve_nongender(params: NonGenderParams, init: PairCounts, t: float) -> PairState:
-    """Closed-form expected pair counts at elapsed time t from state ``init``."""
     _check_time(t)
     n = init.total
     if n <= 0:
         raise DomainError("initial counts must sum to a positive total")
-    decay = math.exp(-2.0 * params.lam * t)
-    p_ss = init.ss * decay
-    x = params.tau - params.lam
-    if x <= -EPS_SINGULAR:
-        p_si = _discordant_below(init.si, init.ss * 2.0 * params.lam, x,
-                                 params.tau + params.lam, t)
-    else:
-        p_si = (init.si * math.exp(-x * t)
-                + init.ss * 2.0 * params.lam * _decay_integral(x, t)) * decay
-    p_ii = max(n - p_ss - p_si, 0.0)
-    return PairState(p_ss, p_si, p_ii)
+    counts = init.as_tuple()
+    ss0 = counts[0]
+    decay = math.exp(-spec.hazard(rates) * t)
+    states = [ss0 * decay]
+    rest = n - states[0]
+    for start, inflow, x, rate in spec.classes(rates):
+        c0 = counts[start]
+        a = ss0 * inflow
+        if x <= -EPS_SINGULAR:
+            e = math.exp(-rate * t)
+            value = c0 * e + a * (math.expm1(x * t) / x) * e
+        else:
+            d = t if abs(x) < EPS_SINGULAR else -math.expm1(-x * t) / x
+            value = (c0 * math.exp(-x * t) + a * d) * decay
+        states.append(value)
+        rest -= value
+    states.append(max(rest, 0.0))
+    return state_type(*states)
+
+
+def solve_nongender(params: NonGenderParams, init: PairCounts, t: float) -> PairState:
+    """Closed-form expected pair counts at elapsed time t from state ``init``."""
+    return _solve(MODELS[NONGENDER], PairState, params.as_vector(), init, t)
 
 
 def solve_gender(params: GenderParams, init: GenderPairCounts, t: float) -> GenderPairState:
@@ -333,28 +336,7 @@ def solve_gender(params: GenderParams, init: GenderPairCounts, t: float) -> Gend
     tau_mf is within EPS_SINGULAR of lambda_m (and likewise for the f -> m
     pair of rates).
     """
-    _check_time(t)
-    n = init.total
-    if n <= 0:
-        raise DomainError("initial counts must sum to a positive total")
-    decay = math.exp(-(params.lam_m + params.lam_f) * t)
-    p_ss = init.ss * decay
-    x_m = params.tau_mf - params.lam_m
-    if x_m <= -EPS_SINGULAR:
-        p_is = _discordant_below(init.is_, params.lam_m * init.ss, x_m,
-                                 params.tau_mf + params.lam_f, t)
-    else:
-        p_is = (init.is_ * math.exp(-x_m * t)
-                + params.lam_m * init.ss * _decay_integral(x_m, t)) * decay
-    x_f = params.tau_fm - params.lam_f
-    if x_f <= -EPS_SINGULAR:
-        p_si = _discordant_below(init.si, params.lam_f * init.ss, x_f,
-                                 params.tau_fm + params.lam_m, t)
-    else:
-        p_si = (init.si * math.exp(-x_f * t)
-                + params.lam_f * init.ss * _decay_integral(x_f, t)) * decay
-    p_ii = max(n - p_ss - p_is - p_si, 0.0)
-    return GenderPairState(p_ss, p_is, p_si, p_ii)
+    return _solve(MODELS[GENDER], GenderPairState, params.as_vector(), init, t)
 
 
 def _class_jacobian(spec):
@@ -465,8 +447,8 @@ def count_derivatives(kind, init, rates, times):
     (inflow, x, rate) go into one array, and one product with their rate
     coefficients (``_STATE_CHAIN``) chains every class and gives II as N
     minus the rest; ``p``, ``grad`` and ``hess`` are views of that product.
-    ``p`` equals the solvers' counts to rounding, without the clamp of II
-    at 0.
+    ``p`` equals the scalar solver's counts to rounding, without the clamp
+    of II at 0.
     """
     spec = model_spec(kind)
     r = [float(v) for v in rates]
@@ -500,11 +482,12 @@ def apply_libm(fn, values):
     """``fn`` from :mod:`math` applied to each element of an array.
 
     numpy's vectorised exp/expm1/log may differ from the C library's by an
-    ulp; going through :mod:`math` keeps :func:`solve_columns` bit-identical
-    to the scalar solvers.  numpy's own functions took the 101x101 surface
-    from 10.4 to 1.5 ms but broke five bit-identity tests.  So the contract
-    stays, and the cost is cut by calling this on arrays of the shape each
-    expression varies over (the module docstring gives both measurements).
+    ulp; going through :mod:`math` keeps :func:`solve_columns_at`
+    bit-identical to the scalar solver.  numpy's own functions took the
+    101x101 surface from 10.4 to 1.5 ms but broke five bit-identity tests.
+    So the contract stays, and the cost is cut by calling this on arrays of
+    the shape each expression varies over (the module docstring gives both
+    measurements).
     """
     flat = np.fromiter(map(fn, values.ravel().tolist()), float, values.size)
     return flat.reshape(values.shape)
@@ -513,7 +496,7 @@ def apply_libm(fn, values):
 def _discordant_columns(x, rate):
     """The time-independent terms of one discordant class over arrays.
 
-    Both branches of the scalar solvers (x <= -EPS_SINGULAR, and the
+    Both branches of the scalar solver (x <= -EPS_SINGULAR, and the
     general form with its singular limit) are evaluated everywhere and then
     selected.  Each element takes one exp and one expm1, with the arguments
     of its own branch, so the branch it does not use cannot overflow.
@@ -554,27 +537,20 @@ def _checked_columns(names, columns):
     return columns
 
 
-def solve_columns(kind, init, columns, t):
-    """Expected pair counts at elapsed time t over broadcasting rate columns.
+def solve_columns_at(kind, init, columns, times):
+    """Expected pair counts at each of elapsed ``times`` over rate columns.
 
     ``columns`` holds one array or scalar per rate in ``PARAM_NAMES[kind]``
     order, which broadcast against each other: a surface passes its axes as
-    a column and a row and its fixed rates as scalars.  Returns one array
-    per pair state, in ``as_tuple`` order, each of the shape its expression
-    varies over: on a lambda x tau surface the SS count and the exp of its
-    decay are one column.  Broadcast to the columns' shape, each element is
-    bit-identical to :func:`solve_nongender` / :func:`solve_gender` at that
-    cell's rates: the arithmetic is the same sequence of IEEE operations on
-    the same values, and transcendentals go through :mod:`math`.
-    """
-    return solve_columns_at(kind, init, columns, (t,))[0]
-
-
-def solve_columns_at(kind, init, columns, times):
-    """:func:`solve_columns` at each of ``times``, one list of states each.
-
-    The columns are checked, and each class's x, exit rate and branch
-    masks formed, once for all times.
+    a column and a row and its fixed rates as scalars.  Returns, per time,
+    one list of arrays, one per pair state in ``as_tuple`` order, each of
+    the shape its expression varies over: on a lambda x tau surface the SS
+    count and the exp of its decay are one column.  Broadcast to the
+    columns' shape, each element is bit-identical to :func:`solve_nongender`
+    / :func:`solve_gender` at that cell's rates: the arithmetic is the same
+    sequence of IEEE operations on the same values, and transcendentals go
+    through :mod:`math`.  The columns are checked, and each class's x, exit
+    rate and branch masks formed, once for all times.
     """
     spec = model_spec(kind)
     r = _checked_columns(spec.param_names, columns)

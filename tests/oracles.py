@@ -8,10 +8,11 @@ simulated counts from a one-shot sampler of the closed-form law and from
 the event-driven Gillespie loop the simulator used before it sampled each
 pair's first reactions.  The per-model rate algebra that the program now
 derives from its model table is kept here as it was written out per model:
-the linear form, the Gillespie channel tables and the batch solver.  So is the Newton kernel as
-it was written on numpy arrays before it moved to one chain product and to
-Python floats: the count derivatives, the score and information, and the
-Newton step.
+the linear form, the Gillespie channel tables and the batch solver
+:func:`solve_batch`, the written-out reference for both the grid kernel and
+the scalar solver.  So is the Newton kernel as it was written on numpy
+arrays before it moved to one chain product and to Python floats: the
+count derivatives, the score and information, and the Newton step.
 """
 
 from __future__ import annotations
@@ -590,7 +591,7 @@ def gillespie_loop(params, init, times, seed):
 
 
 def _discordant_batch(c0, inflow, x, rate, decay, t):
-    """One discordant class of the scalar solvers, over arrays."""
+    """One discordant class of the per-model solvers, over arrays."""
     below = x <= -EPS_SINGULAR
     singular = np.abs(x) < EPS_SINGULAR
     neg_x = -x

@@ -350,18 +350,23 @@ def column_cases(draw):
 @given(case=column_cases())
 def test_column_kernel_matches_the_written_out_solver_property(case):
     """The kernel on broadcast columns (a row axis, a column axis and
-    scalars) against the per-model batch solver on the materialised grid:
-    both models, rates 0-10 with exact zeros, horizons to 100 y, the
-    singular band and x < 0, bit for bit.  The SS count spans only the
-    rates of its hazard."""
+    scalars), and the scalar solver at each cell's rates, against the
+    per-model batch solver on the materialised grid: both models, rates
+    0-10 with exact zeros, horizons to 100 y, the singular band and x < 0,
+    bit for bit.  The SS count spans only the rates of its hazard."""
     kind, columns, init, t = case
     shape = np.broadcast(*columns).shape
     rates = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(
         -1, len(columns))
-    states = model.solve_columns(kind, init, columns, t)
+    states = model.solve_columns_at(kind, init, columns, (t,))[0]
     ours = np.stack([np.broadcast_to(s, shape).ravel() for s in states])
     written = oracles.solve_batch(kind, init, rates, t)
     assert ours.tobytes() == written.tobytes()
+    solve = solve_nongender if kind == NONGENDER else solve_gender
+    scalar = np.array([
+        solve(model.params_from_vector(kind, row), init, t).as_tuple()
+        for row in rates.tolist()]).T
+    assert scalar.tobytes() == written.tobytes()
     hazard_rates = [c for c, unit in zip(columns, np.eye(len(columns)))
                     if model.MODELS[kind].hazard(unit)]
     assert np.shape(states[0]) == np.broadcast(*hazard_rates).shape
