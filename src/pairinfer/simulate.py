@@ -27,6 +27,12 @@ pairs at once, from the rates alone:
 - the counts at each snapshot are the initial counts plus the moves of the
   events before it.
 
+The events are never gathered into one array.  Each channel's count below a
+snapshot time is counted on the event times as they are drawn: the initial
+pairs' exits class by class, and the leavers' entries and exits, split by
+class (the last class takes the rest).  An event at exactly a snapshot
+time, and a nan or inf time, fails ``<`` and so falls after it.
+
 A run makes three generator calls whatever the cohort's size, and no array
 grows with SS_0: only with the leavers and the initial discordant pairs.
 The test suite checks the sampler against the event-driven Gillespie loop it
@@ -52,6 +58,8 @@ from .errors import DomainError, InfeasibleDataError
 from .model import model_of
 
 _MASK64 = (1 << 64) - 1
+# the largest count numpy's binomial draw takes
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 def _splitmix64(value):
@@ -110,12 +118,28 @@ def _channels(params, init):
 def _bins(keys, edges):
     """``np.searchsorted(edges, keys, "right")`` for a short sorted list
     ``edges``: the number of edges at or below each key, every edge for a
-    nan key.  Summed comparisons, one pass over the keys per edge, beat
-    the binary search per key by four times at survey scale."""
+    nan key.  The sampler's class draw uses it, the class edges being the
+    cumulative inflows: summed comparisons, one pass over the keys per edge,
+    beat the binary search per key at survey scale."""
     out = np.zeros(keys.shape, dtype=np.intp)
     for edge in edges:
         out += ~(keys < edge)
     return out
+
+
+def _below(events, times, classes=()):
+    """How many of the event times ``events`` fall before each snapshot
+    time, split by the boolean masks ``classes`` with the events in none of
+    them last: one row per class, one column per snapshot.  An event at
+    exactly a snapshot time falls after it, and nan (a channel that never
+    fires) and inf (a wait beyond the float64 range) fall after every one:
+    ``<`` is False for both."""
+    columns = []
+    for t in times:
+        below = events < t
+        split = [np.count_nonzero(below & mask) for mask in classes]
+        columns.append(split + [np.count_nonzero(below) - sum(split)])
+    return list(zip(*columns))
 
 
 def gillespie_simulate(params, init, times, seed):
@@ -128,11 +152,14 @@ def gillespie_simulate(params, init, times, seed):
     channels, counts_type = _channels(params, init)
     times = [float(t) for t in times]
     # the chained comparison is False for nan as well as for inf
-    if (not all(0.0 <= t < math.inf for t in times)
+    if (not times or not all(0.0 <= t < math.inf for t in times)
             or any(b <= a for a, b in zip(times, times[1:]))):
-        raise DomainError("snapshot times must be finite, nonnegative and "
-                          "increasing")
+        raise DomainError("snapshot times must be one or more finite, "
+                          "nonnegative and increasing times")
     for c in init.as_tuple():
+        if c > _MAX_COUNT:
+            raise DomainError(f"simulation takes initial counts up to "
+                              f"{_MAX_COUNT}, got {c:g}")
         if c != int(c):
             raise DomainError("simulation requires integer initial counts")
 
@@ -148,40 +175,42 @@ def gillespie_simulate(params, init, times, seed):
     # lands in it and none lands in a class without inflow
     last_open = max((k for k, c in enumerate(inflows) if c > 0.0), default=0)
     edges = cumulative[:last_open]
-    # each channel's mean wait, nan for one that never fires: _bins puts
-    # nan after every snapshot
-    mean_wait = np.array([1.0 / c if c > 0.0 else math.nan
-                          for c, _, _ in channels])
+    # each class's mean wait to II, nan for one that never exits: its exit
+    # times are nan, before no snapshot
+    exit_wait = np.array([1.0 / c if c > 0.0 else math.nan
+                          for c, _, _ in channels[n_classes:]])
 
     rng = _rng(seed)
     leavers = int(rng.binomial(counts[0], p_leave))
     uniforms = rng.random(2 * leavers)
     waits = rng.standard_exponential(sum(discordant) + leavers)
 
-    # the leavers' exit times, from SS's exponential truncated to the horizon
+    # the leavers' entry times, from SS's exponential truncated to the
+    # horizon, and their classes
     entry = np.log1p(uniforms[:leavers] * -p_leave) / -hazard
     leaver_class = _bins(uniforms[leavers:] * hazard, edges)
-    # each event's channel and time: the exits to II of the initial
-    # discordant pairs and of the leavers, then the leavers' inflows
-    fired = np.concatenate((
-        np.arange(n_classes, 2 * n_classes).repeat(discordant),
-        leaver_class + n_classes, leaver_class))
+    # fired[k, j]: how often channel k fired before snapshot j; the waits
+    # are the initial discordant pairs' class by class, then the leavers'
+    fired = np.zeros((len(channels), len(times)), dtype=np.int64)
+    first = 0
     with np.errstate(over="ignore"):  # a wait beyond the float64 range
-        waits *= mean_wait.take(fired[:len(waits)])
-    waits[len(waits) - leavers:] += entry
-    at = np.concatenate((waits, entry))
+        for k, size in enumerate(discordant):
+            initial = waits[first:first + size]
+            initial *= exit_wait[k]
+            fired[n_classes + k] = _below(initial, times)[0]
+            first += size
+        exits = waits[first:]
+        exits *= exit_wait.take(leaver_class)
+    exits += entry
+    # the leavers of each class but the last, which takes the rest
+    classes = [leaver_class == k for k in range(n_classes - 1)]
+    fired[:n_classes] += _below(entry, times, classes)
+    fired[n_classes:] += _below(exits, times, classes)
 
-    # an event counts from the first snapshot after it, so one at exactly a
-    # snapshot time falls after that snapshot
-    bins = len(times) + 1
-    snapshot = _bins(at, times)
-    per_bin = np.bincount(fired * bins + snapshot,
-                          minlength=len(channels) * bins)
-    fired_by = per_bin.reshape(len(channels), bins)[:, :-1].cumsum(axis=1)
     # column k moves one pair from channel k's source to its destination
     moves = np.array([[(state == d) - (state == s) for _, s, d in channels]
                       for state in range(len(counts))])
-    table = (moves @ fired_by).T + counts
+    table = (moves @ fired).T + counts
     return [counts_type(*row) for row in table.tolist()]
 
 

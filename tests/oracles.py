@@ -6,8 +6,10 @@ precision, Hessians from Richardson extrapolation of plain central
 differences, the simplex trajectory from its numpy formulation, and
 simulated counts from a one-shot sampler of the closed-form law and from
 the event-driven Gillespie loop the simulator used before it sampled each
-pair's first reactions.  The per-model rate algebra that the program now
-derives from its model table is kept here as it was written out per model:
+pair's first reactions.  The first-reaction sampler is kept as it was when
+it binned every event, the bit-for-bit reference for its per-channel
+counts.  The per-model rate algebra that the program now derives from its
+model table is kept here as it was written out per model:
 the linear form, the Gillespie channel tables and the batch solver
 :func:`solve_batch`, the written-out reference for both the grid kernel and
 the scalar solver.  So is the Newton kernel as it was written on numpy
@@ -17,6 +19,7 @@ count derivatives, the score and information, and the Newton step.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath
@@ -31,7 +34,7 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
 from pairinfer.model import (_CLASS_JACOBIAN, EPS_SINGULAR, _check_nonnegative,
                              _check_time, _inflow_moments, apply_libm,
                              model_spec)
-from pairinfer.simulate import _rng
+from pairinfer.simulate import _bins, _channels, _rng
 
 
 def integrate_nongender(params: NonGenderParams, init: PairCounts, t: float):
@@ -588,6 +591,76 @@ def gillespie_loop(params, init, times, seed):
         counts[sources[k]] -= 1
         counts[dests[k]] += 1
     return out
+
+
+def binned_simulate(params, init, times, seed):
+    """The first-reaction sampler as it binned every event: each event
+    gets its channel in ``fired``, its time in ``at`` and a snapshot bin by
+    ``_bins``, and the counts come from one ``bincount`` and a cumulative
+    sum.  Same draws, same counts as ``gillespie_simulate``.
+
+    Counts are snapshotted at the exact requested times from a start at
+    time 0; an event at exactly a snapshot time falls after it.
+    Deterministic for a fixed seed.
+    """
+    channels, counts_type = _channels(params, init)
+    times = [float(t) for t in times]
+    # the chained comparison is False for nan as well as for inf
+    if (not all(0.0 <= t < math.inf for t in times)
+            or any(b <= a for a, b in zip(times, times[1:]))):
+        raise DomainError("snapshot times must be finite, nonnegative and "
+                          "increasing")
+    for c in init.as_tuple():
+        if c != int(c):
+            raise DomainError("simulation requires integer initial counts")
+
+    n_classes = len(channels) // 2
+    counts = [int(c) for c in init.as_tuple()]
+    discordant = [counts[d] for _, _, d in channels[:n_classes]]
+    inflows = [c for c, _, _ in channels[:n_classes]]
+    cumulative = list(itertools.accumulate(inflows))
+    hazard = cumulative[-1]
+    p_leave = -math.expm1(-hazard * times[-1])
+    # the last class with a positive inflow takes every draw above the
+    # classes before it, so a draw u*hazard that rounds up to the hazard
+    # lands in it and none lands in a class without inflow
+    last_open = max((k for k, c in enumerate(inflows) if c > 0.0), default=0)
+    edges = cumulative[:last_open]
+    # each channel's mean wait, nan for one that never fires: _bins puts
+    # nan after every snapshot
+    mean_wait = np.array([1.0 / c if c > 0.0 else math.nan
+                          for c, _, _ in channels])
+
+    rng = _rng(seed)
+    leavers = int(rng.binomial(counts[0], p_leave))
+    uniforms = rng.random(2 * leavers)
+    waits = rng.standard_exponential(sum(discordant) + leavers)
+
+    # the leavers' exit times, from SS's exponential truncated to the horizon
+    entry = np.log1p(uniforms[:leavers] * -p_leave) / -hazard
+    leaver_class = _bins(uniforms[leavers:] * hazard, edges)
+    # each event's channel and time: the exits to II of the initial
+    # discordant pairs and of the leavers, then the leavers' inflows
+    fired = np.concatenate((
+        np.arange(n_classes, 2 * n_classes).repeat(discordant),
+        leaver_class + n_classes, leaver_class))
+    with np.errstate(over="ignore"):  # a wait beyond the float64 range
+        waits *= mean_wait.take(fired[:len(waits)])
+    waits[len(waits) - leavers:] += entry
+    at = np.concatenate((waits, entry))
+
+    # an event counts from the first snapshot after it, so one at exactly a
+    # snapshot time falls after that snapshot
+    bins = len(times) + 1
+    snapshot = _bins(at, times)
+    per_bin = np.bincount(fired * bins + snapshot,
+                          minlength=len(channels) * bins)
+    fired_by = per_bin.reshape(len(channels), bins)[:, :-1].cumsum(axis=1)
+    # column k moves one pair from channel k's source to its destination
+    moves = np.array([[(state == d) - (state == s) for _, s, d in channels]
+                      for state in range(len(counts))])
+    table = (moves @ fired_by).T + counts
+    return [counts_type(*row) for row in table.tolist()]
 
 
 def _discordant_batch(c0, inflow, x, rate, decay, t):

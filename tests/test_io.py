@@ -748,6 +748,22 @@ def test_manifest_bad_scalars_are_config_errors(scalars, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    _SIM + ["--init", "1e30:0:0"],
+    _SIM + ["--init", "9223372036854775808:0:0"],
+    ["simulate", "--model", "gender", "--init", "1e30:0:0:0", "--rates",
+     "lambda_m=0.004,lambda_f=0.002,tau_mf=0.047,tau_fm=0.068"],
+], ids=["nongender-1e30", "nongender-2**63", "gender-1e30"])
+def test_cli_initial_counts_beyond_int64_are_domain_errors(argv, tmp_path,
+                                                           capsys):
+    # numpy's binomial draw once raised its OverflowError as a traceback
+    out = tmp_path / "out"
+    assert main(argv + ["--times", "0,1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: simulation takes")
+    assert not any(out.iterdir())  # no dataset written
+
+
+@pytest.mark.parametrize("argv", [
     _SIM + ["--times", "0,nan"],
     _SIM + ["--times", "0,inf"],
     _VALIDATE + ["--times", "0,nan"],

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, GenderPairCounts,
-                       GenderParams, NonGenderParams, PairCounts, derive_seed,
-                       fit_mle, gillespie_simulate, solve_gender,
-                       solve_nongender, validation_sweep)
+from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, DomainError,
+                       GenderPairCounts, GenderParams, NonGenderParams,
+                       PairCounts, derive_seed, fit_mle, gillespie_simulate,
+                       solve_gender, solve_nongender, validation_sweep)
 from pairinfer.model import params_from_vector
 from pairinfer.simulate import _bins, _channels
 
@@ -286,6 +286,50 @@ def test_gillespie_stream_pinned():
         (1684, 53, 32, 33)]
 
 
+def test_gillespie_stream_pinned_at_survey_scale():
+    """Exact snapshots of one seed per model at the survey's 200,000 pairs:
+    thousands of events per run, split over both gendered classes."""
+    times = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+    out = gillespie_simulate(NonGenderParams(0.003, 0.056),
+                             PairCounts(193_342, 4_772, 1_886), times,
+                             seed=2027)
+    assert [o.as_tuple() for o in out] == [
+        (193342, 4772, 1886), (192149, 5652, 2199), (190992, 6449, 2559),
+        (189831, 7245, 2924), (188693, 7941, 3366), (187594, 8535, 3871)]
+    out = gillespie_simulate(GenderParams(0.004, 0.002, 0.047, 0.068),
+                             GenderPairCounts(193_343, 2_441, 2_330, 1_886),
+                             times, seed=2027)
+    assert [o.as_tuple() for o in out] == [
+        (193343, 2441, 2330, 1886), (192150, 3108, 2544, 2198),
+        (190993, 3708, 2732, 2567), (189832, 4335, 2917, 2916),
+        (188694, 4848, 3092, 3366), (187595, 5310, 3256, 3839)]
+
+
+def test_no_snapshot_times_is_a_domain_error():
+    with pytest.raises(DomainError, match="snapshot times must be"):
+        gillespie_simulate(MWANZA_PARAMS, MWANZA_INIT, [], seed=0)
+
+
+@pytest.mark.parametrize("params, init", [
+    (MWANZA_PARAMS, PairCounts(1e30, 0, 0)),
+    (MWANZA_PARAMS, PairCounts(2.0**63, 0, 0)),
+    (GenderParams(0.004, 0.002, 0.047, 0.068),
+     GenderPairCounts(2.0**63, 0, 0, 0)),
+], ids=["1e30", "2**63", "gender-2**63"])
+def test_initial_counts_beyond_int64_are_domain_errors(params, init):
+    # numpy's binomial draw takes its count as an int64
+    with pytest.raises(DomainError, match="initial counts up to"):
+        gillespie_simulate(params, init, (0.0, 1.0), seed=0)
+
+
+def test_largest_int64_initial_count_simulates():
+    # 2**63 - 1024, the largest float in the int64 range; no pair moves
+    big = PairCounts(2.0**63 - 1024, 0, 0)
+    out = gillespie_simulate(NonGenderParams(0.0, 0.1), big, (0.0, 1.0),
+                             seed=0)
+    assert [o.as_tuple() for o in out] == [(2**63 - 1024, 0, 0)] * 2
+
+
 class _Counting:
     """Wraps a generator and records the name of each method called."""
 
@@ -441,6 +485,28 @@ def test_zero_uniform_exit_keeps_the_initial_snapshot(monkeypatch):
     assert [o.as_tuple() for o in gout] == [(10, 5, 4, 1), (0, 5, 14, 1)]
 
 
+def test_exit_at_a_snapshot_time_falls_after_it(monkeypatch):
+    from pairinfer import simulate as sim
+
+    # every exit rate is 0.5, so a unit wait is exactly 2 years: the initial
+    # discordant pairs exit at 2, and the leavers, who enter at 0 (u = 0),
+    # exit at 0 + 2
+    draws = lambda seed: _FixedDraws(0.0, 0.5, 1.0)
+    monkeypatch.setattr(sim, "_rng", draws)
+    monkeypatch.setattr(oracles, "_rng", draws)
+    times = (0.0, 2.0, 2.5)
+    cases = [
+        (NonGenderParams(0.25, 0.25), PairCounts(10, 5, 1),
+         [(10, 5, 1), (0, 15, 1), (0, 0, 16)]),
+        # u * hazard = 0.25 is the top edge of IS: every leaver enters SI
+        (GenderParams(0.25, 0.25, 0.25, 0.25), GenderPairCounts(10, 5, 4, 1),
+         [(10, 5, 4, 1), (0, 5, 14, 1), (0, 0, 0, 20)])]
+    for params, init, expected in cases:
+        out = gillespie_simulate(params, init, times, 0)
+        assert [o.as_tuple() for o in out] == expected
+        assert out == oracles.binned_simulate(params, init, times, 0)
+
+
 def test_categorical_round_up_never_enters_a_class_without_inflow(monkeypatch):
     from pairinfer import simulate as sim
 
@@ -483,9 +549,8 @@ rate = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
                                st.just(math.inf), st.sampled_from([0.0, 2.5])),
                      max_size=60))
 def test_bins_match_searchsorted_property(edges, keys):
-    # event times are bins by summed comparisons; nan (an exit that never
-    # fires) and inf (a wait beyond the float64 range) fall after every
-    # snapshot, and a key on an edge falls after it
+    # the class draw bins by summed comparisons; a nan or inf key falls
+    # after every edge, and a key on an edge falls after it
     edges = sorted(edges)
     keys = np.array(keys, dtype=float)
     assert np.array_equal(_bins(keys, edges),
@@ -507,3 +572,26 @@ def test_channels_match_the_written_out_tables_property(kind, data):
     assert ours_type is written_type
     assert ([(c.hex(), s, d) for c, s, d in ours]
             == [(c.hex(), s, d) for c, s, d in written])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from((NONGENDER, GENDER)), data=st.data())
+def test_counts_match_the_binned_sampler_property(kind, data):
+    """Counting each channel's events below each snapshot gives the counts
+    of binning every event, bit for bit: the same draws, zero-rate channels
+    (nan waits) and events on a snapshot time included."""
+    dim = len(PARAM_NAMES[kind])
+    params = params_from_vector(
+        kind, data.draw(st.lists(rate, min_size=dim, max_size=dim)))
+    states = 3 if kind == NONGENDER else 4
+    counts = st.one_of(st.just(0), st.integers(0, 30), st.integers(0, 3000))
+    init = data.draw(st.lists(counts, min_size=states, max_size=states))
+    init = (PairCounts if kind == NONGENDER else GenderPairCounts)(*init)
+    times = sorted(data.draw(st.lists(
+        st.one_of(st.floats(0.0, 30.0), st.sampled_from([1.0, 2.0, 5.0])),
+        min_size=1, max_size=8, unique=True)))
+    if data.draw(st.booleans()) and times[0] > 0.0 and len(times) < 8:
+        times.insert(0, 0.0)
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    assert (gillespie_simulate(params, init, times, seed)
+            == oracles.binned_simulate(params, init, times, seed))
