@@ -9,14 +9,15 @@ analytical estimators, and a stochastic simulator for end-to-end validation.
 The package's exports import on first use (PEP 562): ``import pairinfer``
 loads only this file, and ``pairinfer.load_bundled`` then loads the
 dataset layer (``errors``, ``model``, ``dataset`` and the ``data``
-package), not the fitting, grid, simulator and report code.  A fresh
+package), not the fitting, grid, simulator and report code.  The dataset
+layer and the scalar solver need only :mod:`math`, so they import no
+numpy; the array kernels live in :mod:`pairinfer.likelihood`.  A fresh
 interpreter that imports pairinfer and loads both bundled cohorts took
-98.5 ms when every module was imported up front and 78.0 ms this way
-(numpy alone: 67.2 ms), medians of 20 launches pinned to one CPU of a
-2-CPU KVM host with no bytecode cache; most of the saving is compiling
-module code that such a script never runs.  With a bytecode cache it was
-81.0 against 74.4 ms.  The CLI imports every layer, so a ``pairinfer``
-command starts as before.
+125.2 ms while ``model`` imported numpy and takes 63.7 ms without it
+(quartiles 122.2-129.6 and 61.3-66.0 ms; a launch that imports numpy
+alone takes 106.9 ms): medians of 25 alternating pairs of launches pinned
+to one CPU of a 2-CPU KVM host, with a bytecode cache.  The CLI imports
+every layer, numpy included, so a ``pairinfer`` command starts as before.
 
 Module ``__getattr__`` does not cache what it returns in the package's
 globals: each access looks the name up on its module again.  So a function

@@ -132,11 +132,12 @@ def _cmd_simulate(args):
             if args.init else pio.load_bundled(args.model).initial)
     times = _parse_times(args.times)
     out = os.environ.get(pio.OUTPUT_DIR_ENV) or args.out
-    os.makedirs(out, exist_ok=True)
     for rep in range(args.reps):
         seed = derive_seed(args.seed, rep)
         observations = gillespie_simulate(params, init, times, seed)
         data = Dataset(times, tuple(observations))
+        if rep == 0:  # only now, so that a rejected input leaves no --out
+            os.makedirs(out, exist_ok=True)
         path = os.path.join(out, f"dataset_{args.model}_rep{rep:04d}.json")
         pio.write_dataset(data, path,
                           description=f"simulated cohort (seed {seed})")

@@ -128,7 +128,7 @@ def _class_count(c0, a_per_lam, lam, h, big_t, tau):
     The class starts at ``c0``, its susceptible partners face the rate
     ``tau`` and the other partner's external rate ``lam``, SS pairs enter it
     at ``a_per_lam * lam`` per SS pair-year and the SS hazard is ``h``: the
-    class of :func:`model.count_derivatives`, with x = tau - lam, whose
+    class of :func:`likelihood.count_derivatives`, with x = tau - lam, whose
     count is c0*e + a*D(x)*e.  The ``lam`` derivative holds ``h`` fixed,
     so it moves ``lam`` along the rates that keep the SS count.
     """

@@ -26,11 +26,12 @@ per discordant class.  :data:`MODELS` holds that shape once per model: the
 SS hazard and, per discordant class, its start count, inflow from SS, x and
 exit rate, with the names, types and infection routes.  Every path reads
 it: the scalar solver (:func:`solve_nongender` and :func:`solve_gender` are
-wrappers of one routine) loops over the classes, :func:`solve_columns_at`
-evaluates them over broadcasting rate columns, :func:`count_derivatives`
+wrappers of one routine) loops over the classes;
+:func:`~pairinfer.likelihood.solve_columns_at` evaluates them over
+broadcasting rate columns and :func:`~pairinfer.likelihood.count_derivatives`
 differentiates every count from one routine over them (near x = 0 through
 the Taylor series of expm1(x*t)/x, whose closed-form derivatives cancel
-there), and the simulator, infections table, parsers and CLI read it too.
+there); and the simulator, infections table, parsers and CLI read it too.
 The scalar solve pays for reading the table: 2.02 against 1.40 us per
 non-gendered solve and 2.53 against 1.87 us per gendered one, for the
 copies written out per model that it replaced (median of 25 interleaved
@@ -38,30 +39,8 @@ rounds on one pinned CPU of a 2-CPU shared host, Python 3.11).  At 21
 solves per fitted cohort file and 5 per simulate-and-refit replicate, that
 is under 1% of either.  Everything here is a pure function of its
 arguments; all value types are frozen and safe to share across threads.
-
-Grids keep the scalar solver's bits: :func:`apply_libm` sends each exp,
-expm1 and log through :mod:`math`.  numpy's vectorised functions differ
-from the C library's in 4.6% of exp values, by at most 1 ulp; with them the
-101x101 surface took 1.5 against 10.4 ms, but five bit-identity tests
-failed.  So the contract stays, and :func:`solve_columns_at` cuts the cost
-instead: it takes one broadcasting array per rate and evaluates each
-expression on the shape it varies over, so the SS decay of a lambda x tau
-surface is one exp per lambda.  That took the transcendentals of the
-default report's surfaces and profiles from 156,828 to 82,588, the 101x101
-surface from 7.0 to 4.4 ms and its six gendered 41x41 surfaces from 10.3
-to 5.4 ms (one pinned CPU of a 2-CPU shared host, median of 20 interleaved
-rounds).  A grid over several times checks its columns and forms each
-class's x, exit rate and branch masks once.
-
-The optimizer's Newton climb calls :func:`count_derivatives` once per
-iteration on 2-4 rates, so its cost is per-call overhead more than
-arithmetic.  It puts every class's count and partial derivatives into one
-array and chains them to the rates, with II, in one matrix product: 31.1
-against 52.6 us per call for the class-by-class chain it replaced, on a
-gendered four-time cohort (N = 200,000), and 21.6 against 39.9 us on a
-non-gendered one (timeit, best of four interleaved runs on one pinned CPU
-of a 2-CPU shared host, Python 3.11, numpy 2.4).  That chain is the tests'
-reference.
+This module needs only :mod:`math`, so loading a dataset imports no
+numpy; the array kernels over the table live in :mod:`pairinfer.likelihood`.
 """
 
 from __future__ import annotations
@@ -69,8 +48,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError, DomainError
 
@@ -339,51 +316,6 @@ def solve_gender(params: GenderParams, init: GenderPairCounts, t: float) -> Gend
     return _solve(MODELS[GENDER], GenderPairState, params.as_vector(), init, t)
 
 
-def _class_jacobian(spec):
-    """Rows d(inflow, x, rate)/dr of SS and each discordant class.
-
-    Shape (classes + 1, 3, dim): ``hazard`` and ``classes`` are linear, so
-    their values at the unit vectors are the coefficients.  SS has no
-    inflow, x = 0 and rate = hazard.  A start count moves with the rates
-    through its class's rate alone, so no rate moves it twice with
-    opposite signs.
-    """
-    units = np.eye(len(spec.param_names)).tolist()
-    ss = [[0.0] * len(units), [0.0] * len(units), [spec.hazard(u) for u in units]]
-    per_unit = np.array([spec.classes(u) for u in units])  # (dim, classes, 4)
-    return np.concatenate([[ss], per_unit[:, :, 1:].transpose(1, 2, 0)])
-
-
-_CLASS_JACOBIAN = {kind: _class_jacobian(spec) for kind, spec in MODELS.items()}
-
-
-def _state_chain(jac):
-    """The matrix that maps one time's class terms to its state rows.
-
-    A time's input row holds 13 numbers for each class of ``jac`` in turn:
-    its count, and the count's gradient and flat Hessian in (inflow, x,
-    rate); N ends the row.  The output holds each state's count, rate
-    gradient g J and flat rate Hessian J^T H J, and II's row is N minus
-    the others'.  Every coefficient is 0, +-1, +-2 or 4, so each product of
-    a term and a coefficient is exact.
-    """
-    n_classes, _, dim = jac.shape
-    width = 1 + dim + dim * dim
-    kron = np.einsum("cai,cbj->cabij", jac, jac).reshape(n_classes, 9, -1)
-    chain = np.zeros((n_classes * 13 + 1, n_classes + 1, width))
-    for c in range(n_classes):
-        own = chain[13 * c:13 * (c + 1), c]
-        own[0, 0] = 1.0
-        own[1:4, 1:dim + 1] = jac[c]
-        own[4:, dim + 1:] = kron[c]
-        chain[13 * c:13 * (c + 1), -1] = -own
-    chain[-1, -1, 0] = 1.0
-    return chain.reshape(len(chain), -1)
-
-
-_STATE_CHAIN = {kind: _state_chain(jac)
-                for kind, jac in _CLASS_JACOBIAN.items()}
-
 # Below |x*t| = 1 the derivatives of D come from its Taylor series: the
 # closed forms divide differences that cancel there.  At |x*t| >= 1 they
 # lose at most about three bits.
@@ -430,157 +362,6 @@ def _inflow_moments(x, h, t):
         r0 = -math.expm1(-z) / x * u
     r1 = (t * u - r0) / x
     return e, r0, r1, (t * t * u - 2.0 * r1) / x
-
-
-def count_derivatives(kind, init, rates, times):
-    """Expected pair counts and their rate derivatives at elapsed ``times``.
-
-    ``rates`` is one rate vector in ``PARAM_NAMES[kind]`` order.  Returns
-    ``(p, grad, hess)`` of shapes (T, states), (T, states, dim) and
-    (T, states, dim, dim), states in ``as_tuple`` order.  One routine serves
-    both models, over SS and the discordant classes of ``MODELS[kind]``.
-    Each class with start count c0, inflow a = SS0 * inflow, x and h, the
-    SS hazard, counts
-        c0*e + a*D(x)*e,  e = exp(-(x+h)*t),  D(x) = expm1(x*t)/x
-    at time t, D being the integral of exp(x*s) over [0, t]; SS is the class
-    with no inflow and x = 0.  The counts and their partial derivatives in
-    (inflow, x, rate) go into one array, and one product with their rate
-    coefficients (``_STATE_CHAIN``) chains every class and gives II as N
-    minus the rest; ``p``, ``grad`` and ``hess`` are views of that product.
-    ``p`` equals the scalar solver's counts to rounding, without the clamp
-    of II at 0.
-    """
-    spec = model_spec(kind)
-    r = [float(v) for v in rates]
-    dim = len(r)
-    counts = init.as_tuple()
-    ss0 = counts[0]
-    h = spec.hazard(r)
-    terms = [(ss0, 0.0, 0.0)] + [(counts[start], inflow, x)
-                                 for start, inflow, x, _ in spec.classes(r)]
-    n = init.total
-    flat = []
-    for t in times:
-        for c0, rate_in, x in terms:
-            a = ss0 * rate_in
-            e, r0, r1, r2 = _inflow_moments(x, h, t)
-            value = c0 * e + a * r0
-            # the count, its gradient and its Hessian in (inflow, x, rate)
-            flat += (value, ss0 * r0, a * r1, -t * value,
-                     0.0, ss0 * r1, -t * ss0 * r0,
-                     ss0 * r1, a * r2, -t * a * r1,
-                     -t * ss0 * r0, -t * a * r1, t * t * value)
-        flat.append(n)
-    shape = (len(times), len(terms) + 1)
-    rows = (np.array(flat).reshape(len(times), 13 * len(terms) + 1)
-            @ _STATE_CHAIN[kind]).reshape(*shape, 1 + dim + dim * dim)
-    return (rows[:, :, 0], rows[:, :, 1:dim + 1],
-            rows[:, :, dim + 1:].reshape(*shape, dim, dim))
-
-
-def apply_libm(fn, values):
-    """``fn`` from :mod:`math` applied to each element of an array.
-
-    numpy's vectorised exp/expm1/log may differ from the C library's by an
-    ulp; going through :mod:`math` keeps :func:`solve_columns_at`
-    bit-identical to the scalar solver.  numpy's own functions took the
-    101x101 surface from 10.4 to 1.5 ms but broke five bit-identity tests.
-    So the contract stays, and the cost is cut by calling this on arrays of
-    the shape each expression varies over (the module docstring gives both
-    measurements).
-    """
-    flat = np.fromiter(map(fn, values.ravel().tolist()), float, values.size)
-    return flat.reshape(values.shape)
-
-
-def _discordant_columns(x, rate):
-    """The time-independent terms of one discordant class over arrays.
-
-    Both branches of the scalar solver (x <= -EPS_SINGULAR, and the
-    general form with its singular limit) are evaluated everywhere and then
-    selected.  Each element takes one exp and one expm1, with the arguments
-    of its own branch, so the branch it does not use cannot overflow.
-    Returns the masks of the branch below and of the singular band, the
-    exp argument's rate (varying with x and the exit rate), the expm1
-    argument's rate (varying with x alone) and the divisor of the expm1.
-    """
-    below = x <= -EPS_SINGULAR
-    singular = np.abs(x) < EPS_SINGULAR
-    neg_x = -x
-    return (below, singular, np.where(below, -rate, neg_x),
-            np.where(below, x, neg_x), np.where(singular, 1.0, x))
-
-
-def _checked_columns(names, columns):
-    """``columns`` as float arrays, one per name, that broadcast together.
-
-    A bad rate raises the scalar path's :class:`DomainError`: that of the
-    first bad rate of the first cell, in row-major cell order, that holds
-    one.
-    """
-    if len(columns) != len(names):
-        raise ConfigError(f"{len(names)} rate columns needed, got {len(columns)}")
-    columns = tuple(np.asarray(c, dtype=float) for c in columns)
-    try:
-        shape = np.broadcast(*columns).shape
-    except ValueError:
-        raise ConfigError("rate columns do not broadcast: "
-                          f"{[c.shape for c in columns]}") from None
-    flat = np.concatenate([c.ravel() for c in columns])
-    # NaN fails both comparisons
-    if not ((flat >= 0.0) & (flat < math.inf)).all():
-        good = [(c >= 0.0) & (c < math.inf) for c in columns]
-        cell = np.unravel_index(np.argmin(np.logical_and.reduce(
-            np.broadcast_arrays(*good))), shape)
-        for name, c in zip(names, columns):
-            _check_nonnegative(name, float(np.broadcast_to(c, shape)[cell]))
-    return columns
-
-
-def solve_columns_at(kind, init, columns, times):
-    """Expected pair counts at each of elapsed ``times`` over rate columns.
-
-    ``columns`` holds one array or scalar per rate in ``PARAM_NAMES[kind]``
-    order, which broadcast against each other: a surface passes its axes as
-    a column and a row and its fixed rates as scalars.  Returns, per time,
-    one list of arrays, one per pair state in ``as_tuple`` order, each of
-    the shape its expression varies over: on a lambda x tau surface the SS
-    count and the exp of its decay are one column.  Broadcast to the
-    columns' shape, each element is bit-identical to :func:`solve_nongender`
-    / :func:`solve_gender` at that cell's rates: the arithmetic is the same
-    sequence of IEEE operations on the same values, and transcendentals go
-    through :mod:`math`.  The columns are checked, and each class's x, exit
-    rate and branch masks formed, once for all times.
-    """
-    spec = model_spec(kind)
-    r = _checked_columns(spec.param_names, columns)
-    for t in times:
-        _check_time(t)
-    n = init.total
-    if n <= 0:
-        raise DomainError("initial counts must sum to a positive total")
-    counts = init.as_tuple()
-    hazard = spec.hazard(r)
-    # one class at a time: the classes of a surface vary over different axes
-    classes = [(counts[start], counts[0] * inflow,
-                *_discordant_columns(x, rate))
-               for start, inflow, x, rate in spec.classes(r)]
-    out = []
-    for t in times:
-        decay = apply_libm(math.exp, -hazard * t)
-        states = [counts[0] * decay]
-        for c0, a, below, singular, exp_rate, expm1_rate, divisor in classes:
-            e = apply_libm(math.exp, exp_rate * t)
-            ratio = apply_libm(math.expm1, expm1_rate * t) / divisor
-            ce = c0 * e
-            above = (ce + a * np.where(singular, t, -ratio)) * decay
-            states.append(np.where(below, ce + a * ratio * e, above))
-        rest = n - states[0]
-        for value in states[1:]:
-            rest = rest - value
-        states.append(np.maximum(rest, 0.0))
-        out.append(states)
-    return out
 
 
 def params_from_vector(kind, vector):

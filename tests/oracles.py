@@ -31,9 +31,9 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        NonGenderParams, PairCounts, PairinferError,
                        SimplexResult, nongender_dataset, solve_gender,
                        solve_nongender)
-from pairinfer.model import (_CLASS_JACOBIAN, EPS_SINGULAR, _check_nonnegative,
-                             _check_time, _inflow_moments, apply_libm,
-                             model_spec)
+from pairinfer.likelihood import _CLASS_JACOBIAN, apply_libm
+from pairinfer.model import (EPS_SINGULAR, _check_nonnegative, _check_time,
+                             _inflow_moments, model_spec)
 from pairinfer.simulate import _bins, _channels, _rng
 
 

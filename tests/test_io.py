@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,24 @@ def test_cli_nonconvergence_exit_4(tmp_path):
     assert summary["models"]["nongender"]["mle"]["converged"] is False
 
 
+def test_fit_past_the_float64_range_warns_nothing(tmp_path, capsys):
+    # over 1e308 years every count derivative but SS's is inf or nan; the
+    # information's matrix product once printed numpy's "invalid value"
+    # warning before the fit reported it not finite
+    cohort = tmp_path / "far.csv"
+    cohort.write_text("time,SS,SI,II\n0,10,2,1\n1e308,10,2,1\n")
+    out = tmp_path / "far"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--model", "nongender", "--input", str(cohort),
+                     "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    mle = json.loads((out / "summary.json").read_text())[
+        "models"]["nongender"]["mle"]
+    assert mle["identifiability"] == "information-not-finite"
+
+
 def test_ridge_fit_reports_no_joint_uncertainty(tmp_path):
     # the bundled gendered two-time fit lies on a ridge of exact fits: its
     # joint information is singular, so joint standard errors and a
@@ -760,7 +779,7 @@ def test_cli_initial_counts_beyond_int64_are_domain_errors(argv, tmp_path,
     assert main(argv + ["--times", "0,1", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: simulation takes")
-    assert not any(out.iterdir())  # no dataset written
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -769,9 +788,11 @@ def test_cli_initial_counts_beyond_int64_are_domain_errors(argv, tmp_path,
     _VALIDATE + ["--times", "0,nan"],
 ], ids=["simulate-nan", "simulate-inf", "validate-nan"])
 def test_cli_non_finite_times_are_domain_errors(argv, tmp_path, capsys):
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: snapshot times")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

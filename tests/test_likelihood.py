@@ -18,8 +18,9 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        nongender_dataset, saturated_log_likelihood,
                        slice_profile)
 from pairinfer.io import default_manifest, run_manifest
-from pairinfer.likelihood import log_likelihood_columns, score_and_information
-from pairinfer.model import EPS_SINGULAR, count_derivatives, params_from_vector
+from pairinfer.likelihood import (count_derivatives, log_likelihood_columns,
+                                  score_and_information)
+from pairinfer.model import EPS_SINGULAR, params_from_vector
 
 import oracles
 from oracles import loglik_derivatives_mp
@@ -366,13 +367,12 @@ def test_default_grids_evaluate_each_transcendental_once_per_argument(
     ``apply_libm``.  Evaluating every cell of the materialised grids took
     156,828; each expression on the shape it varies over takes 82,588."""
     evaluated = []
-    counted = pairinfer.model.apply_libm
+    counted = pairinfer.likelihood.apply_libm
 
     def counting(fn, values):
         evaluated.append(np.size(values))
         return counted(fn, values)
 
-    monkeypatch.setattr(pairinfer.model, "apply_libm", counting)
     monkeypatch.setattr(pairinfer.likelihood, "apply_libm", counting)
     run_manifest(default_manifest(), tmp_path)
     assert sum(evaluated) == 82_588
@@ -384,11 +384,11 @@ def test_a_grid_over_four_times_checks_its_columns_once(monkeypatch):
     cell stays bit for bit the scalar value."""
     calls = {"_checked_columns": 0, "_discordant_columns": 0}
     for name in calls:
-        def counting(*args, name=name, original=getattr(pairinfer.model,
-                                                          name)):
+        def counting(*args, name=name, original=getattr(pairinfer.likelihood,
+                                                        name)):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(pairinfer.model, name, counting)
+        monkeypatch.setattr(pairinfer.likelihood, name, counting)
     data = gender_dataset((0.0, 1.0, 2.5, 4.0),
                           [(1742, 22, 21, 17), (1730, 28, 23, 21),
                            (1715, 36, 27, 24), (1700, 42, 31, 29)])
@@ -692,12 +692,9 @@ def grid_cases(draw):
     return kind, data, rates, axes
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=grid_cases())
-def test_surfaces_and_profiles_match_scalar_property(case):
+def _check_surfaces_and_profiles(kind, data, rates, axes):
     """Every axis pair of the model, with the other rates fixed, and a
     profile of every rate: each cell bit for bit the scalar value."""
-    kind, data, rates, axes = case
     names = PARAM_NAMES[kind]
     for (i, ax0), (j, ax1) in itertools.combinations(enumerate(axes), 2):
         fixed = {n: v for n, v in zip(names, rates)
@@ -714,3 +711,28 @@ def test_surfaces_and_profiles_match_scalar_property(case):
         cells = np.tile(rates, (axis.n, 1))
         cells[:, k] = axis.values()
         assert curve.loglik.tobytes() == _scalar(kind, data, cells).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grid_cases())
+def test_surfaces_and_profiles_match_scalar_property(case):
+    _check_surfaces_and_profiles(*case)
+
+
+@pytest.mark.parametrize("hi", [1e300, 1e308])
+@pytest.mark.parametrize("kind, anchor", [
+    (NONGENDER, NonGenderParams(0.003, 0.056)),
+    (GENDER, GenderParams(0.004, 0.002, 0.047, 0.068)),
+])
+def test_grids_to_the_float64_limit_match_scalar_without_warnings(
+        hi, kind, anchor, mwanza, mwanza_gender):
+    """Axes that reach 1e300 or 1e308: hazards and inflows overflow to inf,
+    and inf * 0 makes nan, as in the scalar sums, which raise no warning.
+    numpy's warnings for them would be errors under the suite's
+    ``error::RuntimeWarning`` filter."""
+    axes = [GridAxis(name, 0.0, hi, 5) if k % 2 else
+            GridAxis(name, 1e-3, hi, 7, log=True)
+            for k, name in enumerate(PARAM_NAMES[kind])]
+    _check_surfaces_and_profiles(
+        kind, mwanza if kind == NONGENDER else mwanza_gender,
+        anchor.as_vector(), axes)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from pairinfer import (GENDER, NONGENDER, DomainError, GenderPairCounts,
                        GenderParams, NonGenderParams, PairCounts,
                        solve_gender, solve_nongender)
-from pairinfer import model
-from pairinfer.model import EPS_SINGULAR, count_derivatives
+from pairinfer import likelihood, model
+from pairinfer.likelihood import count_derivatives
+from pairinfer.model import EPS_SINGULAR
 
 import oracles
 from oracles import (count_derivatives_mp, integrate_gender,
@@ -288,7 +289,7 @@ def test_series_moments_match_the_int_counter_bit_for_bit():
 def test_class_jacobian_is_the_written_out_linear_form():
     """The coefficients read from the model table at unit vectors."""
     for kind in (NONGENDER, GENDER):
-        ours, written = model._CLASS_JACOBIAN[kind], oracles.CLASS_JACOBIAN[kind]
+        ours, written = likelihood._CLASS_JACOBIAN[kind], oracles.CLASS_JACOBIAN[kind]
         assert ours.shape == written.shape
         assert _bits(ours.ravel()) == _bits(written.ravel())
 
@@ -358,7 +359,7 @@ def test_column_kernel_matches_the_written_out_solver_property(case):
     shape = np.broadcast(*columns).shape
     rates = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(
         -1, len(columns))
-    states = model.solve_columns_at(kind, init, columns, (t,))[0]
+    states = likelihood.solve_columns_at(kind, init, columns, (t,))[0]
     ours = np.stack([np.broadcast_to(s, shape).ravel() for s in states])
     written = oracles.solve_batch(kind, init, rates, t)
     assert ours.tobytes() == written.tobytes()
