@@ -9,8 +9,8 @@ reports.  This module only parses options and maps errors to exit codes:
 0 success, 1 invalid option value or configuration (an output directory
 that cannot be written included), 2 parse error, 3 infeasible data, 4
 non-convergence of a run's fit (results are still written, with flags).
-The PAIRINFER_OUT_DIR environment variable overrides the output
-directory.
+The PAIRINFER_OUT_DIR environment variable overrides every command's
+``--out``; it is read here, and the library writes where it is told.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .neldermead import DEFAULT_MAX_EVALS
 from .simulate import derive_seed, gillespie_simulate
 
 DEFAULT_OUT = "pairinfer-out"
+OUTPUT_DIR_ENV = "PAIRINFER_OUT_DIR"
 
 
 def _integer_option(option):
@@ -131,14 +132,14 @@ def _cmd_simulate(args):
     init = (pio.initial_counts(args.model, args.init.split(":"), "--init")
             if args.init else pio.load_bundled(args.model).initial)
     times = _parse_times(args.times)
-    out = os.environ.get(pio.OUTPUT_DIR_ENV) or args.out
     for rep in range(args.reps):
         seed = derive_seed(args.seed, rep)
         observations = gillespie_simulate(params, init, times, seed)
         data = Dataset(times, tuple(observations))
         if rep == 0:  # only now, so that a rejected input leaves no --out
-            os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, f"dataset_{args.model}_rep{rep:04d}.json")
+            os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out,
+                            f"dataset_{args.model}_rep{rep:04d}.json")
         pio.write_dataset(data, path,
                           description=f"simulated cohort (seed {seed})")
         print(path)
@@ -230,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(argv):
     args = build_parser().parse_args(argv)
+    args.out = os.environ.get(OUTPUT_DIR_ENV) or args.out
     try:
         return args.func(args)
     except OSError as exc:

@@ -85,14 +85,17 @@ from .likelihood import (log_likelihood, saturated_log_likelihood,
                          score_and_information)
 from .model import (NONGENDER, PARAM_NAMES, PairCounts, model_of, model_spec,
                     params_from_vector)
-from .neldermead import DEFAULT_MAX_EVALS, minimize_simplex, on_boundary
+from .neldermead import DEFAULT_MAX_EVALS, minimize_simplex
 from .quantiles import chi2_quantile_2dof, normal_quantile
 
 DEFAULT_BOUNDS = (0.0, 10.0)
 CONDITION_WARN_THRESHOLD = 1e10
 _SATURATION_TOL = 1e-6
+_HESS_REL_STEP = 1e-4
+_HESS_MIN_STEP = 1e-6
 _HESS_SHRINK = 0.5
 _HESS_MAX_SHRINK = 3
+_ELLIPSE_POINTS = 128
 # Two-time identified fits stop the simplex at these looser tolerances
 # (the simplex's own are 1e-10 and 1e-12) and finish with a Newton climb.
 _LOOSE_DIAMETER = 1e-5
@@ -132,13 +135,13 @@ _ROUNDING = 2.0 ** -52
 _FOUND_RADIUS = 1e-2
 
 
-def hessian_fd(objective, point, rel_step=1e-4, min_step=1e-6) -> np.ndarray:
+def hessian_fd(objective, point) -> np.ndarray:
     """Central finite-difference Hessian with per-coordinate steps.
 
     No fit uses it: standard errors come from the exact information.  It
     stays as an oracle for tests and for objectives without derivatives.
 
-    Steps are h_i = max(min_step, rel_step*|x_i|); off-diagonals use the
+    Steps are h_i = max(1e-6, 1e-4*|x_i|); off-diagonals use the
     four-point cross stencil and the result is symmetrized.  If a stencil
     point is non-finite the steps involved shrink (up to three times) before
     a SingularStencilError is raised.
@@ -148,7 +151,7 @@ def hessian_fd(objective, point, rel_step=1e-4, min_step=1e-6) -> np.ndarray:
     f0 = float(objective(x))
     if not math.isfinite(f0):
         raise SingularStencilError("objective not finite at the expansion point")
-    base = np.maximum(min_step, rel_step * np.abs(x))
+    base = np.maximum(_HESS_MIN_STEP, _HESS_REL_STEP * np.abs(x))
     hess = np.empty((dim, dim))
 
     def stencil(offsets, steps):
@@ -181,7 +184,6 @@ class CovarianceResult:
     std_errors: np.ndarray | None
     positive_definite: bool
     condition_number: float
-    condition_warning: bool
 
 
 def covariance_from_hessian(hessian) -> CovarianceResult:
@@ -189,8 +191,8 @@ def covariance_from_hessian(hessian) -> CovarianceResult:
 
     Input that is not positive definite to working precision (an
     eigenvalue at or below dim * eps times the largest) yields a singular
-    flag with no covariance; condition numbers above 1e10 produce a warning
-    but still invert.
+    flag with no covariance; condition numbers above
+    ``CONDITION_WARN_THRESHOLD`` produce a warning but still invert.
     """
     h = np.asarray(hessian, dtype=float)
     h = (h + h.T) / 2.0
@@ -198,15 +200,14 @@ def covariance_from_hessian(hessian) -> CovarianceResult:
     if eigvals.min() <= len(eigvals) * np.finfo(float).eps * abs(eigvals).max():
         smallest = abs(eigvals).min()
         cond = math.inf if smallest == 0 else float(abs(eigvals).max() / smallest)
-        return CovarianceResult(None, None, False, cond, False)
+        return CovarianceResult(None, None, False, cond)
     cond = float(eigvals.max() / eigvals.min())
-    warn = cond > CONDITION_WARN_THRESHOLD
-    if warn:
+    if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(f"covariance inversion is ill-conditioned "
                       f"(condition number {cond:.3g})", stacklevel=2)
     cov = (eigvecs / eigvals) @ eigvecs.T
     cov = (cov + cov.T) / 2.0
-    return CovarianceResult(cov, np.sqrt(np.diag(cov)), True, cond, warn)
+    return CovarianceResult(cov, np.sqrt(np.diag(cov)), True, cond)
 
 
 def curvature_std_errors(hessian) -> np.ndarray:
@@ -243,15 +244,12 @@ class EllipseSpec:
     mean: tuple
     covariance: tuple
     level: float
-    n_points: int = 128
 
     def __post_init__(self):
         if len(self.mean) != 2:
             raise DomainError("ellipse mean must be 2-dimensional")
         if not 0.0 < self.level < 1.0:
             raise DomainError("ellipse level must lie in (0, 1)")
-        if self.n_points < 8:
-            raise DomainError("ellipse needs at least 8 points")
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (2, 2):
             raise DomainError("ellipse covariance must be 2x2")
@@ -261,22 +259,19 @@ class EllipseSpec:
             raise DomainError("ellipse covariance must be positive definite")
 
 
-def ellipse_points(spec: EllipseSpec, clip=True) -> np.ndarray:
-    """Ordered points on the chi-square(2) contour at ``spec.level``.
+def ellipse_points(spec: EllipseSpec) -> np.ndarray:
+    """128 ordered points on the chi-square(2) contour at ``spec.level``.
 
-    Points satisfy (x - mu)^T Sigma^-1 (x - mu) = c exactly; with ``clip``
-    they are truncated at coordinate 0, matching the interval convention.
+    Points satisfy (x - mu)^T Sigma^-1 (x - mu) = c exactly, then are
+    truncated at coordinate 0, matching the interval convention.
     """
     cov = np.asarray(spec.covariance, dtype=float)
     c = chi2_quantile_2dof(spec.level)
     chol = np.linalg.cholesky(cov)
-    angles = 2.0 * np.pi * np.arange(spec.n_points) / spec.n_points
+    angles = 2.0 * np.pi * np.arange(_ELLIPSE_POINTS) / _ELLIPSE_POINTS
     circle = np.stack([np.cos(angles), np.sin(angles)])
     pts = np.asarray(spec.mean, dtype=float)[:, None] + math.sqrt(c) * (chol @ circle)
-    pts = pts.T
-    if clip:
-        pts = np.maximum(pts, 0.0)
-    return pts
+    return np.maximum(pts.T, 0.0)
 
 
 @dataclass
@@ -341,10 +336,7 @@ class FitResult:
     bounds: tuple
     seed: int
     identifiability: str
-    hessian_positive_definite: bool
     condition_number: float | None  # None on a saturated ridge
-    condition_warning: bool
-    on_boundary: bool
     saturated_gap: float
     ridge_ends: tuple | None = None  # (low, high) of a closed-form ridge
 
@@ -657,7 +649,8 @@ def _maximize(kind, data, warm_start, bounds, seed, max_evals, identified):
 
 
 def _default_warm_start(kind, data, bounds):
-    """``(start, source, ridge)`` of a fit given no warm start.
+    """The ``(start, source, ridge)`` of a fit's warm start, before it is
+    clipped into the box.
 
     ``ridge`` is the ``(low, high)`` ends of the closed-form ridge of a
     gendered two-time design, whose midpoint is then the start, else None.
@@ -697,10 +690,10 @@ def _default_warm_start(kind, data, bounds):
     return np.array([lam, lam, tau, tau]), "symmetric-nongender", None
 
 
-def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
-            bounds=None, seed=0, levels=(0.95,), max_evals=DEFAULT_MAX_EVALS,
-            uncertainty=True) -> FitResult:
-    """Maximize the model log-likelihood over the rate box ``bounds``.
+def fit_mle(kind, data: Dataset, seed=0, levels=(0.95,),
+            max_evals=DEFAULT_MAX_EVALS, uncertainty=True) -> FitResult:
+    """Maximize the model log-likelihood over the rate box, ``DEFAULT_BOUNDS``
+    for every rate.
 
     The warm start of an identified non-gendered fit is the closed-form
     two-time MLE of the first and last observations where it applies
@@ -710,8 +703,9 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     starts at the lambda_m midpoint of its closed-form ridge
     (``"closed-form-ridge"``) where one exists, and every other gendered
     fit at the symmetric split of the warm start of the marginal
-    non-gendered counts (``"symmetric-nongender"``).  Explicit warm starts
-    are clipped into the bounds.  Deterministic for a fixed seed.
+    non-gendered counts (``"symmetric-nongender"``).  The warm start is
+    clipped into the box, which a CFA start can leave.  Deterministic for a
+    fixed seed.
 
     The fit's first evaluation is its warm start's, and a start on the
     saturated bound's floor, within rounding noise of the bound, ends the
@@ -740,16 +734,12 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     if data.kind != kind:
         raise DomainError(f"dataset kind {data.kind!r} does not match {kind!r}")
     dim = len(spec.param_names)
-    if bounds is None:
-        bounds = tuple(DEFAULT_BOUNDS for _ in range(dim))
+    bounds = (DEFAULT_BOUNDS,) * dim
     free_dims = (len(spec.state_labels) - 1) * (len(data.times) - 1)
     identified = dim <= free_dims
-    ridge_ends = None
-    if warm_start is None:
-        warm_start, warm_start_source, ridge_ends = _default_warm_start(
-            kind, data, bounds)
-    warm_start = np.clip(np.asarray(warm_start, dtype=float),
-                         [b[0] for b in bounds], [b[1] for b in bounds])
+    warm_start, warm_start_source, ridge_ends = _default_warm_start(
+        kind, data, bounds)
+    warm_start = np.clip(warm_start, *DEFAULT_BOUNDS)
 
     estimates, fun, n_evals, converged, information = _maximize(
         kind, data, warm_start, bounds, seed, max_evals, identified)
@@ -763,7 +753,7 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
     ridge = not identified and gap < _SATURATION_TOL
 
     hessian = None
-    cov_result = CovarianceResult(None, None, False, math.inf, False)
+    cov_result = CovarianceResult(None, None, False, math.inf)
     conditional = np.full(dim, np.nan)
     if uncertainty:
         if information is None:
@@ -818,13 +808,10 @@ def fit_mle(kind, data: Dataset, warm_start=None, warm_start_source="user",
         iterations=n_evals,
         warm_start=warm_start,
         warm_start_source=warm_start_source,
-        bounds=tuple(tuple(b) for b in bounds),
+        bounds=bounds,
         seed=seed,
         identifiability=identifiability,
-        hessian_positive_definite=cov_result.positive_definite,
         condition_number=None if ridge else cov_result.condition_number,
-        condition_warning=cov_result.condition_warning,
-        on_boundary=on_boundary(estimates, bounds),
         saturated_gap=gap,
         ridge_ends=(ridge_ends if ridge and np.array_equal(estimates, warm_start)
                     else None),

@@ -36,6 +36,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,8 +54,6 @@ from .model import (GENDER, MODELS, NONGENDER, PARAM_NAMES, NonGenderParams,
 from .neldermead import DEFAULT_MAX_EVALS
 from .simulate import validation_sweep
 
-OUTPUT_DIR_ENV = "PAIRINFER_OUT_DIR"
-
 # Analysis defaults of a manifest and of the commands that build one.
 DEFAULT_SEED = 20260801
 DEFAULT_LEVELS = (0.67, 0.95)
@@ -66,23 +65,16 @@ DEFAULT_PAIRWISE_SURFACES = {"pairwise_points": 41, "half_width_sigmas": 3.0}
 DEFAULT_PROFILES = {"points": 101, "half_width_sigmas": 4.0}
 
 # Values reported by the original published analysis of the bundled Mwanza
-# cohort.  They feed the discrepancy section of reports: where this engine's
-# arithmetic disagrees with a published number, both are shown.
+# cohort.  They feed the discrepancy section of reports, where this engine's
+# arithmetic disagrees with a published number and both are shown, and the
+# infections table at the published rates.
 REFERENCE_MWANZA = {
     "phi_hat": 16.95,
     "tau_analytical": 0.054,
     "nongender_mle": {"lambda": 0.003, "tau": 0.056},
-    "nongender_std_errors": {"lambda": 0.001, "tau": 0.046},
-    "nongender_infections": {"external": 10.6, "internal": 2.48,
-                             "total": 13.1, "total_per_thousand": 59.1},
+    "nongender_infections": {"internal": 2.48},
     "gender_mle": {"lambda_m": 0.004, "lambda_f": 0.002,
                    "tau_mf": 0.047, "tau_fm": 0.068},
-    "gender_intervals_95": {"lambda_m": (0.0006, 0.0073),
-                            "lambda_f": (0.0, 0.0051),
-                            "tau_mf": (0.0, 0.1819),
-                            "tau_fm": (0.0, 0.2271)},
-    "gender_infections": {"external_m": 7.05, "external_f": 3.52,
-                          "internal_mf": 1.03, "internal_fm": 1.45},
 }
 
 
@@ -188,22 +180,27 @@ def analyze(data: Dataset, seed=0, levels=DEFAULT_LEVELS,
     analytic = None
     cfa_params = None
     theta = None
-    # analytics are supplementary: degrade to absent on degenerate counts
-    if kind == NONGENDER and len(data.times) == 2:
-        try:
-            analytic = analytic_estimates(data)
-        except (DomainError, NoRootError):
-            analytic = None
-        try:
-            cfa_params = cfa(data)
-        except DomainError:
-            cfa_params = None
-    elif kind == GENDER and len(data.times) == 2:
-        try:
-            theta = gender_theta_approx(
-                data, 0.5, max(lambda_hat_closed_form(data), 0.0))
-        except DomainError:
-            theta = None
+    # analytics are supplementary: degrade to absent on degenerate counts.
+    # Their warnings, a negative lambda_hat or a CFA rate clamped to 0, stay
+    # off stderr: summary.json records them as analytical.lambda_negative
+    # and the cfa rates, and the gendered call clamps lambda_hat itself.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if kind == NONGENDER and len(data.times) == 2:
+            try:
+                analytic = analytic_estimates(data)
+            except (DomainError, NoRootError):
+                analytic = None
+            try:
+                cfa_params = cfa(data)
+            except DomainError:
+                cfa_params = None
+        elif kind == GENDER and len(data.times) == 2:
+            try:
+                theta = gender_theta_approx(
+                    data, 0.5, max(lambda_hat_closed_form(data), 0.0))
+            except DomainError:
+                theta = None
     fit = fit_mle(kind, data, seed=seed, levels=levels, max_evals=max_evals)
     infections = infections_per_year(fit.params, data.initial)
     bundled = data == load_bundled(kind)
@@ -440,14 +437,9 @@ def _validation_csv(records, names) -> str:
     header = (["grid_index", "replicate", "seed"]
               + [f"true_{n}" for n in names] + [f"est_{n}" for n in names]
               + ["converged"])
-    lines = [",".join(header)]
-    for rec in records:
-        lines.append(",".join(
-            [str(rec.grid_index), str(rec.replicate), str(rec.seed)]
-            + [fmt(v) for v in rec.true_params]
-            + [fmt(v) for v in rec.estimates]
-            + [str(rec.converged).lower()]))
-    return "\n".join(lines) + "\n"
+    return _csv_table([header] + [
+        [rec.grid_index, rec.replicate, rec.seed, *rec.true_params,
+         *rec.estimates, rec.converged] for rec in records])
 
 
 def _report_text(summary) -> str:
@@ -536,7 +528,7 @@ def emit_report(out_dir, bundles, surfaces=None, profiles=None, ellipses=None,
     truncated file is closed; a crash part way can leave a torn file and a
     partial artifact set (see the module docstring).
     """
-    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or out_dir)
+    out_dir = Path(out_dir)
     files = {}
     summary = {
         "tool": "pairinfer",

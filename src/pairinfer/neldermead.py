@@ -11,12 +11,13 @@ equal.  Below |f| = 2,048 four ulps are at most 9.1e-13, so the floor is
 ``spread_tol`` itself.  A run tests convergence before it checks the budget,
 so a run that converges on its last affordable evaluation says so.
 
-All starts share one evaluation budget.  Multiple jittered starts are
-attempted and the best result kept; the jitter stream is a counter-based
-Philox generator, so results are deterministic for a fixed seed.  A later
-start replaces the incumbent only by improving on it by more than
-``_IMPROVEMENT_TOL``.  The first evaluation at or below the caller's
-``floor`` ends the search, converged, at that point.
+A run makes ``_N_STARTS`` (3) starts, which share one evaluation budget:
+the start point, then two jittered by up to ``_JITTER`` (25%) of each
+nonzero coordinate.  It keeps the best result; the jitter stream is a
+counter-based Philox generator, so results are deterministic for a fixed
+seed.  A later start replaces the incumbent only by improving on it by
+more than ``_IMPROVEMENT_TOL``.  The first evaluation at or below the
+caller's ``floor`` ends the search, converged, at that point.
 
 The simplex arithmetic runs on Python floats, not small numpy arrays, which
 cost microseconds per operation at two to four elements.  It keeps the
@@ -26,11 +27,10 @@ sum from 0.0 over the kept vertices, divided by the dimension, as
 ``np.mean(axis=0)`` computes it; a reflection folds across ``lo``, then
 across ``hi``, then clips as ``np.clip`` does; vertices are ordered by a
 stable sort on their values.  numpy remains for the start jitter and the
-result array.  The bounds check and the boundary test run on floats too,
-and the initial simplex builds a vertex only when it is evaluated: many
-fits end at their first evaluation, so this fixed cost is most of their
-simplex's.  The objective receives a fresh float64 array at every
-evaluation.
+result array.  The bounds check runs on floats too, and the initial
+simplex builds a vertex only when it is evaluated: many fits end at their
+first evaluation, so this fixed cost is most of their simplex's.  The
+objective receives a fresh float64 array at every evaluation.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ _SPREAD_ULPS = 4
 _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
 _NONZERO_STEP = 0.05     # initial simplex step, fraction of the coordinate
 _ZERO_STEP = 0.00025     # absolute step used when a coordinate is zero
+_N_STARTS = 3            # the start point, then jittered restarts
+_JITTER = 0.25           # restart jitter, fraction of the coordinate
 
 
 @dataclass
@@ -58,7 +60,6 @@ class SimplexResult:
     fun: float
     n_evals: int
     converged: bool
-    on_boundary: bool
     n_starts: int
 
 
@@ -82,16 +83,6 @@ def reflect_into_box(x, lo, hi):
                 y = b
         out.append(y)
     return out
-
-
-def on_boundary(x, bounds):
-    """Whether any coordinate of ``x`` lies within 1e-12 (relative) of a bound."""
-    for v, (lo, hi) in zip(x, bounds):
-        v, lo, hi = float(v), float(lo), float(hi)
-        if (v - lo <= 1e-12 * max(1.0, abs(lo))
-                or hi - v <= 1e-12 * max(1.0, abs(hi))):
-            return True
-    return False
 
 
 def _initial_simplex(x0, lo, hi):
@@ -124,14 +115,14 @@ def _sorted_by_value(vertices, fs):
 
 def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
                      diameter_tol=1e-10, spread_tol=1e-12,
-                     n_starts=3, jitter=0.25,
                      floor=-math.inf) -> SimplexResult:
     """Minimize ``fn`` over the box ``bounds`` starting near ``x0``.
 
     ``fn`` may return +inf for infeasible points.  Returns the best point
     seen across all evaluations, so the result never regresses below the
     starting point.  An evaluation at or below ``floor`` ends the search
-    there, converged.  ``n_starts`` counts the starts that ran.
+    there, converged.  ``n_starts`` counts the starts that ran, at most
+    ``_N_STARTS``.
     """
     x0 = np.asarray(x0, dtype=float)
     lo = [float(b[0]) for b in bounds]
@@ -158,17 +149,15 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
         return f
 
     first = reflect_into_box(x0.tolist(), lo, hi)
-    n_jittered = max(n_starts - 1, 0)
 
     def starts():
         # drawn only when reached: a run that meets the floor draws nothing
         yield first
-        if n_jittered:
-            rng = np.random.Generator(np.random.Philox(seed))
-        for _ in range(n_jittered):
+        rng = np.random.Generator(np.random.Philox(seed))
+        for _ in range(_N_STARTS - 1):
             u = rng.uniform(-1.0, 1.0, size=dim)
-            jittered = x0 * (1.0 + jitter * u)
-            jittered = np.where(x0 == 0.0, jitter * np.abs(u) * _ZERO_STEP,
+            jittered = x0 * (1.0 + _JITTER * u)
+            jittered = np.where(x0 == 0.0, _JITTER * np.abs(u) * _ZERO_STEP,
                                 jittered)
             yield reflect_into_box(jittered.tolist(), lo, hi)
 
@@ -262,6 +251,5 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
         fun=incumbent_f,
         n_evals=n_evals,
         converged=incumbent_converged,
-        on_boundary=on_boundary(incumbent_x, bounds),
         n_starts=n_ran,
     )

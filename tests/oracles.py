@@ -295,7 +295,8 @@ def _initial_simplex(x0, lo, hi):
 
 
 def on_boundary(x, lo, hi):
-    """numpy form of ``neldermead.on_boundary`` on arrays of bounds."""
+    """Whether any coordinate of ``x`` lies within 1e-12 (relative) of its
+    bound in ``lo`` or ``hi``."""
     return bool(np.any((x - lo <= 1e-12 * np.maximum(1.0, np.abs(lo)))
                        | (hi - x <= 1e-12 * np.maximum(1.0, np.abs(hi)))))
 
@@ -418,7 +419,6 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         fun=incumbent_f,
         n_evals=n_evals,
         converged=incumbent_converged,
-        on_boundary=on_boundary(incumbent_x, lo, hi),
         n_starts=n_ran,
     )
 

@@ -368,9 +368,11 @@ def test_warm_start_candidates_inside_feasible_box(mwanza):
     params = cfa(mwanza)
     assert 0.0 <= params.lam <= 10.0
     assert 0.0 <= params.tau <= 10.0
-    # the verbatim expansion value may be negative (it is, on this cohort);
-    # the optimizer interface clips warm starts into the box
-    fit = fit_mle("nongender", mwanza,
-                  warm_start=[params.lam, phi_hat_binomial(mwanza).tau_two_phi_plus_one],
-                  warm_start_source="analytical", seed=0)
-    assert all(0.0 <= v <= 10.0 for v in fit.warm_start)
+    # a cohort losing a tenth of its SS pairs in 0.001 years has no
+    # closed-form start in the box, and its CFA lambda, about 50, leaves
+    # it: the fit clips its warm start into the box
+    data = nongender_dataset((0.0, 0.001), [(1000, 50, 0), (900, 150, 0)])
+    assert cfa(data).lam > 10.0
+    fit = fit_mle("nongender", data, seed=0)
+    assert fit.warm_start_source == "CFA"
+    assert np.array_equal(fit.warm_start, [10.0, 0.0])

@@ -431,6 +431,41 @@ def test_cli_env_var_overrides_out_dir(tmp_path, monkeypatch):
     assert code == 0
     assert (env_dir / "summary.json").exists()
     assert not (tmp_path / "ignored").exists()
+    code = main(["simulate", "--model", "nongender",
+                 "--rates", "lambda=0.003,tau=0.056", "--seed", "11",
+                 "--out", str(tmp_path / "ignored")])
+    assert code == 0
+    assert (env_dir / "dataset_nongender_rep0000.json").exists()
+    assert not (tmp_path / "ignored").exists()
+
+
+# Cohorts whose supplementary analytics once printed UserWarnings from a
+# successful fit: a CFA rate clamped to 0; a negative lambda_hat, twice,
+# and a clamped CFA rate; a negative gendered lambda_hat.  summary.json
+# records the non-gendered conditions.
+@pytest.mark.parametrize("model, text, cfa, lambda_negative, estimates", [
+    ("nongender", "time,SS,SI,II\n0,10,2,1\n2,0,0,13\n",
+     {"lambda": 0.0, "tau": 1.5}, None, {"lambda": 10.0, "tau": 10.0}),
+    ("nongender", "time,SS,SI,II\n0,10,2,1\n2,11,1,1\n",
+     {"lambda": 0.0, "tau": 0.0}, True, {"lambda": 0.0, "tau": 0.143841}),
+    ("gender", "time,SS,IS,SI,II\n0,10,1,1,1\n2,11,1,0,1\n", None, None,
+     {"lambda_m": 0.0, "lambda_f": 0.0, "tau_mf": 0.0, "tau_fm": 10.0}),
+])
+def test_supplementary_analytics_warn_nothing(tmp_path, capsys, model, text,
+                                              cfa, lambda_negative, estimates):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--model", model, "--input", str(cohort),
+                     "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())["models"][model]
+    assert summary["mle"]["estimates"] == estimates
+    assert summary.get("cfa") == cfa
+    assert summary.get("analytical", {}).get("lambda_negative") == lambda_negative
 
 
 def test_cli_simulate_round_trip(tmp_path):
@@ -557,12 +592,16 @@ def test_cli_surface_long_horizon_tau_below_lambda(tmp_path):
     data = tmp_path / "long.csv"
     data.write_text("time,SS,SI,II\n0,100,5,0\n80,10,3,92\n")
     out = tmp_path / "surf"
-    with pytest.warns(UserWarning, match="CFA produced a negative rate"):
+    # the CFA clamps its negative lambda to 0, in summary.json, not stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["surface", "--model", "nongender", "--input", str(data),
                      "--grid", "lambda:0:10:5", "--grid", "tau:0:10:5",
                      "--out", str(out)])
     assert code == 0
     assert (out / "surface_nongender_lambda_tau.csv").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["models"]["nongender"]["cfa"]["lambda"] == 0.0
 
 
 def test_cli_surface_fits_once(tmp_path, monkeypatch):
