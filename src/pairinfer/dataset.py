@@ -26,6 +26,12 @@ from .model import MODELS, GenderPairCounts, PairCounts, model_of, model_spec
 _SUM_RTOL = 1e-6
 
 
+def require_two_times(times):
+    """A DomainError unless there are at least two observation times."""
+    if len(times) < 2:
+        raise DomainError("at least two observation times required")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Observation times with aligned pair counts; the first time is t = 0.
@@ -47,8 +53,7 @@ class Dataset:
         object.__setattr__(self, "observations", tuple(self.observations))
         if len(self.times) != len(self.observations):
             raise DomainError("times and observations must have equal length")
-        if len(self.times) < 2:
-            raise DomainError("at least two observation times required")
+        require_two_times(self.times)
         if not all(math.isfinite(t) for t in self.times):
             raise DomainError(f"observation times must be finite, got {self.times}")
         for a, b in zip(self.times, self.times[1:]):

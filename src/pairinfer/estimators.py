@@ -64,10 +64,8 @@ class AnalyticEstimate:
     """Bundle of analytical estimators with per-field provenance tags."""
 
     lambda_hat: float
-    lambda_negative: bool
     tau_hat_rootsolve: float
-    phi: PhiExpansion | None
-    phi_fallback: bool
+    phi: PhiExpansion | None  # None where the series is undefined
 
 
 def _two_time_counts(data: Dataset):
@@ -367,17 +365,13 @@ def gender_theta_approx(data: Dataset, q: float, lambda_hat: float):
 def analytic_estimates(data: Dataset) -> AnalyticEstimate:
     """Run the full analytical pipeline on a non-gendered two-time dataset."""
     lam = lambda_hat_closed_form(data)
-    phi = None
-    fallback = False
     try:
         phi = phi_hat_binomial(data)
     except ExpansionUndefinedError:
-        fallback = True
+        phi = None
     tau = tau_hat_rootsolve(data, max(lam, 0.0))
     return AnalyticEstimate(
         lambda_hat=lam,
-        lambda_negative=lam < 0,
         tau_hat_rootsolve=tau,
         phi=phi,
-        phi_fallback=fallback,
     )

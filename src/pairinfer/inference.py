@@ -83,7 +83,7 @@ from .errors import DomainError, InfeasibleDataError, SingularStencilError
 from .estimators import cfa, two_time_mle
 from .likelihood import (log_likelihood, saturated_log_likelihood,
                          score_and_information)
-from .model import (NONGENDER, PARAM_NAMES, PairCounts, model_of, model_spec,
+from .model import (NONGENDER, PairCounts, model_of, model_spec,
                     params_from_vector)
 from .neldermead import DEFAULT_MAX_EVALS, minimize_simplex
 from .quantiles import chi2_quantile_2dof, normal_quantile
@@ -182,7 +182,6 @@ def hessian_fd(objective, point) -> np.ndarray:
 class CovarianceResult:
     covariance: np.ndarray | None
     std_errors: np.ndarray | None
-    positive_definite: bool
     condition_number: float
 
 
@@ -190,8 +189,8 @@ def covariance_from_hessian(hessian) -> CovarianceResult:
     """Invert a negative-log-likelihood Hessian into a covariance matrix.
 
     Input that is not positive definite to working precision (an
-    eigenvalue at or below dim * eps times the largest) yields a singular
-    flag with no covariance; condition numbers above
+    eigenvalue at or below dim * eps times the largest) yields no
+    covariance and no standard errors; condition numbers above
     ``CONDITION_WARN_THRESHOLD`` produce a warning but still invert.
     """
     h = np.asarray(hessian, dtype=float)
@@ -200,14 +199,14 @@ def covariance_from_hessian(hessian) -> CovarianceResult:
     if eigvals.min() <= len(eigvals) * np.finfo(float).eps * abs(eigvals).max():
         smallest = abs(eigvals).min()
         cond = math.inf if smallest == 0 else float(abs(eigvals).max() / smallest)
-        return CovarianceResult(None, None, False, cond)
+        return CovarianceResult(None, None, cond)
     cond = float(eigvals.max() / eigvals.min())
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(f"covariance inversion is ill-conditioned "
                       f"(condition number {cond:.3g})", stacklevel=2)
     cov = (eigvecs / eigvals) @ eigvecs.T
     cov = (cov + cov.T) / 2.0
-    return CovarianceResult(cov, np.sqrt(np.diag(cov)), True, cond)
+    return CovarianceResult(cov, np.sqrt(np.diag(cov)), cond)
 
 
 def curvature_std_errors(hessian) -> np.ndarray:
@@ -288,14 +287,13 @@ class InfectionsTable:
 
     ``total_per_thousand`` sums per-route rates over different denominators
     (susceptibles at large vs discordant-pair susceptibles) and is therefore
-    flagged as denominator-inconsistent; it is reproduced for comparison
-    with previously published tables.
+    denominator-inconsistent, as ``summary.json`` always flags it; it is
+    reproduced for comparison with previously published tables.
     """
 
     rows: list
     total_infections: float
     total_per_thousand: float
-    per_thousand_total_inconsistent: bool = True
 
 
 def infections_per_year(params, init) -> InfectionsTable:
@@ -318,11 +316,9 @@ def infections_per_year(params, init) -> InfectionsTable:
 class FitResult:
     """Outcome of a maximum-likelihood fit with uncertainty diagnostics."""
 
-    kind: str
     estimates: np.ndarray
     params: object
     loglik_at_max: float
-    hessian: np.ndarray
     covariance: np.ndarray | None
     std_errors: np.ndarray | None
     std_errors_joint: np.ndarray | None
@@ -339,10 +335,6 @@ class FitResult:
     condition_number: float | None  # None on a saturated ridge
     saturated_gap: float
     ridge_ends: tuple | None = None  # (low, high) of a closed-form ridge
-
-    @property
-    def param_names(self):
-        return PARAM_NAMES[self.kind]
 
 
 def _objective(kind, data):
@@ -753,7 +745,7 @@ def fit_mle(kind, data: Dataset, seed=0, levels=(0.95,),
     ridge = not identified and gap < _SATURATION_TOL
 
     hessian = None
-    cov_result = CovarianceResult(None, None, False, math.inf)
+    cov_result = CovarianceResult(None, None, math.inf)
     conditional = np.full(dim, np.nan)
     if uncertainty:
         if information is None:
@@ -776,7 +768,7 @@ def fit_mle(kind, data: Dataset, seed=0, levels=(0.95,),
         se_used = conditional
         se_method = "conditional-curvature"
         identifiability = "saturated-ridge"
-    elif cov_result.positive_definite:
+    elif cov_result.covariance is not None:
         se_used = cov_result.std_errors
         se_method = "joint-covariance"
         identifiability = "ok"
@@ -793,11 +785,9 @@ def fit_mle(kind, data: Dataset, seed=0, levels=(0.95,),
             intervals[level] = wald_intervals(estimates, se_used, level)
 
     return FitResult(
-        kind=kind,
         estimates=estimates,
         params=params_from_vector(kind, estimates),
         loglik_at_max=loglik_max,
-        hessian=hessian,
         covariance=cov_result.covariance,
         std_errors=se_used,
         std_errors_joint=cov_result.std_errors,

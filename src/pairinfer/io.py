@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, load_bundled, parse_dataset
+from .dataset import Dataset, load_bundled, parse_dataset, require_two_times
 from .errors import ConfigError, DomainError, NoRootError, ParseError
 from .estimators import (AnalyticEstimate, analytic_estimates, cfa,
                          gender_theta_approx, lambda_hat_closed_form)
@@ -52,7 +52,7 @@ from .likelihood import GridAxis, GridSpec, likelihood_surface, slice_profile
 from .model import (GENDER, MODELS, NONGENDER, PARAM_NAMES, NonGenderParams,
                     model_spec, params_from_vector)
 from .neldermead import DEFAULT_MAX_EVALS
-from .simulate import validation_sweep
+from .simulate import snapshot_times, validation_sweep
 
 # Analysis defaults of a manifest and of the commands that build one.
 DEFAULT_SEED = 20260801
@@ -318,13 +318,13 @@ def _bundle_summary(bundle: AnalysisBundle) -> dict:
         a = bundle.analytic
         summary["analytical"] = {
             "lambda_hat": a.lambda_hat,
-            "lambda_negative": a.lambda_negative,
+            "lambda_negative": a.lambda_hat < 0,
             "tau_hat_rootsolve": a.tau_hat_rootsolve,
             "phi_hat": a.phi.phi_hat if a.phi else None,
             "tau_from_two_phi_plus_one": (a.phi.tau_two_phi_plus_one
                                           if a.phi else None),
             "tau_from_phi_plus_one": a.phi.tau_phi_plus_one if a.phi else None,
-            "phi_fallback": a.phi_fallback,
+            "phi_fallback": a.phi is None,
         }
     if bundle.cfa_params:
         summary["cfa"] = {"lambda": bundle.cfa_params.lam,
@@ -345,7 +345,8 @@ def _infections_summary(table: InfectionsTable) -> dict:
                   "per_1000": r.per_thousand} for r in table.rows],
         "total_infections": table.total_infections,
         "total_per_1000": table.total_per_thousand,
-        "per_1000_total_inconsistent": table.per_thousand_total_inconsistent,
+        # the total sums rates over different denominators
+        "per_1000_total_inconsistent": True,
     }
 
 
@@ -650,7 +651,7 @@ def _run_profiles(bundle: AnalysisBundle, section, profiles):
         return
     for axis in _section_axes(bundle, section):
         profiles[f"{bundle.kind}_{axis.name}"] = slice_profile(
-            bundle.kind, bundle.data, axis.name, axis, bundle.fit.params)
+            bundle.kind, bundle.data, axis, bundle.fit.params)
 
 
 def _run_ellipses(bundle: AnalysisBundle, enabled, levels, ellipses):
@@ -802,7 +803,9 @@ def _validation_settings(config):
     # row-major cartesian product in parameter order
     truth_grid = [params_from_vector(spec.kind, v)
                   for v in itertools.product(*value_lists)]
-    times = tuple(_numbers(config.get("times", (0.0, 2.0)), "validation times"))
+    times = tuple(snapshot_times(_numbers(config.get("times", (0.0, 2.0)),
+                                          "validation times")))
+    require_two_times(times)
     init = config.get("init", "bundled")
     init = (load_bundled(spec.kind).initial if init == "bundled"
             else initial_counts(spec.kind, init, "validation init"))

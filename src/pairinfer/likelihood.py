@@ -76,7 +76,7 @@ def _log_likelihood(solve, kind, params, data: Dataset) -> float:
     ll = 0.0
     for t, counts in zip(data.elapsed()[1:], data.counts[1:]):
         term = 0.0
-        for n_obs, pred in zip(counts, solve(params, init, t).as_tuple()):
+        for n_obs, pred in zip(counts, solve(params, init, t)):
             if n_obs > 0:
                 p = pred / n
                 if p <= 0.0:
@@ -465,8 +465,6 @@ class SurfaceResult:
     axis_values: tuple
     loglik: np.ndarray
     normalized: np.ndarray
-    max_loglik: float
-    argmax: tuple
 
 
 def _resolve_axes(kind, grid: GridSpec, fixed):
@@ -501,22 +499,15 @@ def likelihood_surface(kind, data: Dataset, grid: GridSpec, fixed=None) -> Surfa
                           for name in names))
     finite = np.isfinite(out)
     if finite.any():
-        max_ll = float(out[finite].max())
-        flat = np.where(finite, out, -np.inf).argmax()
-        argmax = np.unravel_index(flat, out.shape)
-        normalized = np.where(finite, out - max_ll, out)
+        normalized = np.where(finite, out - out[finite].max(), out)
     else:
         # -inf - -inf would be nan, with a RuntimeWarning
-        max_ll = -math.inf
-        argmax = (0, 0)
         normalized = out.copy()
     return SurfaceResult(
         axis_names=(ax0.name, ax1.name),
         axis_values=(v0, v1),
         loglik=out,
         normalized=normalized,
-        max_loglik=max_ll,
-        argmax=tuple(int(k) for k in argmax),
     )
 
 
@@ -529,19 +520,18 @@ class ProfileCurve:
     loglik: np.ndarray
 
 
-def slice_profile(kind, data: Dataset, vary: str, axis: GridAxis, anchor) -> ProfileCurve:
-    """One-dimensional likelihood slice through ``anchor`` along ``vary``.
+def slice_profile(kind, data: Dataset, axis: GridAxis, anchor) -> ProfileCurve:
+    """One-dimensional likelihood slice through ``anchor`` along ``axis``,
+    which varies the rate it names.
 
     This matches the reported profile panels: the other coordinates stay at
     the anchor (typically the MLE); no re-optimization is performed.
     """
     names = PARAM_NAMES[kind]
-    if vary not in names:
-        raise ConfigError(f"unknown parameter {vary!r} for model {kind!r}")
-    if axis.name != vary:
-        raise ConfigError(f"axis name {axis.name!r} does not match vary={vary!r}")
+    if axis.name not in names:
+        raise ConfigError(f"unknown parameter {axis.name!r} for model {kind!r}")
     xs = axis.values()
     columns = list(anchor.as_vector())
-    columns[names.index(vary)] = xs
-    return ProfileCurve(name=vary, values=xs,
+    columns[names.index(axis.name)] = xs
+    return ProfileCurve(name=axis.name, values=xs,
                         loglik=log_likelihood_columns(kind, data, columns))

@@ -60,7 +60,6 @@ class SimplexResult:
     fun: float
     n_evals: int
     converged: bool
-    n_starts: int
 
 
 def reflect_into_box(x, lo, hi):
@@ -121,8 +120,7 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
     ``fn`` may return +inf for infeasible points.  Returns the best point
     seen across all evaluations, so the result never regresses below the
     starting point.  An evaluation at or below ``floor`` ends the search
-    there, converged.  ``n_starts`` counts the starts that ran, at most
-    ``_N_STARTS``.
+    there, converged.
     """
     x0 = np.asarray(x0, dtype=float)
     lo = [float(b[0]) for b in bounds]
@@ -164,13 +162,11 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
     incumbent_f = math.inf
     incumbent_x = first
     incumbent_converged = False
-    n_ran = 0
 
     try:
         for start in starts():
             if n_evals >= max_evals:
                 break
-            n_ran += 1
             vertices, fs = [], []
             for v in _initial_simplex(start, lo, hi):
                 if n_evals >= max_evals:
@@ -251,5 +247,4 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=DEFAULT_MAX_EVALS,
         fun=incumbent_f,
         n_evals=n_evals,
         converged=incumbent_converged,
-        n_starts=n_ran,
     )

@@ -142,6 +142,18 @@ def _below(events, times, classes=()):
     return list(zip(*columns))
 
 
+def snapshot_times(times):
+    """``times`` as floats, checked: one or more finite, nonnegative and
+    increasing times, else a DomainError."""
+    times = [float(t) for t in times]
+    # the chained comparison is False for nan as well as for inf
+    if (not times or not all(0.0 <= t < math.inf for t in times)
+            or any(b <= a for a, b in zip(times, times[1:]))):
+        raise DomainError("snapshot times must be one or more finite, "
+                          "nonnegative and increasing times")
+    return times
+
+
 def gillespie_simulate(params, init, times, seed):
     """Simulate the cohort; returns the counts at each requested time.
 
@@ -150,12 +162,7 @@ def gillespie_simulate(params, init, times, seed):
     Deterministic for a fixed seed.
     """
     channels, counts_type = _channels(params, init)
-    times = [float(t) for t in times]
-    # the chained comparison is False for nan as well as for inf
-    if (not times or not all(0.0 <= t < math.inf for t in times)
-            or any(b <= a for a, b in zip(times, times[1:]))):
-        raise DomainError("snapshot times must be one or more finite, "
-                          "nonnegative and increasing times")
+    times = snapshot_times(times)
     for c in init.as_tuple():
         if c > _MAX_COUNT:
             raise DomainError(f"simulation takes initial counts up to "

@@ -243,7 +243,7 @@ def make_consistent_dataset(rng, horizon=2.0):
         si0 = rng.uniform(30.0, 80.0)
         params = NonGenderParams(lam, tau)
         probe = solve_nongender(params, PairCounts(ss0, si0, 0.0), horizon)
-        p_ss, p_si = probe.p_ss, probe.p_si
+        p_ss, p_si = probe[0], probe[1]
         # ii0 solving ii0/si0 = P_II/P_SI; P_SS and P_SI do not depend on ii0
         denom = p_si - si0
         if denom <= 1e-6:
@@ -254,7 +254,7 @@ def make_consistent_dataset(rng, horizon=2.0):
         init = PairCounts(ss0, si0, ii0)
         state = solve_nongender(params, init, horizon)
         data = nongender_dataset((0.0, horizon),
-                                 [init.as_tuple(), state.as_tuple()])
+                                 [init.as_tuple(), state])
         return params, data
 
 
@@ -303,13 +303,13 @@ def on_boundary(x, lo, hi):
 
 def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
                      diameter_tol=1e-10, spread_tol=1e-12,
-                     n_starts=3, jitter=0.25) -> SimplexResult:
+                     n_starts=3, jitter=0.25) -> tuple:
     """Minimize ``fn`` over the box ``bounds`` starting near ``x0``.
 
-    ``fn`` may return +inf for infeasible points.  Returns the best point
-    seen across all evaluations, so the result never regresses below the
-    starting point.  A run tests convergence before the budget, and
-    ``n_starts`` counts the starts that ran.
+    ``fn`` may return +inf for infeasible points.  Returns a
+    ``SimplexResult`` with the best point seen across all evaluations, so
+    the result never regresses below the starting point, and the number of
+    starts that ran.  A run tests convergence before the budget.
     """
     x0 = np.asarray(x0, dtype=float)
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -419,8 +419,7 @@ def minimize_simplex(fn, x0, bounds, seed=0, max_evals=50_000,
         fun=incumbent_f,
         n_evals=n_evals,
         converged=incumbent_converged,
-        n_starts=n_ran,
-    )
+    ), n_ran
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +433,15 @@ def _class_distributions(params, init, t):
     """Per-pair state distribution at time t for each initial state class."""
     if isinstance(params, NonGenderParams):
         dists = [
-            solve_nongender(params, PairCounts(1, 0, 0), t).as_tuple(),
-            solve_nongender(params, PairCounts(0, 1, 0), t).as_tuple(),
+            solve_nongender(params, PairCounts(1, 0, 0), t),
+            solve_nongender(params, PairCounts(0, 1, 0), t),
             (0.0, 0.0, 1.0),  # II is absorbing
         ]
     else:
         dists = [
-            solve_gender(params, GenderPairCounts(1, 0, 0, 0), t).as_tuple(),
-            solve_gender(params, GenderPairCounts(0, 1, 0, 0), t).as_tuple(),
-            solve_gender(params, GenderPairCounts(0, 0, 1, 0), t).as_tuple(),
+            solve_gender(params, GenderPairCounts(1, 0, 0, 0), t),
+            solve_gender(params, GenderPairCounts(0, 1, 0, 0), t),
+            solve_gender(params, GenderPairCounts(0, 0, 1, 0), t),
             (0.0, 0.0, 0.0, 1.0),
         ]
     checked = []

@@ -82,7 +82,6 @@ def test_hessian_singular_stencil_error():
 
 def test_covariance_diagonal_example():
     result = covariance_from_hessian(np.diag([4.0, 25.0]))
-    assert result.positive_definite
     assert result.covariance == pytest.approx(np.diag([0.25, 0.04]))
     assert result.std_errors == pytest.approx([0.5, 0.2])
     assert result.condition_number == pytest.approx(6.25)
@@ -90,7 +89,6 @@ def test_covariance_diagonal_example():
 
 def test_covariance_not_positive_definite():
     result = covariance_from_hessian(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert not result.positive_definite
     assert result.covariance is None
     assert result.std_errors is None
 
@@ -99,7 +97,7 @@ def test_covariance_singular_to_working_precision():
     # an eigenvalue below dim * eps of the largest is a zero, not a 1e17
     # condition number
     result = covariance_from_hessian(np.diag([1.0, 1e-17]))
-    assert not result.positive_definite
+    assert result.covariance is None
     assert result.std_errors is None
 
 
@@ -107,7 +105,6 @@ def test_covariance_indefinite_with_a_zero_eigenvalue():
     # the smallest eigenvalue is negative, but the smallest in magnitude is
     # an exact zero: the condition number is infinite, with no division
     result = covariance_from_hessian(np.diag([-1.0, 0.0, 2.0]))
-    assert not result.positive_definite
     assert result.covariance is None
     assert result.condition_number == math.inf
 
@@ -119,7 +116,7 @@ def test_covariance_condition_warning():
     h = np.array([[1.0, 1000.0 * rho], [1000.0 * rho, 1000.0 ** 2]])
     with pytest.warns(UserWarning):
         result = covariance_from_hessian(h)
-    assert result.positive_definite
+    assert result.covariance is not None
     assert result.condition_number > inference.CONDITION_WARN_THRESHOLD
 
 
@@ -206,7 +203,6 @@ def test_infections_nongender_example():
     assert external.per_thousand == pytest.approx(3.03, abs=1e-9)
     assert internal.per_thousand == pytest.approx(56.1, abs=1e-9)
     assert table.total_infections == pytest.approx(10.687 + 2.412, abs=0.01)
-    assert table.per_thousand_total_inconsistent
 
 
 def test_infections_gender_at_published_rates():
@@ -252,7 +248,8 @@ def test_fit_mwanza_standard_errors(mwanza):
     assert abs(fit.std_errors[0] - 0.001) <= 0.0005
     assert abs(fit.std_errors[1] - 0.046) <= 0.01
     assert fit.covariance is not None
-    assert fit.hessian == pytest.approx(fit.hessian.T)
+    information = score_and_information("nongender", mwanza, fit.estimates)[1]
+    assert information == pytest.approx(information.T)
 
 
 def test_fit_deterministic(mwanza):
@@ -267,7 +264,7 @@ def test_fit_recovers_rounded_expectations():
     truth = NonGenderParams(0.004, 0.07)
     init = PairCounts(1742, 43, 17)
     state = solve_nongender(truth, init, 2.0)
-    rounded = tuple(round(v) for v in state.as_tuple())
+    rounded = tuple(round(v) for v in state)
     rounded = (rounded[0], rounded[1], init.total - rounded[0] - rounded[1])
     data = nongender_dataset((0.0, 2.0), [init.as_tuple(), rounded])
     fit = fit_mle("nongender", data, seed=0)
@@ -312,8 +309,8 @@ def test_fit_gender_intervals_match_published(mwanza_gender):
     published = {"lambda_m": (0.0006, 0.0073), "lambda_f": (0.0, 0.0051),
                  "tau_mf": (0.0, 0.1819), "tau_fm": (0.0, 0.2271)}
     z = 1.959963984540054
-    for name, interval, sigma in zip(fit.param_names, fit.intervals[0.95],
-                                     fit.std_errors):
+    for name, interval, sigma in zip(PARAM_NAMES["gender"],
+                                     fit.intervals[0.95], fit.std_errors):
         ref = published[name]
         half = z * sigma
         if ref[0] == 0.0:
@@ -348,7 +345,7 @@ def test_fit_three_observation_times():
     init = PairCounts(1500, 250, 52)
     times = (0.0, 1.5, 4.0)
     states = [init.as_tuple()] + [
-        solve_nongender(truth, init, t).as_tuple() for t in times[1:]]
+        solve_nongender(truth, init, t) for t in times[1:]]
     data = nongender_dataset(times, states)
     fit = fit_mle("nongender", data, seed=0)
     assert fit.estimates[0] == pytest.approx(truth.lam, abs=1e-5)
@@ -687,8 +684,8 @@ def two_time_cohorts(draw):
     si0 = draw(st.integers(0, n - ss0))
     init = PairCounts(ss0, si0, n - ss0 - si0)
     state = solve_nongender(truth, init, horizon)
-    ss = round(state.p_ss)
-    si = min(round(state.p_si), n - ss)
+    ss = round(state[0])
+    si = min(round(state[1]), n - ss)
     return nongender_dataset((0.0, horizon),
                              [init.as_tuple(), (ss, si, n - ss - si)])
 
@@ -724,8 +721,8 @@ def test_closed_form_fit_attains_the_saturated_bound(data):
     # the MLE reproduces every count at T
     state = solve_nongender(NonGenderParams(*fit.estimates), data.initial,
                             data.times[1])
-    assert state.as_tuple() == pytest.approx(data.observations[1].as_tuple(),
-                                             rel=1e-9, abs=1e-9)
+    assert state == pytest.approx(data.observations[1].as_tuple(),
+                                  rel=1e-9, abs=1e-9)
     x, f = _tight_polished(data, fit)
     assert fit.loglik_at_max >= -f - max(1e-12 * (1.0 + abs(f)), eta)
     # 1e-6 relative, or what the value path resolves where that is more:
@@ -756,7 +753,8 @@ def test_information_matches_finite_difference_oracle(mwanza):
     objective = inference._objective("nongender", mwanza)
     oracle = richardson_hessian(objective, fit.estimates,
                                 8e-4 * fit.estimates)
-    assert fit.hessian == pytest.approx(oracle, rel=1e-5)
+    information = score_and_information("nongender", mwanza, fit.estimates)[1]
+    assert information == pytest.approx(oracle, rel=1e-5)
 
 
 def test_stationary_zero_rates_fit():
@@ -918,8 +916,8 @@ def test_gendered_fit_runs_one_optimizer_on_one_budget(data, budget,
 # simplex's diameter tolerance
 TRUTH_NEAR_BOUND = NonGenderParams(2.04e-4, 7.3e-6)
 NEAR_BOUND_COHORT = nongender_dataset((0.0, 8.0, 16.0), [
-    solve_nongender(TRUTH_NEAR_BOUND, PairCounts(5115, 1391, 1168),
-                    t).as_tuple() for t in (0.0, 8.0, 16.0)])
+    solve_nongender(TRUTH_NEAR_BOUND, PairCounts(5115, 1391, 1168), t)
+    for t in (0.0, 8.0, 16.0)])
 
 
 def test_polish_reaches_an_interior_optimum_near_a_bound():

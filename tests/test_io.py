@@ -466,6 +466,7 @@ def test_supplementary_analytics_warn_nothing(tmp_path, capsys, model, text,
     assert summary["mle"]["estimates"] == estimates
     assert summary.get("cfa") == cfa
     assert summary.get("analytical", {}).get("lambda_negative") == lambda_negative
+    assert summary["infections"]["per_1000_total_inconsistent"] is True
 
 
 def test_cli_simulate_round_trip(tmp_path):
@@ -787,6 +788,26 @@ def test_manifest_zero_replicates_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: validation replicates")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0, 2, 1], "snapshot times"), ([0], "at least two observation times"),
+    ([-1, 2], "snapshot times"), ([0, math.nan], "snapshot times"),
+], ids=["decreasing", "one", "negative", "nan"])
+def test_manifest_bad_validation_times_fail_before_any_fit(
+        times, message, monkeypatch, tmp_path):
+    # they used to fail only after every run's fit
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit ran before the manifest was checked")
+
+    monkeypatch.setattr(pairinfer.io, "analyze", refuse)
+    manifest = {"seed": 1, "runs": [{"model": "nongender", "input": "bundled"}],
+                "validation": {"model": "nongender",
+                               "grid": {"lambda": [0.003], "tau": [0.05]},
+                               "times": times, "replicates": 2}}
+    with pytest.raises(DomainError, match=message):
+        pairinfer.io.run_manifest(manifest, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("scalars", [
