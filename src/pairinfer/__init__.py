@@ -51,9 +51,9 @@ _EXPORTS = {
                    "log_likelihood_gender", "log_likelihood_nongender",
                    "saturated_log_likelihood", "slice_profile"),
     "model": ("GENDER", "MODELS", "NONGENDER", "PARAM_NAMES",
-              "GenderPairCounts", "GenderParams", "ModelSpec",
-              "NonGenderParams", "PairCounts", "solve_gender",
-              "solve_nongender"),
+              "GenderPairCounts", "GenderPairState", "GenderParams",
+              "ModelSpec", "NonGenderParams", "PairCounts", "PairState",
+              "solve_gender", "solve_nongender"),
     "neldermead": ("SimplexResult", "minimize_simplex"),
     "quantiles": ("chi2_quantile_2dof", "normal_quantile"),
     "simulate": ("ValidationRecord", "derive_seed", "gillespie_simulate",

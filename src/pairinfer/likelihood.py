@@ -76,7 +76,7 @@ def _log_likelihood(solve, kind, params, data: Dataset) -> float:
     ll = 0.0
     for t, counts in zip(data.elapsed()[1:], data.counts[1:]):
         term = 0.0
-        for n_obs, pred in zip(counts, solve(params, init, t)):
+        for n_obs, pred in zip(counts, solve(params, init, t).as_tuple()):
             if n_obs > 0:
                 p = pred / n
                 if p <= 0.0:

@@ -32,15 +32,14 @@ broadcasting rate columns and :func:`~pairinfer.likelihood.count_derivatives`
 differentiates every count from one routine over them (near x = 0 through
 the Taylor series of expm1(x*t)/x, whose closed-form derivatives cancel
 there); and the simulator, infections table, parsers and CLI read it too.
-The scalar solver returns a plain tuple of counts in state order, and so
-costs no more than the copies written out per model that the table
-replaced, which built a frozen dataclass each: 1.58 against 1.69 us per
-non-gendered solve and 2.06 against 2.32 us per gendered one (median of
-15 interleaved rounds of fresh interpreters on one pinned CPU of a 2-CPU
+The scalar solve pays for reading the table: 2.08 against 1.50 us per
+non-gendered solve and 2.69 against 2.01 us per gendered one, for the
+copies written out per model that it replaced (timeit, median of 11
+interleaved rounds of fresh interpreters on one pinned CPU of a 2-CPU
 shared host, Python 3.11).  At 21 solves per fitted cohort file and 5 per
-simulate-and-refit replicate, either is under 1% of the work.  Everything
-here is a pure function of its arguments; all value types are frozen and
-safe to share across threads.
+simulate-and-refit replicate, that is under 1% of either.  Everything here
+is a pure function of its arguments; all value types are frozen and safe
+to share across threads.
 This module needs only :mod:`math`, so loading a dataset imports no
 numpy; the array kernels over the table live in :mod:`pairinfer.likelihood`.
 """
@@ -146,6 +145,39 @@ class GenderParams:
 
 
 @dataclass(frozen=True)
+class PairState:
+    """Expected (real-valued) pair counts for the non-gendered model."""
+
+    p_ss: float
+    p_si: float
+    p_ii: float
+
+    @property
+    def total(self):
+        return self.p_ss + self.p_si + self.p_ii
+
+    def as_tuple(self):
+        return (self.p_ss, self.p_si, self.p_ii)
+
+
+@dataclass(frozen=True)
+class GenderPairState:
+    """Expected (real-valued) pair counts for the gendered model."""
+
+    p_ss: float
+    p_is: float
+    p_si: float
+    p_ii: float
+
+    @property
+    def total(self):
+        return self.p_ss + self.p_is + self.p_si + self.p_ii
+
+    def as_tuple(self):
+        return (self.p_ss, self.p_is, self.p_si, self.p_ii)
+
+
+@dataclass(frozen=True)
 class ModelSpec:
     """What one pair model is, for every path that serves both models.
 
@@ -222,9 +254,8 @@ def _check_time(t):
         raise DomainError(f"time must be finite and >= 0, got {t!r}")
 
 
-def _solve(spec, rates, init, t):
-    """Closed-form expected pair counts at elapsed time t, a tuple in
-    ``spec.state_labels`` order, read from ``spec``.
+def _solve(spec, state_type, rates, init, t):
+    """Closed-form expected pair counts at elapsed time t, read from ``spec``.
 
     ``rates`` is a rate vector in ``spec.param_names`` order.  SS decays as
     decay = exp(-hazard*t).  Each discordant class, in state order, with
@@ -256,23 +287,22 @@ def _solve(spec, rates, init, t):
         states.append(value)
         rest -= value
     states.append(max(rest, 0.0))
-    return tuple(states)
+    return state_type(*states)
 
 
-def solve_nongender(params: NonGenderParams, init: PairCounts, t: float) -> tuple:
-    """Closed-form expected pair counts (SS, SI, II) at elapsed time t from
-    state ``init``."""
-    return _solve(MODELS[NONGENDER], params.as_vector(), init, t)
+def solve_nongender(params: NonGenderParams, init: PairCounts, t: float) -> PairState:
+    """Closed-form expected pair counts at elapsed time t from state ``init``."""
+    return _solve(MODELS[NONGENDER], PairState, params.as_vector(), init, t)
 
 
-def solve_gender(params: GenderParams, init: GenderPairCounts, t: float) -> tuple:
-    """Closed-form expected pair counts (SS, IS, SI, II) for the gendered model.
+def solve_gender(params: GenderParams, init: GenderPairCounts, t: float) -> GenderPairState:
+    """Closed-form expected pair counts for the gendered model.
 
     The two discordant classes have independent singular limits, applied when
     tau_mf is within EPS_SINGULAR of lambda_m (and likewise for the f -> m
     pair of rates).
     """
-    return _solve(MODELS[GENDER], params.as_vector(), init, t)
+    return _solve(MODELS[GENDER], GenderPairState, params.as_vector(), init, t)
 
 
 # Below |x*t| = 1 the derivatives of D come from its Taylor series: the

@@ -243,7 +243,7 @@ def make_consistent_dataset(rng, horizon=2.0):
         si0 = rng.uniform(30.0, 80.0)
         params = NonGenderParams(lam, tau)
         probe = solve_nongender(params, PairCounts(ss0, si0, 0.0), horizon)
-        p_ss, p_si = probe[0], probe[1]
+        p_ss, p_si = probe.p_ss, probe.p_si
         # ii0 solving ii0/si0 = P_II/P_SI; P_SS and P_SI do not depend on ii0
         denom = p_si - si0
         if denom <= 1e-6:
@@ -254,7 +254,7 @@ def make_consistent_dataset(rng, horizon=2.0):
         init = PairCounts(ss0, si0, ii0)
         state = solve_nongender(params, init, horizon)
         data = nongender_dataset((0.0, horizon),
-                                 [init.as_tuple(), state])
+                                 [init.as_tuple(), state.as_tuple()])
         return params, data
 
 
@@ -433,15 +433,15 @@ def _class_distributions(params, init, t):
     """Per-pair state distribution at time t for each initial state class."""
     if isinstance(params, NonGenderParams):
         dists = [
-            solve_nongender(params, PairCounts(1, 0, 0), t),
-            solve_nongender(params, PairCounts(0, 1, 0), t),
+            solve_nongender(params, PairCounts(1, 0, 0), t).as_tuple(),
+            solve_nongender(params, PairCounts(0, 1, 0), t).as_tuple(),
             (0.0, 0.0, 1.0),  # II is absorbing
         ]
     else:
         dists = [
-            solve_gender(params, GenderPairCounts(1, 0, 0, 0), t),
-            solve_gender(params, GenderPairCounts(0, 1, 0, 0), t),
-            solve_gender(params, GenderPairCounts(0, 0, 1, 0), t),
+            solve_gender(params, GenderPairCounts(1, 0, 0, 0), t).as_tuple(),
+            solve_gender(params, GenderPairCounts(0, 1, 0, 0), t).as_tuple(),
+            solve_gender(params, GenderPairCounts(0, 0, 1, 0), t).as_tuple(),
             (0.0, 0.0, 0.0, 1.0),
         ]
     checked = []

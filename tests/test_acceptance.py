@@ -132,7 +132,7 @@ def test_criterion_06_closed_form_vs_ode():
         si = 0.2 * n
         init = PairCounts(ss, si, n - ss - si)
         params = NonGenderParams(lam, tau)
-        closed = np.array(solve_nongender(params, init, t))
+        closed = np.array(solve_nongender(params, init, t).as_tuple())
         worst = max(worst, float(np.max(np.abs(
             closed - integrate_nongender(params, init, t)))))
 
@@ -141,7 +141,7 @@ def test_criterion_06_closed_form_vs_ode():
             gvec[2], gvec[3] = gvec[0], gvec[1]  # both gendered singular limits
         gparams = GenderParams(*map(float, gvec))
         ginit = GenderPairCounts(ss, si / 2, si / 2, n - ss - si)
-        gclosed = np.array(solve_gender(gparams, ginit, t))
+        gclosed = np.array(solve_gender(gparams, ginit, t).as_tuple())
         worst = max(worst, float(np.max(np.abs(
             gclosed - integrate_gender(gparams, ginit, t)))))
     elapsed = time.perf_counter() - start
@@ -181,12 +181,12 @@ def test_criterion_08_simulator_consistency(mwanza):
         table[1] += e.as_tuple()
         sums += g.as_tuple()
     _, p_value, _, _ = chi2_contingency(table)
-    expected = np.array(solve_nongender(params, init, 2.0))
+    expected = np.array(solve_nongender(params, init, 2.0).as_tuple())
     variances = np.zeros(3)
     for n_class, one_hot in ((init.ss, (1, 0, 0)), (init.si, (0, 1, 0)),
                              (init.ii, (0, 0, 1))):
         probs = np.array(solve_nongender(
-            params, PairCounts(*one_hot), 2.0))
+            params, PairCounts(*one_hot), 2.0).as_tuple())
         variances += n_class * probs * (1.0 - probs)
     se = np.sqrt(variances / reps)
     mean_ok = bool(np.all(np.abs(sums / reps - expected) <= 3 * se))

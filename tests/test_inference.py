@@ -264,7 +264,7 @@ def test_fit_recovers_rounded_expectations():
     truth = NonGenderParams(0.004, 0.07)
     init = PairCounts(1742, 43, 17)
     state = solve_nongender(truth, init, 2.0)
-    rounded = tuple(round(v) for v in state)
+    rounded = tuple(round(v) for v in state.as_tuple())
     rounded = (rounded[0], rounded[1], init.total - rounded[0] - rounded[1])
     data = nongender_dataset((0.0, 2.0), [init.as_tuple(), rounded])
     fit = fit_mle("nongender", data, seed=0)
@@ -345,7 +345,7 @@ def test_fit_three_observation_times():
     init = PairCounts(1500, 250, 52)
     times = (0.0, 1.5, 4.0)
     states = [init.as_tuple()] + [
-        solve_nongender(truth, init, t) for t in times[1:]]
+        solve_nongender(truth, init, t).as_tuple() for t in times[1:]]
     data = nongender_dataset(times, states)
     fit = fit_mle("nongender", data, seed=0)
     assert fit.estimates[0] == pytest.approx(truth.lam, abs=1e-5)
@@ -684,8 +684,8 @@ def two_time_cohorts(draw):
     si0 = draw(st.integers(0, n - ss0))
     init = PairCounts(ss0, si0, n - ss0 - si0)
     state = solve_nongender(truth, init, horizon)
-    ss = round(state[0])
-    si = min(round(state[1]), n - ss)
+    ss = round(state.p_ss)
+    si = min(round(state.p_si), n - ss)
     return nongender_dataset((0.0, horizon),
                              [init.as_tuple(), (ss, si, n - ss - si)])
 
@@ -721,8 +721,8 @@ def test_closed_form_fit_attains_the_saturated_bound(data):
     # the MLE reproduces every count at T
     state = solve_nongender(NonGenderParams(*fit.estimates), data.initial,
                             data.times[1])
-    assert state == pytest.approx(data.observations[1].as_tuple(),
-                                  rel=1e-9, abs=1e-9)
+    assert state.as_tuple() == pytest.approx(data.observations[1].as_tuple(),
+                                             rel=1e-9, abs=1e-9)
     x, f = _tight_polished(data, fit)
     assert fit.loglik_at_max >= -f - max(1e-12 * (1.0 + abs(f)), eta)
     # 1e-6 relative, or what the value path resolves where that is more:
@@ -755,6 +755,8 @@ def test_information_matches_finite_difference_oracle(mwanza):
                                 8e-4 * fit.estimates)
     information = score_and_information("nongender", mwanza, fit.estimates)[1]
     assert information == pytest.approx(oracle, rel=1e-5)
+    # the fit's standard errors come from this information
+    assert fit.covariance == pytest.approx(np.linalg.inv(information), rel=1e-9)
 
 
 def test_stationary_zero_rates_fit():
@@ -916,8 +918,8 @@ def test_gendered_fit_runs_one_optimizer_on_one_budget(data, budget,
 # simplex's diameter tolerance
 TRUTH_NEAR_BOUND = NonGenderParams(2.04e-4, 7.3e-6)
 NEAR_BOUND_COHORT = nongender_dataset((0.0, 8.0, 16.0), [
-    solve_nongender(TRUTH_NEAR_BOUND, PairCounts(5115, 1391, 1168), t)
-    for t in (0.0, 8.0, 16.0)])
+    solve_nongender(TRUTH_NEAR_BOUND, PairCounts(5115, 1391, 1168),
+                    t).as_tuple() for t in (0.0, 8.0, 16.0)])
 
 
 def test_polish_reaches_an_interior_optimum_near_a_bound():

@@ -74,7 +74,8 @@ def test_t0_observation_never_contributes(mwanza):
 
     state = solve_nongender(params, mwanza.initial, 2.0)
     manual = sum(n * math.log(p / mwanza.n)
-                 for n, p in zip(mwanza.observations[1].as_tuple(), state))
+                 for n, p in zip(mwanza.observations[1].as_tuple(),
+                                 state.as_tuple()))
     assert log_likelihood_nongender(params, mwanza) == pytest.approx(
         manual, abs=1e-12)
 
@@ -107,14 +108,14 @@ def test_gender_marginalization_consistency(mwanza, mwanza_gender):
 
     g = solve_gender(gparams, mwanza_gender.initial, 2.0)
     ng = solve_nongender(NonGenderParams(lam, tau), mwanza.initial, 2.0)
-    assert g[1] + g[2] == pytest.approx(ng[1], abs=1e-10)
-    assert g[0] == pytest.approx(ng[0], abs=1e-10)
-    assert g[3] == pytest.approx(ng[2], abs=1e-10)
+    assert g.p_is + g.p_si == pytest.approx(ng.p_si, abs=1e-10)
+    assert g.p_ss == pytest.approx(ng.p_ss, abs=1e-10)
+    assert g.p_ii == pytest.approx(ng.p_ii, abs=1e-10)
     # ss and ii likelihood terms are therefore identical across the models
     obs = mwanza.observations[1]
-    term_ng = obs.ss * math.log(ng[0] / mwanza.n) + obs.ii * math.log(ng[2] / mwanza.n)
+    term_ng = obs.ss * math.log(ng.p_ss / mwanza.n) + obs.ii * math.log(ng.p_ii / mwanza.n)
     gobs = mwanza_gender.observations[1]
-    term_g = gobs.ss * math.log(g[0] / mwanza.n) + gobs.ii * math.log(g[3] / mwanza.n)
+    term_g = gobs.ss * math.log(g.p_ss / mwanza.n) + gobs.ii * math.log(g.p_ii / mwanza.n)
     assert term_g == pytest.approx(term_ng, abs=1e-12)
 
 

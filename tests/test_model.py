@@ -30,48 +30,48 @@ ORACLE_G_EXAMPLE = (1721.2209238054832, 33.14055806548419,
 
 def test_zero_rates_freeze_state():
     state = solve_nongender(NonGenderParams(0.0, 0.0), MWANZA_INIT, 5.0)
-    assert state == (1742.0, 43.0, 17.0)
+    assert state.as_tuple() == (1742.0, 43.0, 17.0)
 
 
 def test_t_zero_returns_init_exactly():
     state = solve_nongender(NonGenderParams(0.123, 0.456), MWANZA_INIT, 0.0)
-    assert state == (1742.0, 43.0, 17.0)
+    assert state.as_tuple() == (1742.0, 43.0, 17.0)
     gstate = solve_gender(GenderParams(0.1, 0.2, 0.3, 0.4), MWANZA_G_INIT, 0.0)
-    assert gstate == (1742.0, 22.0, 21.0, 17.0)
+    assert gstate.as_tuple() == (1742.0, 22.0, 21.0, 17.0)
 
 
 def test_nongender_matches_frozen_oracle_values():
     state = solve_nongender(NonGenderParams(0.003033, 0.0561), MWANZA_INIT, 2.0)
-    assert state == pytest.approx(ORACLE_NG_EXAMPLE, abs=1e-8)
+    assert state.as_tuple() == pytest.approx(ORACLE_NG_EXAMPLE, abs=1e-8)
     # headline values: ss is analytically forced by lambda = log(1742/1721)/4
-    assert state[0] == pytest.approx(1721.0, abs=0.05)
-    assert state[1] == pytest.approx(58.0, abs=0.05)
-    assert state[2] == pytest.approx(23.0, abs=0.05)
+    assert state.p_ss == pytest.approx(1721.0, abs=0.05)
+    assert state.p_si == pytest.approx(58.0, abs=0.05)
+    assert state.p_ii == pytest.approx(23.0, abs=0.05)
 
 
 def test_singular_branch_matches_frozen_oracle():
     state = solve_nongender(NonGenderParams(0.01, 0.01), PairCounts(100, 10, 0), 3.0)
-    assert state == pytest.approx(ORACLE_NG_SINGULAR, abs=1e-8)
+    assert state.as_tuple() == pytest.approx(ORACLE_NG_SINGULAR, abs=1e-8)
 
 
 def test_gender_matches_frozen_oracle_at_fitted_rates():
     params = GenderParams(0.004, 0.002, 0.047, 0.068)
     state = solve_gender(params, MWANZA_G_INIT, 2.0)
-    assert state == pytest.approx(ORACLE_G_EXAMPLE, abs=1e-8)
+    assert state.as_tuple() == pytest.approx(ORACLE_G_EXAMPLE, abs=1e-8)
 
 
 def test_gender_all_zero_rates():
     state = solve_gender(GenderParams(0, 0, 0, 0), MWANZA_G_INIT, 2.0)
-    assert state == (1742.0, 22.0, 21.0, 17.0)
+    assert state.as_tuple() == (1742.0, 22.0, 21.0, 17.0)
 
 
 def test_gender_marginalizes_to_nongender_under_symmetric_rates():
     lam, tau = 0.004, 0.06
     g = solve_gender(GenderParams(lam, lam, tau, tau), MWANZA_G_INIT, 2.0)
     ng = solve_nongender(NonGenderParams(lam, tau), MWANZA_INIT, 2.0)
-    assert g[0] == pytest.approx(ng[0], abs=1e-10)
-    assert g[3] == pytest.approx(ng[2], abs=1e-10)
-    assert g[1] + g[2] == pytest.approx(ng[1], abs=1e-10)
+    assert g.p_ss == pytest.approx(ng.p_ss, abs=1e-10)
+    assert g.p_ii == pytest.approx(ng.p_ii, abs=1e-10)
+    assert g.p_is + g.p_si == pytest.approx(ng.p_si, abs=1e-10)
 
 
 def test_oracle_equivalence_random_draws():
@@ -87,7 +87,7 @@ def test_oracle_equivalence_random_draws():
         si = 0.15 * n
         init = PairCounts(ss, si, n - ss - si)
         params = NonGenderParams(lam, tau)
-        closed = np.array(solve_nongender(params, init, t))
+        closed = np.array(solve_nongender(params, init, t).as_tuple())
         exact = integrate_nongender(params, init, t)
         assert np.max(np.abs(closed - exact)) < 1e-8
 
@@ -97,7 +97,7 @@ def test_oracle_equivalence_random_draws():
             gparams = GenderParams(gparams.lam_m, gparams.lam_f,
                                    gparams.lam_m, gparams.lam_f)
         ginit = GenderPairCounts(ss, si / 2, si / 2, n - ss - si)
-        gclosed = np.array(solve_gender(gparams, ginit, t))
+        gclosed = np.array(solve_gender(gparams, ginit, t).as_tuple())
         gexact = integrate_gender(gparams, ginit, t)
         assert np.max(np.abs(gclosed - gexact)) < 1e-8
 
@@ -111,8 +111,8 @@ time_value = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 def test_conservation_property(lam, tau, t):
     state = solve_nongender(NonGenderParams(lam, tau), MWANZA_INIT, t)
     n = MWANZA_INIT.total
-    assert abs(sum(state) - n) < 1e-9 * n
-    assert all(-1e-9 <= c <= n * (1 + 1e-12) for c in state)
+    assert abs(state.total - n) < 1e-9 * n
+    assert all(-1e-9 <= c <= n * (1 + 1e-12) for c in state.as_tuple())
 
 
 @settings(max_examples=100, deadline=None)
@@ -120,7 +120,7 @@ def test_conservation_property(lam, tau, t):
 def test_gender_conservation_property(lam, tau, lam2, tau2, t):
     state = solve_gender(GenderParams(lam, lam2, tau, tau2), MWANZA_G_INIT, t)
     n = MWANZA_G_INIT.total
-    assert abs(sum(state) - n) < 1e-9 * n
+    assert abs(state.total - n) < 1e-9 * n
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,8 +129,8 @@ def test_monotonicity_property(lam, tau):
     params = NonGenderParams(lam, tau)
     times = np.linspace(0.0, 8.0, 30)
     states = [solve_nongender(params, MWANZA_INIT, t) for t in times]
-    ss = [s[0] for s in states]
-    ii = [s[2] for s in states]
+    ss = [s.p_ss for s in states]
+    ii = [s.p_ii for s in states]
     assert all(b <= a + 1e-9 for a, b in zip(ss, ss[1:]))
     assert all(b >= a - 1e-9 for a, b in zip(ii, ii[1:]))
 
@@ -141,7 +141,8 @@ def test_continuity_at_singular_branch():
     reference = solve_nongender(NonGenderParams(lam, lam), MWANZA_INIT, 3.0)
     for tau in (lam - 1e-9, lam + 1e-9):
         nearby = solve_nongender(NonGenderParams(lam, tau), MWANZA_INIT, 3.0)
-        diff = max(abs(a - b) for a, b in zip(nearby, reference))
+        diff = max(abs(a - b) for a, b in
+                   zip(nearby.as_tuple(), reference.as_tuple()))
         assert diff < 1e-6 * n
 
 
@@ -164,11 +165,11 @@ def test_long_horizon_tau_below_lambda_stays_finite():
     # exp(-(tau - lambda)*t) alone overflows here; the combined exponent
     # exp(-(tau + lambda)*t) underflows harmlessly instead
     state = solve_nongender(NonGenderParams(10, 0), PairCounts(100, 5, 0), 80)
-    assert state == (0.0, 0.0, 105.0)
+    assert state.as_tuple() == (0.0, 0.0, 105.0)
     # men infected at rate 10, nothing else moves: every SS pair ends in IS
     gstate = solve_gender(GenderParams(10, 0, 0, 0),
                           GenderPairCounts(100, 5, 5, 0), 80)
-    assert gstate == (0.0, 105.0, 0.0, 5.0)
+    assert gstate.as_tuple() == (0.0, 105.0, 0.0, 5.0)
 
 
 def _internal_rate(draw, lam, times):
@@ -355,11 +356,10 @@ def test_column_kernel_matches_the_written_out_solver_property(case):
     written = oracles.solve_batch(kind, init, rates, t)
     assert ours.tobytes() == written.tobytes()
     solve = solve_nongender if kind == NONGENDER else solve_gender
-    solved = [solve(model.params_from_vector(kind, row), init, t)
-              for row in rates.tolist()]
-    n_states = len(model.MODELS[kind].state_labels)
-    assert all(type(s) is tuple and len(s) == n_states for s in solved)
-    scalar = np.array(solved).T
+    scalar = np.array([
+        solve(model.params_from_vector(kind, row), init, t).as_tuple()
+        for row in rates.tolist()]).T
+    assert scalar.shape == (len(model.MODELS[kind].state_labels), len(rates))
     assert scalar.tobytes() == written.tobytes()
     hazard_rates = [c for c, unit in zip(columns, np.eye(len(columns)))
                     if model.MODELS[kind].hazard(unit)]

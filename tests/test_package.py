@@ -26,9 +26,9 @@ SURFACE = {
                    "log_likelihood_gender", "log_likelihood_nongender",
                    "saturated_log_likelihood", "slice_profile"),
     "model": ("GENDER", "MODELS", "NONGENDER", "PARAM_NAMES",
-              "GenderPairCounts", "GenderParams", "ModelSpec",
-              "NonGenderParams", "PairCounts", "solve_gender",
-              "solve_nongender"),
+              "GenderPairCounts", "GenderPairState", "GenderParams",
+              "ModelSpec", "NonGenderParams", "PairCounts", "PairState",
+              "solve_gender", "solve_nongender"),
     "neldermead": ("SimplexResult", "minimize_simplex"),
     "quantiles": ("chi2_quantile_2dof", "normal_quantile"),
     "simulate": ("ValidationRecord", "derive_seed", "gillespie_simulate",
@@ -38,7 +38,7 @@ NAMES = {name for names in SURFACE.values() for name in names}
 
 
 def test_every_export_resolves_to_its_module():
-    assert len(NAMES) == 67 and len(SURFACE) == 10
+    assert len(NAMES) == 69 and len(SURFACE) == 10
     for module_name, names in SURFACE.items():
         module = importlib.import_module(f"pairinfer.{module_name}")
         assert getattr(pairinfer, module_name) is module
