@@ -11,13 +11,14 @@ loads only this file, and ``pairinfer.load_bundled`` then loads the
 dataset layer (``errors``, ``model``, ``dataset`` and the ``data``
 package), not the fitting, grid, simulator and report code.  The dataset
 layer and the scalar solver need only :mod:`math`, so they import no
-numpy; the array kernels live in :mod:`pairinfer.likelihood`.  A fresh
-interpreter that imports pairinfer and loads both bundled cohorts took
-125.2 ms while ``model`` imported numpy and takes 63.7 ms without it
-(quartiles 122.2-129.6 and 61.3-66.0 ms; a launch that imports numpy
-alone takes 106.9 ms): medians of 25 alternating pairs of launches pinned
-to one CPU of a 2-CPU KVM host, with a bytecode cache.  The CLI imports
-every layer, numpy included, so a ``pairinfer`` command starts as before.
+numpy; the array kernels live in :mod:`pairinfer.likelihood`.  Their value
+types are tuples, so they import no :mod:`dataclasses` either.  A fresh
+interpreter that imports pairinfer and loads both bundled cohorts takes
+49.4 ms, against 58.2 ms while those types were dataclasses (quartiles
+43.7-62.0 and 54.9-75.0 ms; a bare ``python -c pass`` took 45.1 ms):
+medians of 41 alternating pairs of launches pinned to one CPU of a 2-CPU
+KVM host, with a bytecode cache.  The CLI imports every layer, numpy
+included, so a ``pairinfer`` command starts as before.
 
 Module ``__getattr__`` does not cache what it returns in the package's
 globals: each access looks the name up on its module again.  So a function
@@ -51,9 +52,9 @@ _EXPORTS = {
                    "log_likelihood_gender", "log_likelihood_nongender",
                    "saturated_log_likelihood", "slice_profile"),
     "model": ("GENDER", "MODELS", "NONGENDER", "PARAM_NAMES",
-              "GenderPairCounts", "GenderPairState", "GenderParams",
-              "ModelSpec", "NonGenderParams", "PairCounts", "PairState",
-              "solve_gender", "solve_nongender"),
+              "GenderPairCounts", "GenderParams", "ModelSpec",
+              "NonGenderParams", "PairCounts", "PairState", "solve_gender",
+              "solve_nongender"),
     "neldermead": ("SimplexResult", "minimize_simplex"),
     "quantiles": ("chi2_quantile_2dof", "normal_quantile"),
     "simulate": ("ValidationRecord", "derive_seed", "gillespie_simulate",

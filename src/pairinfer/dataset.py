@@ -14,12 +14,12 @@ import functools
 import io as _io
 import json
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, ParseError
-from .model import MODELS, GenderPairCounts, PairCounts, model_of, model_spec
+from .model import (_FLOAT_MAX, MODELS, GenderPairCounts, PairCounts, _ReadOnly,
+                    model_of, model_spec)
 
 # Observations are conceptually integer counts; real-valued entries are
 # accepted so model-generated expectations can be used as synthetic data.
@@ -32,51 +32,61 @@ def require_two_times(times):
         raise DomainError("at least two observation times required")
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_ReadOnly):
     """Observation times with aligned pair counts; the first time is t = 0.
 
     All observations must sum to the same constant pair total N, and at
-    least two observation times are required.
+    least two observation times are required.  Two datasets are equal when
+    their times and observations are.
     """
 
-    times: tuple
-    observations: tuple
-    # every likelihood evaluation reads these, so they are computed once
-    kind: str = field(init=False, repr=False, compare=False)
-    n: float = field(init=False, repr=False, compare=False)  # pair total N
-    counts: tuple = field(init=False, repr=False, compare=False)
-    _elapsed: tuple = field(init=False, repr=False, compare=False)
+    # every likelihood evaluation reads kind, n (the pair total N) and
+    # _elapsed, so they are computed once
+    __slots__ = ("times", "observations", "kind", "n", "_elapsed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "observations", tuple(self.observations))
-        if len(self.times) != len(self.observations):
+    def __init__(self, times, observations):
+        try:
+            times = tuple(float(t) for t in times)
+        except OverflowError:  # an int past the float range
+            raise DomainError("observation times must be finite") from None
+        observations = tuple(observations)
+        if len(times) != len(observations):
             raise DomainError("times and observations must have equal length")
-        require_two_times(self.times)
-        if not all(math.isfinite(t) for t in self.times):
-            raise DomainError(f"observation times must be finite, got {self.times}")
-        for a, b in zip(self.times, self.times[1:]):
+        require_two_times(times)
+        if not all(math.isfinite(t) for t in times):
+            raise DomainError(f"observation times must be finite, got {times}")
+        for a, b in zip(times, times[1:]):
             if not b > a:
                 raise DomainError(
                     f"observation times must strictly increase, got {a} then {b}")
-        if len({type(obs) for obs in self.observations}) != 1:
+        if len({type(obs) for obs in observations}) != 1:
             raise DomainError("observations must be all PairCounts or all "
                               "GenderPairCounts")
-        spec = model_of(self.observations[0])
-        n0 = self.observations[0].total
+        spec = model_of(observations[0])
+        n0 = observations[0].total
         if n0 <= 0:
             raise DomainError("pair total N must be positive")
-        for t, obs in zip(self.times, self.observations):
-            if abs(obs.total - n0) > _SUM_RTOL * n0:
+        for t, obs in zip(times, observations):
+            total = obs.total
+            # compared before any arithmetic: an int total may pass float range
+            if not total <= _FLOAT_MAX:
+                raise DomainError(f"counts at time {t:g} sum past the largest "
+                                  f"float, {_FLOAT_MAX:g}")
+            if abs(total - n0) > _SUM_RTOL * n0:
                 raise DomainError(
-                    f"counts at time {t:g} sum to {obs.total:g}, expected N={n0:g}")
-        t0 = self.times[0]
-        object.__setattr__(self, "kind", spec.kind)
-        object.__setattr__(self, "n", n0)
-        object.__setattr__(self, "counts", tuple(obs.as_tuple()
-                                                 for obs in self.observations))
-        object.__setattr__(self, "_elapsed", tuple(t - t0 for t in self.times))
+                    f"counts at time {t:g} sum to {total:g}, expected N={n0:g}")
+        t0 = times[0]
+        super().__init__(times=times, observations=observations,
+                         kind=spec.kind, n=n0,
+                         _elapsed=tuple(t - t0 for t in times))
+
+    def __eq__(self, other):
+        if type(other) is not Dataset:
+            return NotImplemented
+        return (self.times, self.observations) == (other.times, other.observations)
+
+    def __hash__(self):
+        return hash((self.times, self.observations))
 
     @property
     def initial(self):
@@ -107,6 +117,8 @@ def _parse_json_dataset(text, source):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: invalid JSON at line {exc.lineno}: "
                          f"{exc.msg}") from exc
+    except ValueError as exc:  # an int literal past the digit limit
+        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{source}: expected a JSON object")
     version = doc.get("schema_version")
@@ -139,6 +151,8 @@ def _parse_json_dataset(text, source):
             times.append(float(entry["time"]))
         except (TypeError, ValueError):
             raise ParseError(f"{where}: field 'time' must be a number") from None
+        except OverflowError:  # an int past the float range
+            raise ParseError(f"{where}: field 'time' must be finite") from None
         for key, val in entry["counts"].items():
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ParseError(f"{where}: counts.{key} must be a number")
@@ -215,7 +229,7 @@ def parse_dataset(path) -> Dataset:
 def load_bundled(kind) -> Dataset:
     """Load the bundled Mwanza cohort dataset for the given model kind.
 
-    Each is read and parsed once per process, and the one frozen Dataset
+    Each is read and parsed once per process, and the one read-only Dataset
     is shared: every fit compares its data with it.
     """
     model_spec(kind)  # an unknown kind is a ConfigError

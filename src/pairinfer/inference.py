@@ -298,12 +298,10 @@ class InfectionsTable:
 
 def infections_per_year(params, init) -> InfectionsTable:
     """Expected new infections per year from each route at state ``init``."""
-    rates = params.as_vector()
-    counts = init.as_tuple()
     rows = []
     for label, index, weights in model_of(init, params).routes:
-        rate = rates[index]
-        exposed = sum(w * c for w, c in zip(weights, counts))
+        rate = params[index]
+        exposed = sum(w * c for w, c in zip(weights, init))
         rows.append(InfectionRow(label, rate, rate * exposed, rate * 1000.0))
     return InfectionsTable(
         rows=rows,
@@ -652,7 +650,7 @@ def _default_warm_start(kind, data, bounds):
             # clamping negative CFA rates is routine here, not user-visible
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                start, source = np.array(cfa(data).as_vector()), "CFA"
+                start, source = np.array(cfa(data)), "CFA"
         except DomainError:
             start, source = np.array([1e-3, 1e-3]), "default"
         # the two-time MLE of the first and last observations, where the

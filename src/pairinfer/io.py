@@ -122,7 +122,7 @@ def dataset_to_document(data: Dataset, description=None) -> dict:
     doc["observations"] = [
         {"time": _count_value(t),
          "counts": {k: _count_value(v) for k, v in zip(keys, counts)}}
-        for t, counts in zip(data.times, data.counts)
+        for t, counts in zip(data.times, data.observations)
     ]
     return doc
 
@@ -287,7 +287,7 @@ def _bundle_summary(bundle: AnalysisBundle) -> dict:
         "model": bundle.kind,
         "n_pairs": bundle.data.n,
         "times": list(bundle.data.times),
-        "observations": [list(obs.as_tuple()) for obs in bundle.data.observations],
+        "observations": [list(obs) for obs in bundle.data.observations],
         "mle": {
             "estimates": est,
             "loglik": fit.loglik_at_max,

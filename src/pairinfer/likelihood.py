@@ -63,8 +63,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DomainError
 from .model import (EPS_SINGULAR, GENDER, MODELS, NONGENDER, PARAM_NAMES,
-                    _check_nonnegative, _check_time, _inflow_moments,
-                    model_spec, solve_gender, solve_nongender)
+                    _check_nonnegative, _inflow_moments, model_spec,
+                    solve_gender, solve_nongender)
 
 
 def _log_likelihood(solve, kind, params, data: Dataset) -> float:
@@ -74,9 +74,9 @@ def _log_likelihood(solve, kind, params, data: Dataset) -> float:
     init = data.initial
     n = data.n
     ll = 0.0
-    for t, counts in zip(data.elapsed()[1:], data.counts[1:]):
+    for t, counts in zip(data.elapsed()[1:], data.observations[1:]):
         term = 0.0
-        for n_obs, pred in zip(counts, solve(params, init, t).as_tuple()):
+        for n_obs, pred in zip(counts, solve(params, init, t)):
             if n_obs > 0:
                 p = pred / n
                 if p <= 0.0:
@@ -157,7 +157,7 @@ def count_derivatives(kind, init, rates, times):
 
     ``rates`` is one rate vector in ``PARAM_NAMES[kind]`` order.  Returns
     ``(p, grad, hess)`` of shapes (T, states), (T, states, dim) and
-    (T, states, dim, dim), states in ``as_tuple`` order.  One routine serves
+    (T, states, dim, dim), states in state order.  One routine serves
     both models, over SS and the discordant classes of ``MODELS[kind]``.
     Each class with start count c0, inflow a = SS0 * inflow, x and h, the
     SS hazard, counts
@@ -173,10 +173,9 @@ def count_derivatives(kind, init, rates, times):
     spec = model_spec(kind)
     r = [float(v) for v in rates]
     dim = len(r)
-    counts = init.as_tuple()
-    ss0 = counts[0]
+    ss0 = init[0]
     h = spec.hazard(r)
-    terms = [(ss0, 0.0, 0.0)] + [(counts[start], inflow, x)
+    terms = [(ss0, 0.0, 0.0)] + [(init[start], inflow, x)
                                  for start, inflow, x, _ in spec.classes(r)]
     n = init.total
     flat = []
@@ -266,7 +265,7 @@ def solve_columns_at(kind, init, columns, times):
     ``columns`` holds one array or scalar per rate in ``PARAM_NAMES[kind]``
     order, which broadcast against each other: a surface passes its axes as
     a column and a row and its fixed rates as scalars.  Returns, per time,
-    one list of arrays, one per pair state in ``as_tuple`` order, each of
+    one list of arrays, one per pair state in state order, each of
     the shape its expression varies over: on a lambda x tau surface the SS
     count and the exp of its decay are one column.  Broadcast to the
     columns' shape, each element is bit-identical to :func:`solve_nongender`
@@ -278,24 +277,23 @@ def solve_columns_at(kind, init, columns, times):
     spec = model_spec(kind)
     r = _checked_columns(spec.param_names, columns)
     for t in times:
-        _check_time(t)
+        _check_nonnegative("time", t)
     n = init.total
     if n <= 0:
         raise DomainError("initial counts must sum to a positive total")
-    counts = init.as_tuple()
     # a rate near the float64 limit overflows to inf, and inf * 0 is nan,
     # as on the scalar path, which raises no warning for either
     with np.errstate(over="ignore", invalid="ignore"):
         hazard = spec.hazard(r)
         # one class at a time: the classes of a surface vary over
         # different axes
-        classes = [(counts[start], counts[0] * inflow,
+        classes = [(init[start], init[0] * inflow,
                     *_discordant_columns(x, rate))
                    for start, inflow, x, rate in spec.classes(r)]
         out = []
         for t in times:
             decay = apply_libm(math.exp, -hazard * t)
-            states = [counts[0] * decay]
+            states = [init[0] * decay]
             for c0, a, below, singular, exp_rate, expm1_rate, divisor in classes:
                 e = apply_libm(math.exp, exp_rate * t)
                 ratio = apply_libm(math.expm1, expm1_rate * t) / divisor
@@ -329,7 +327,7 @@ def score_and_information(kind, data: Dataset, rates):
     p, grad, hess = count_derivatives(kind, data.initial, rates,
                                       data.elapsed()[1:])
     dim = grad.shape[2]
-    counts = np.array(data.counts[1:], dtype=float)
+    counts = np.array(data.observations[1:], dtype=float)
     safe_p = np.where(counts > 0, p, 1.0)
     if not (safe_p > 0.0).all():
         return None
@@ -373,7 +371,7 @@ def log_likelihood_columns(kind, data: Dataset, columns) -> np.ndarray:
     ll = 0.0
     impossible = False
     solved = solve_columns_at(kind, data.initial, columns, data.elapsed()[1:])
-    for counts, states in zip(data.counts[1:], solved):
+    for counts, states in zip(data.observations[1:], solved):
         # added state by state, in the scalar path's order
         term = 0.0
         for n_obs, pred in zip(counts, states):
@@ -398,7 +396,7 @@ def saturated_log_likelihood(data: Dataset) -> float:
     """
     n = data.n
     total = 0.0
-    for counts in data.counts[1:]:
+    for counts in data.observations[1:]:
         for c in counts:
             if c > 0:
                 total += c * math.log(c / n)
@@ -531,7 +529,7 @@ def slice_profile(kind, data: Dataset, axis: GridAxis, anchor) -> ProfileCurve:
     if axis.name not in names:
         raise ConfigError(f"unknown parameter {axis.name!r} for model {kind!r}")
     xs = axis.values()
-    columns = list(anchor.as_vector())
+    columns = list(anchor)
     columns[names.index(axis.name)] = xs
     return ProfileCurve(name=axis.name, values=xs,
                         loglik=log_likelihood_columns(kind, data, columns))

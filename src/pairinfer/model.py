@@ -32,28 +32,35 @@ broadcasting rate columns and :func:`~pairinfer.likelihood.count_derivatives`
 differentiates every count from one routine over them (near x = 0 through
 the Taylor series of expm1(x*t)/x, whose closed-form derivatives cancel
 there); and the simulator, infections table, parsers and CLI read it too.
-The scalar solve pays for reading the table: 2.08 against 1.50 us per
-non-gendered solve and 2.69 against 2.01 us per gendered one, for the
-copies written out per model that it replaced (timeit, median of 11
-interleaved rounds of fresh interpreters on one pinned CPU of a 2-CPU
-shared host, Python 3.11).  At 21 solves per fitted cohort file and 5 per
-simulate-and-refit replicate, that is under 1% of either.  Everything here
-is a pure function of its arguments; all value types are frozen and safe
-to share across threads.
-This module needs only :mod:`math`, so loading a dataset imports no
-numpy; the array kernels over the table live in :mod:`pairinfer.likelihood`.
+A scalar solve takes 2.37 us non-gendered and 2.88 us gendered, against
+2.81 and 3.32 us before the counts and states were tuples (timeit, median
+of 11 interleaved rounds of fresh interpreters on one pinned CPU of a
+2-CPU shared host, Python 3.11).  At 21 solves per fitted cohort file and
+5 per simulate-and-refit replicate, that is under 1% of either.
+
+The value types are tuples in state or rate order, with a property per
+field: ``PairCounts(1, 2, 3) == (1, 2, 3)``.  Their values are kept as
+given, so int counts stay ints.  Everything here is a pure function of
+its arguments; all value types are immutable and safe to share across
+threads.  This module needs only :mod:`math`, so loading a dataset
+imports no numpy; the array kernels over the table live in
+:mod:`pairinfer.likelihood`.
 """
 
 from __future__ import annotations
 
+import copyreg
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+import sys
+from functools import reduce
+from operator import add, itemgetter
 
 from .errors import ConfigError, DomainError
 
 NONGENDER = "nongender"
 GENDER = "gender"
+
+_FLOAT_MAX = sys.float_info.max
 
 # Width of the singular band |tau - lambda| below which the analytic limit
 # of (1 - exp(-x*t))/x is used instead of the general expression.
@@ -61,124 +68,127 @@ EPS_SINGULAR = 1e-8
 
 
 def _check_nonnegative(name, value):
-    if not math.isfinite(value) or value < 0:
+    try:
+        ok = math.isfinite(value) and value >= 0
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PairCounts:
-    """Occupancy of the three non-gendered pair states at one time."""
+class _Values(tuple):
+    """Values in state or rate order, read by position or by field name.
 
-    ss: float
-    si: float
-    ii: float
+    ``_names`` names the values: a type with names takes exactly that many
+    and checks that each is finite and >= 0, naming it in the error.
+    :class:`PairState` has none; it holds 3 or 4 expected counts,
+    unchecked.  Values are kept as given, so int counts stay ints.
+    """
 
-    def __post_init__(self):
-        for name in ("ss", "si", "ii"):
-            _check_nonnegative(name, getattr(self, name))
+    __slots__ = ()
+    _names = ()
+
+    def __new__(cls, *values):
+        names = cls._names
+        if len(values) != len(names) and (names or len(values) not in (3, 4)):
+            raise TypeError(f"{cls.__name__} takes {len(names) or '3 or 4'} "
+                            f"values, got {len(values)}")
+        for name, value in zip(names, values):
+            # a value in float range is valid; the full check raises for the
+            # rest, or passes an int that rounds to the largest float
+            if not 0.0 <= value <= _FLOAT_MAX:
+                _check_nonnegative(name, value)
+        return tuple.__new__(cls, values)
+
+    def __getnewargs__(self):
+        # copy and pickle call __new__ with these
+        return tuple(self)
+
+    def as_tuple(self):
+        return self
 
     @property
     def total(self):
-        return self.ss + self.si + self.ii
-
-    def as_tuple(self):
-        return (self.ss, self.si, self.ii)
+        """The values added left to right (``sum`` compensates from 3.12)."""
+        return reduce(add, self)
 
 
-@dataclass(frozen=True)
-class GenderPairCounts:
+class PairCounts(_Values):
+    """Occupancy of the three non-gendered pair states at one time."""
+
+    __slots__ = ()
+    _names = ("ss", "si", "ii")
+    ss = property(itemgetter(0))
+    si = property(itemgetter(1))
+    ii = property(itemgetter(2))
+
+
+class GenderPairCounts(_Values):
     """Occupancy of the four gendered pair states.
 
     ``is_`` counts pairs with the male partner infected, ``si`` pairs with
     the female partner infected.
     """
 
-    ss: float
-    is_: float
-    si: float
-    ii: float
-
-    def __post_init__(self):
-        for name in ("ss", "is_", "si", "ii"):
-            _check_nonnegative(name, getattr(self, name))
-
-    @property
-    def total(self):
-        return self.ss + self.is_ + self.si + self.ii
-
-    def as_tuple(self):
-        return (self.ss, self.is_, self.si, self.ii)
+    __slots__ = ()
+    _names = ("ss", "is_", "si", "ii")
+    ss = property(itemgetter(0))
+    is_ = property(itemgetter(1))
+    si = property(itemgetter(2))
+    ii = property(itemgetter(3))
 
 
-@dataclass(frozen=True)
-class NonGenderParams:
+class NonGenderParams(_Values):
     """Transmission rates (per year) for the non-gendered model."""
 
-    lam: float
-    tau: float
-
-    def __post_init__(self):
-        _check_nonnegative("lambda", self.lam)
-        _check_nonnegative("tau", self.tau)
-
-    def as_vector(self):
-        return (self.lam, self.tau)
+    __slots__ = ()
+    _names = ("lambda", "tau")
+    lam = property(itemgetter(0))
+    tau = property(itemgetter(1))
 
 
-@dataclass(frozen=True)
-class GenderParams:
+class GenderParams(_Values):
     """Transmission rates (per year) for the gendered model."""
 
-    lam_m: float
-    lam_f: float
-    tau_mf: float
-    tau_fm: float
-
-    def __post_init__(self):
-        _check_nonnegative("lambda_m", self.lam_m)
-        _check_nonnegative("lambda_f", self.lam_f)
-        _check_nonnegative("tau_mf", self.tau_mf)
-        _check_nonnegative("tau_fm", self.tau_fm)
-
-    def as_vector(self):
-        return (self.lam_m, self.lam_f, self.tau_mf, self.tau_fm)
+    __slots__ = ()
+    _names = ("lambda_m", "lambda_f", "tau_mf", "tau_fm")
+    lam_m = property(itemgetter(0))
+    lam_f = property(itemgetter(1))
+    tau_mf = property(itemgetter(2))
+    tau_fm = property(itemgetter(3))
 
 
-@dataclass(frozen=True)
-class PairState:
-    """Expected (real-valued) pair counts for the non-gendered model."""
+class PairState(_Values):
+    """Expected (real-valued) pair counts of either model, in state order."""
 
-    p_ss: float
-    p_si: float
-    p_ii: float
-
-    @property
-    def total(self):
-        return self.p_ss + self.p_si + self.p_ii
-
-    def as_tuple(self):
-        return (self.p_ss, self.p_si, self.p_ii)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GenderPairState:
-    """Expected (real-valued) pair counts for the gendered model."""
+class _ReadOnly:
+    """Slots set once, by ``__init__``; setting or deleting one afterwards
+    is an AttributeError."""
 
-    p_ss: float
-    p_is: float
-    p_si: float
-    p_ii: float
+    __slots__ = ()
 
-    @property
-    def total(self):
-        return self.p_ss + self.p_is + self.p_si + self.p_ii
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
-    def as_tuple(self):
-        return (self.p_ss, self.p_is, self.p_si, self.p_ii)
+    def _read_only(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        # copy and pickle restore the slots as they are, without __init__
+        return (copyreg.__newobj__, (type(self),),
+                {name: getattr(self, name) for name in self.__slots__})
+
+    def __setstate__(self, state):
+        _ReadOnly.__init__(self, **state)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_ReadOnly):
     """What one pair model is, for every path that serves both models.
 
     ``r`` below is a rate vector in ``param_names`` order, of floats or of
@@ -193,14 +203,8 @@ class ModelSpec:
     the scalar solver and the grid kernel built on it agree bit for bit.
     """
 
-    kind: str
-    param_names: tuple
-    state_labels: tuple
-    counts_type: type
-    params_type: type
-    hazard: Callable
-    classes: Callable
-    routes: tuple
+    __slots__ = ("kind", "param_names", "state_labels", "counts_type",
+                 "params_type", "hazard", "classes", "routes")
 
 
 MODELS = {spec.kind: spec for spec in (
@@ -249,12 +253,7 @@ def model_of(counts, params=None):
     return spec
 
 
-def _check_time(t):
-    if not math.isfinite(t) or t < 0:
-        raise DomainError(f"time must be finite and >= 0, got {t!r}")
-
-
-def _solve(spec, state_type, rates, init, t):
+def _solve(spec, rates, init, t):
     """Closed-form expected pair counts at elapsed time t, read from ``spec``.
 
     ``rates`` is a rate vector in ``spec.param_names`` order.  SS decays as
@@ -266,17 +265,16 @@ def _solve(spec, state_type, rates, init, t):
     with D = t in the singular band |x| < EPS_SINGULAR, which only guards
     the division.  II is N minus the others, clamped at 0.
     """
-    _check_time(t)
+    _check_nonnegative("time", t)
     n = init.total
     if n <= 0:
         raise DomainError("initial counts must sum to a positive total")
-    counts = init.as_tuple()
-    ss0 = counts[0]
+    ss0 = init[0]
     decay = math.exp(-spec.hazard(rates) * t)
     states = [ss0 * decay]
     rest = n - states[0]
     for start, inflow, x, rate in spec.classes(rates):
-        c0 = counts[start]
+        c0 = init[start]
         a = ss0 * inflow
         if x <= -EPS_SINGULAR:
             e = math.exp(-rate * t)
@@ -287,22 +285,22 @@ def _solve(spec, state_type, rates, init, t):
         states.append(value)
         rest -= value
     states.append(max(rest, 0.0))
-    return state_type(*states)
+    return tuple.__new__(PairState, states)  # of the right arity: no check
 
 
 def solve_nongender(params: NonGenderParams, init: PairCounts, t: float) -> PairState:
     """Closed-form expected pair counts at elapsed time t from state ``init``."""
-    return _solve(MODELS[NONGENDER], PairState, params.as_vector(), init, t)
+    return _solve(MODELS[NONGENDER], params, init, t)
 
 
-def solve_gender(params: GenderParams, init: GenderPairCounts, t: float) -> GenderPairState:
+def solve_gender(params: GenderParams, init: GenderPairCounts, t: float) -> PairState:
     """Closed-form expected pair counts for the gendered model.
 
     The two discordant classes have independent singular limits, applied when
     tau_mf is within EPS_SINGULAR of lambda_m (and likewise for the f -> m
     pair of rates).
     """
-    return _solve(MODELS[GENDER], GenderPairState, params.as_vector(), init, t)
+    return _solve(MODELS[GENDER], params, init, t)
 
 
 # Below |x*t| = 1 the derivatives of D come from its Taylor series: the

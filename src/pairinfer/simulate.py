@@ -108,7 +108,7 @@ def _channels(params, init):
     II, each in class order.
     """
     spec = model_of(init, params)
-    classes = spec.classes(params.as_vector())
+    classes = spec.classes(params)
     ii = len(spec.state_labels) - 1
     channels = ([(inflow, 0, start) for start, inflow, _, _ in classes]
                 + [(rate, start, ii) for start, _, _, rate in classes])
@@ -163,7 +163,7 @@ def gillespie_simulate(params, init, times, seed):
     """
     channels, counts_type = _channels(params, init)
     times = snapshot_times(times)
-    for c in init.as_tuple():
+    for c in init:
         if c > _MAX_COUNT:
             raise DomainError(f"simulation takes initial counts up to "
                               f"{_MAX_COUNT}, got {c:g}")
@@ -171,7 +171,7 @@ def gillespie_simulate(params, init, times, seed):
             raise DomainError("simulation requires integer initial counts")
 
     n_classes = len(channels) // 2
-    counts = [int(c) for c in init.as_tuple()]
+    counts = [int(c) for c in init]
     discordant = [counts[d] for _, _, d in channels[:n_classes]]
     inflows = [c for c, _, _ in channels[:n_classes]]
     cumulative = list(itertools.accumulate(inflows))
@@ -243,10 +243,10 @@ def validation_sweep(truth_grid, init, times, n_replicates, master_seed,
                 estimates = tuple(float(v) for v in result.estimates)
                 converged = bool(result.converged)
             except InfeasibleDataError:
-                estimates = tuple(float("nan") for _ in params.as_vector())
+                estimates = tuple(float("nan") for _ in params)
                 converged = False
             records.append(ValidationRecord(
-                true_params=tuple(params.as_vector()),
+                true_params=tuple(params),
                 estimates=estimates,
                 converged=converged,
                 grid_index=grid_index,

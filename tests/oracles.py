@@ -32,7 +32,7 @@ from pairinfer import (GENDER, NONGENDER, PARAM_NAMES, ConfigError,
                        SimplexResult, nongender_dataset, solve_gender,
                        solve_nongender)
 from pairinfer.likelihood import _CLASS_JACOBIAN, apply_libm
-from pairinfer.model import (EPS_SINGULAR, _check_nonnegative, _check_time,
+from pairinfer.model import (EPS_SINGULAR, _check_nonnegative,
                              _inflow_moments, model_spec)
 from pairinfer.simulate import _bins, _channels, _rng
 
@@ -55,7 +55,7 @@ def integrate_nongender(params: NonGenderParams, init: PairCounts, t: float):
 
 def integrate_gender(params: GenderParams, init: GenderPairCounts, t: float):
     """Adaptive high-order integration of the gendered ODE system."""
-    lm, lf, tmf, tfm = params.as_vector()
+    lm, lf, tmf, tfm = params
 
     def rhs(_, y):
         return [-(lm + lf) * y[0],
@@ -243,7 +243,7 @@ def make_consistent_dataset(rng, horizon=2.0):
         si0 = rng.uniform(30.0, 80.0)
         params = NonGenderParams(lam, tau)
         probe = solve_nongender(params, PairCounts(ss0, si0, 0.0), horizon)
-        p_ss, p_si = probe.p_ss, probe.p_si
+        p_ss, p_si, _ = probe
         # ii0 solving ii0/si0 = P_II/P_SI; P_SS and P_SI do not depend on ii0
         denom = p_si - si0
         if denom <= 1e-6:
@@ -688,7 +688,7 @@ def solve_batch(kind, init, rates, t):
     if bad.any():
         row, col = np.argwhere(bad)[0]
         _check_nonnegative(names[col], float(rates[row, col]))
-    _check_time(t)
+    _check_nonnegative("time", t)
     n = init.total
     if n <= 0:
         raise DomainError("initial counts must sum to a positive total")
@@ -841,7 +841,7 @@ def score_and_information(kind, data, rates):
     positive expected count."""
     p, grad, hess = count_derivatives(kind, data.initial, rates,
                                       data.elapsed()[1:])
-    counts = np.array(data.counts[1:], dtype=float)
+    counts = np.array(data.observations[1:], dtype=float)
     if not np.all(p[counts > 0] > 0.0):
         return None
     safe_p = np.where(counts > 0, p, 1.0)

@@ -16,8 +16,7 @@ from pairinfer import (GenderPairCounts, GenderParams, GridAxis, GridSpec,
                        NonGenderParams, PairCounts, analyze, derive_seed,
                        fit_mle, gillespie_simulate, infections_per_year,
                        lambda_hat_closed_form, likelihood_surface,
-                       load_bundled, solve_gender, solve_nongender,
-                       validation_sweep)
+                       solve_gender, solve_nongender, validation_sweep)
 from pairinfer.cli import main
 from pairinfer.io import emit_report
 

@@ -1,5 +1,5 @@
 """The benchmark's tracer finds every layer function it declares, and its
-set-up launch loads only the dataset layer, without numpy.
+set-up launch loads only the dataset layer, without numpy or dataclasses.
 
 ``perfbench/tracer.py`` wraps each name in ``LAYER_FUNCTIONS`` by looking it
 up on ``pairinfer.<layer>``; a renamed or moved function would stop a traced
@@ -34,11 +34,12 @@ def test_traced_layer_functions_exist():
 
 
 def _loaded_modules(code):
-    """The pairinfer and numpy modules a fresh interpreter has loaded after
-    ``code``."""
+    """The pairinfer, numpy, dataclasses and inspect modules a fresh
+    interpreter has loaded after ``code``."""
     script = (f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}; "
               "print(' '.join(m for m in sys.modules "
-              "if m.partition('.')[0] in ('pairinfer', 'numpy')))")
+              "if m.partition('.')[0] in "
+              "('pairinfer', 'numpy', 'dataclasses', 'inspect')))")
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True).stdout
     return set(out.split())
@@ -49,8 +50,10 @@ def test_setup_launch_loads_only_the_dataset_layer():
                              "pairinfer.load_bundled('nongender'); "
                              "pairinfer.load_bundled('gender')")
     # the counts and the scalar solver need only math; numpy's import
-    # would be most of the launch
+    # would be most of the launch, and dataclasses loads inspect, ast, dis
+    # and tokenize
     assert "numpy" not in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
     assert loaded == {"pairinfer", "pairinfer.errors", "pairinfer.model",
                       "pairinfer.dataset", "pairinfer.data"}
 

@@ -609,7 +609,7 @@ def test_closed_form_falls_back_to_cfa(counts, horizon):
     assert two_time_mle(data, ((0.0, 10.0), (0.0, 10.0)), 0.1) is None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the CFA clamps
-        start = np.clip(cfa(data).as_vector(), *inference.DEFAULT_BOUNDS)
+        start = np.clip(cfa(data), *inference.DEFAULT_BOUNDS)
     fit = fit_mle("nongender", data, seed=0)
     assert fit.warm_start_source == "CFA"
     assert np.array_equal(fit.warm_start, start)
@@ -684,8 +684,8 @@ def two_time_cohorts(draw):
     si0 = draw(st.integers(0, n - ss0))
     init = PairCounts(ss0, si0, n - ss0 - si0)
     state = solve_nongender(truth, init, horizon)
-    ss = round(state.p_ss)
-    si = min(round(state.p_si), n - ss)
+    ss = round(state[0])
+    si = min(round(state[1]), n - ss)
     return nongender_dataset((0.0, horizon),
                              [init.as_tuple(), (ss, si, n - ss - si)])
 
@@ -695,7 +695,7 @@ def _tight_polished(data, fit):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            start = np.clip(cfa(data).as_vector(), *inference.DEFAULT_BOUNDS)
+            start = np.clip(cfa(data), *inference.DEFAULT_BOUNDS)
     except DomainError:
         start = np.array([1e-3, 1e-3])
     objective = inference._objective("nongender", data)
@@ -934,14 +934,14 @@ def test_polish_reaches_an_interior_optimum_near_a_bound():
         (inference.DEFAULT_BOUNDS, inference.DEFAULT_BOUNDS),
         inference._POLISH_DECREMENT, 50_000)
     assert information is not None
-    assert x == pytest.approx(TRUTH_NEAR_BOUND.as_vector(), rel=1e-5)
+    assert x == pytest.approx(TRUTH_NEAR_BOUND, rel=1e-5)
     assert -f >= saturated - 1e-12 * (1.0 + abs(saturated))
     fit = fit_mle("nongender", data, seed=0)
     assert fit.converged and fit.identifiability == "ok"
-    assert fit.estimates == pytest.approx(TRUTH_NEAR_BOUND.as_vector(),
+    assert fit.estimates == pytest.approx(TRUTH_NEAR_BOUND,
                                           rel=1e-5)
     # the start: the two-time MLE of the first and last observations
-    ends = nongender_dataset((0.0, 16.0), [data.counts[0], data.counts[-1]])
+    ends = nongender_dataset((0.0, 16.0), [data.observations[0], data.observations[-1]])
     assert fit.warm_start_source == "closed-form-first-last"
     assert np.array_equal(fit.warm_start,
                           two_time_mle(ends, fit.bounds, 1e-3)[1])

@@ -1,9 +1,11 @@
 """Dataset files, report emission, CLI behavior and exit codes."""
 
 import ast
+import copy
 import json
 import math
 import os
+import pickle
 import stat
 import warnings
 from pathlib import Path
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import pairinfer.cli
 import pairinfer.dataset
 import pairinfer.io
-from pairinfer import (ConfigError, Dataset, DomainError, GridAxis, GridSpec,
+from pairinfer import (ConfigError, DomainError, GridAxis, GridSpec,
                        ParseError, analyze, emit_report, fit_mle,
                        likelihood_surface, load_bundled, nongender_dataset,
                        parse_dataset, write_dataset)
@@ -60,6 +62,19 @@ def test_bundled_dataset_is_read_once(monkeypatch):
         with pytest.raises(ConfigError):
             load_bundled(kind)
     assert len(reads) == 1
+
+
+def test_datasets_are_read_only_and_copy(mwanza_gender):
+    with pytest.raises(AttributeError, match="read-only"):
+        mwanza_gender.n = 1.0
+    with pytest.raises(AttributeError, match="read-only"):
+        del mwanza_gender.times
+    for clone in (copy.copy(mwanza_gender), copy.deepcopy(mwanza_gender),
+                  *(pickle.loads(pickle.dumps(mwanza_gender, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert clone == mwanza_gender and hash(clone) == hash(mwanza_gender)
+        assert (clone.kind, clone.n, clone.elapsed()) == (
+            mwanza_gender.kind, mwanza_gender.n, mwanza_gender.elapsed())
 
 
 def test_json_round_trip(tmp_path, mwanza):
@@ -340,6 +355,34 @@ def test_cli_parse_error_exit_2(tmp_path):
     code = main(["fit", "--model", "nongender", "--input", str(bad),
                  "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def _nongender_json(ss="10", time="2"):
+    # written as text: json.dumps would refuse an int of 5,000 digits
+    return ('{"schema_version": 1, "model": "nongender", "observations": ['
+            f'{{"time": 0, "counts": {{"SS": {ss}, "SI": 1, "II": 1}}}}, '
+            f'{{"time": {time}, "counts": {{"SS": {ss}, "SI": 1, "II": 1}}}}]}}')
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("count.json", _nongender_json(ss=str(10**400)), "ss must be finite"),
+    ("time.json", _nongender_json(time=str(10**400)), "'time' must be finite"),
+    ("digits.json", _nongender_json(ss="1" * 5000), "invalid JSON"),
+    ("sum.csv", "time,SS,SI,II\n0,1e308,1e308,0\n2,1e308,1e308,0\n",
+     "sum past the largest float"),
+    ("sum.json", _nongender_json(ss=str(10**308)).replace(
+        '"SI": 1', f'"SI": {10**308}'), "sum past the largest float"),
+], ids=["count-past-float", "time-past-float", "int-past-digit-limit",
+        "table-sum-past-float", "json-int-sum-past-float"])
+def test_cli_fit_inputs_past_the_float_range_are_parse_errors(
+        name, text, message, tmp_path, capsys):
+    # each once ended in an OverflowError or ValueError traceback
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["fit", "--model", "nongender", "--input", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
 def test_cli_infeasible_exit_3(tmp_path):

@@ -1,6 +1,8 @@
-"""Closed-form forward solutions against the ODE-integration oracle."""
+"""Closed-form forward solutions against the ODE-integration oracle, and
+the model's value types."""
 
-import math
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairinfer import (GENDER, NONGENDER, DomainError, GenderPairCounts,
-                       GenderParams, NonGenderParams, PairCounts,
+                       GenderParams, NonGenderParams, PairCounts, PairState,
                        solve_gender, solve_nongender)
 from pairinfer import likelihood, model
 from pairinfer.likelihood import count_derivatives
@@ -44,9 +46,7 @@ def test_nongender_matches_frozen_oracle_values():
     state = solve_nongender(NonGenderParams(0.003033, 0.0561), MWANZA_INIT, 2.0)
     assert state.as_tuple() == pytest.approx(ORACLE_NG_EXAMPLE, abs=1e-8)
     # headline values: ss is analytically forced by lambda = log(1742/1721)/4
-    assert state.p_ss == pytest.approx(1721.0, abs=0.05)
-    assert state.p_si == pytest.approx(58.0, abs=0.05)
-    assert state.p_ii == pytest.approx(23.0, abs=0.05)
+    assert state == pytest.approx((1721.0, 58.0, 23.0), abs=0.05)
 
 
 def test_singular_branch_matches_frozen_oracle():
@@ -69,9 +69,9 @@ def test_gender_marginalizes_to_nongender_under_symmetric_rates():
     lam, tau = 0.004, 0.06
     g = solve_gender(GenderParams(lam, lam, tau, tau), MWANZA_G_INIT, 2.0)
     ng = solve_nongender(NonGenderParams(lam, tau), MWANZA_INIT, 2.0)
-    assert g.p_ss == pytest.approx(ng.p_ss, abs=1e-10)
-    assert g.p_ii == pytest.approx(ng.p_ii, abs=1e-10)
-    assert g.p_is + g.p_si == pytest.approx(ng.p_si, abs=1e-10)
+    assert g[0] == pytest.approx(ng[0], abs=1e-10)
+    assert g[-1] == pytest.approx(ng[-1], abs=1e-10)
+    assert g[1] + g[2] == pytest.approx(ng[1], abs=1e-10)
 
 
 def test_oracle_equivalence_random_draws():
@@ -129,8 +129,8 @@ def test_monotonicity_property(lam, tau):
     params = NonGenderParams(lam, tau)
     times = np.linspace(0.0, 8.0, 30)
     states = [solve_nongender(params, MWANZA_INIT, t) for t in times]
-    ss = [s.p_ss for s in states]
-    ii = [s.p_ii for s in states]
+    ss = [s[0] for s in states]
+    ii = [s[-1] for s in states]
     assert all(b <= a + 1e-9 for a, b in zip(ss, ss[1:]))
     assert all(b >= a - 1e-9 for a, b in zip(ii, ii[1:]))
 
@@ -159,6 +159,72 @@ def test_domain_errors():
         PairCounts(-1, 0, 0)
     with pytest.raises(DomainError):
         solve_nongender(NonGenderParams(0.1, 0.1), PairCounts(0, 0, 0), 1.0)
+    # ints past the float range once raised OverflowError
+    with pytest.raises(DomainError, match="time must be finite"):
+        solve_nongender(NonGenderParams(0.1, 0.1), MWANZA_INIT, 10**400)
+    with pytest.raises(DomainError, match="ss must be finite"):
+        PairCounts(10**400, 0, 0)
+
+
+# Each value type, one instance, and one of its fields with its position.
+VALUES = {
+    "counts": (MWANZA_INIT, "si", 1),
+    "gender-counts": (MWANZA_G_INIT, "is_", 1),
+    "params": (NonGenderParams(0.003, 0.056), "tau", 1),
+    "gender-params": (GenderParams(0.004, 0.002, 0.047, 0.068), "tau_fm", 3),
+    "state": (solve_nongender(NonGenderParams(0.003, 0.056), MWANZA_INIT, 2.0),
+              None, None),
+    "gender-state": (solve_gender(GenderParams(0.004, 0.002, 0.047, 0.068),
+                                  MWANZA_G_INIT, 2.0), None, None),
+}
+
+
+@pytest.mark.parametrize("value, field, index", VALUES.values(), ids=VALUES)
+def test_value_types_are_immutable_tuples(value, field, index):
+    assert value.as_tuple() is value and value == tuple(value)
+    if field is not None:
+        assert getattr(value, field) == value[index]
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.0)
+    with pytest.raises(AttributeError):
+        value.extra = 0.0
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  *(pickle.loads(pickle.dumps(value, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(clone) is type(value) and clone == value
+
+
+def test_value_types_keep_tuple_semantics_and_int_counts():
+    counts = PairCounts(1, 2, 3)
+    assert counts == (1, 2, 3) and hash(counts) == hash((1, 2, 3))
+    assert (counts.ss, counts.si, counts.ii) == (1, 2, 3)
+    assert type(counts.total) is int and counts.total == 6
+    rates = GenderParams(1, 2, 3, 4)
+    assert (rates.lam_m, rates.lam_f, rates.tau_mf, rates.tau_fm) == (1, 2, 3, 4)
+    assert NonGenderParams(0.5, 2.0).lam == 0.5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PairCounts(1, 2),
+    lambda: GenderPairCounts(1, 2, 3),
+    lambda: NonGenderParams(0.1, 0.2, 0.3),
+    lambda: GenderParams(0.1, 0.2),
+    lambda: PairState(1.0, 2.0),
+    lambda: PairState(1.0, 2.0, 3.0, 4.0, 5.0),
+], ids=["counts", "gender-counts", "params", "gender-params", "state-2",
+        "state-5"])
+def test_value_types_reject_a_wrong_arity(make):
+    with pytest.raises(TypeError, match="takes 3|takes 4|takes 2"):
+        make()
+
+
+def test_model_specs_are_read_only_and_copy():
+    spec = model.MODELS[GENDER]
+    with pytest.raises(AttributeError, match="read-only"):
+        spec.kind = NONGENDER
+    for clone in (copy.copy(spec), copy.deepcopy(spec)):
+        assert clone.param_names == spec.param_names
+        assert clone.classes is spec.classes
 
 
 def test_long_horizon_tau_below_lambda_stays_finite():

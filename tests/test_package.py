@@ -1,6 +1,9 @@
-"""The package's public surface: every export imports on first use."""
+"""The package's public surface: every export imports on first use, and
+no module imports a name it never uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -26,9 +29,9 @@ SURFACE = {
                    "log_likelihood_gender", "log_likelihood_nongender",
                    "saturated_log_likelihood", "slice_profile"),
     "model": ("GENDER", "MODELS", "NONGENDER", "PARAM_NAMES",
-              "GenderPairCounts", "GenderPairState", "GenderParams",
-              "ModelSpec", "NonGenderParams", "PairCounts", "PairState",
-              "solve_gender", "solve_nongender"),
+              "GenderPairCounts", "GenderParams", "ModelSpec",
+              "NonGenderParams", "PairCounts", "PairState", "solve_gender",
+              "solve_nongender"),
     "neldermead": ("SimplexResult", "minimize_simplex"),
     "quantiles": ("chi2_quantile_2dof", "normal_quantile"),
     "simulate": ("ValidationRecord", "derive_seed", "gillespie_simulate",
@@ -38,7 +41,7 @@ NAMES = {name for names in SURFACE.values() for name in names}
 
 
 def test_every_export_resolves_to_its_module():
-    assert len(NAMES) == 69 and len(SURFACE) == 10
+    assert len(NAMES) == 68 and len(SURFACE) == 10
     for module_name, names in SURFACE.items():
         module = importlib.import_module(f"pairinfer.{module_name}")
         assert getattr(pairinfer, module_name) is module
@@ -72,3 +75,27 @@ def test_exports_are_looked_up_on_every_access(monkeypatch):
     monkeypatch.setattr(pairinfer.simulate, "validation_sweep", sweep)
     assert pairinfer.validation_sweep is sweep
     assert "validation_sweep" not in vars(pairinfer)
+
+
+def _unused_imports(path):
+    """The names the module at ``path`` imports and never loads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - loaded
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = [*Path(pairinfer.__file__).parent.glob("*.py"),
+             *Path(__file__).parent.glob("*.py")]
+    assert len(paths) > 20
+    unused = sorted(f"{path.name}: {name}" for path in paths
+                    for name in _unused_imports(path))
+    assert not unused
