@@ -68,11 +68,8 @@ EPS_SINGULAR = 1e-8
 
 
 def _check_nonnegative(name, value):
-    try:
-        ok = math.isfinite(value) and value >= 0
-    except OverflowError:  # an int past the float range
-        ok = False
-    if not ok:
+    # one comparison fails NaN, inf, negatives and ints past the float range
+    if not 0.0 <= value <= _FLOAT_MAX:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
@@ -90,14 +87,11 @@ class _Values(tuple):
 
     def __new__(cls, *values):
         names = cls._names
-        if len(values) != len(names) and (names or len(values) not in (3, 4)):
+        if len(values) not in ((len(names),) if names else (3, 4)):
             raise TypeError(f"{cls.__name__} takes {len(names) or '3 or 4'} "
                             f"values, got {len(values)}")
         for name, value in zip(names, values):
-            # a value in float range is valid; the full check raises for the
-            # rest, or passes an int that rounds to the largest float
-            if not 0.0 <= value <= _FLOAT_MAX:
-                _check_nonnegative(name, value)
+            _check_nonnegative(name, value)
         return tuple.__new__(cls, values)
 
     def __getnewargs__(self):

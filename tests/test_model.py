@@ -211,8 +211,10 @@ def test_value_types_keep_tuple_semantics_and_int_counts():
     lambda: GenderParams(0.1, 0.2),
     lambda: PairState(1.0, 2.0),
     lambda: PairState(1.0, 2.0, 3.0, 4.0, 5.0),
+    lambda: PairState(),
+    lambda: PairCounts(),
 ], ids=["counts", "gender-counts", "params", "gender-params", "state-2",
-        "state-5"])
+        "state-5", "state-0", "counts-0"])
 def test_value_types_reject_a_wrong_arity(make):
     with pytest.raises(TypeError, match="takes 3|takes 4|takes 2"):
         make()
