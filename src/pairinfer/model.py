@@ -32,8 +32,8 @@ broadcasting rate columns and :func:`~pairinfer.likelihood.count_derivatives`
 differentiates every count from one routine over them (near x = 0 through
 the Taylor series of expm1(x*t)/x, whose closed-form derivatives cancel
 there); and the simulator, infections table, parsers and CLI read it too.
-A scalar solve takes 2.37 us non-gendered and 2.88 us gendered, against
-2.81 and 3.32 us before the counts and states were tuples (timeit, median
+A scalar solve takes 1.60 us non-gendered and 2.06 us gendered, against
+1.92 and 2.49 us before the counts and states were tuples (timeit, median
 of 11 interleaved rounds of fresh interpreters on one pinned CPU of a
 2-CPU shared host, Python 3.11).  At 21 solves per fitted cohort file and
 5 per simulate-and-refit replicate, that is under 1% of either.
